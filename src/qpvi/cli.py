@@ -188,10 +188,10 @@ def cmd_orbit(args):
     with mp.workprec(cfg["prec"]):
         p = _weight_params(cfg)
         n0 = args.n_start
+        sp = painleve.params_from_weight(p, n0)
         K = cfg["K"] if cfg["K"] is not None else n0 + 4
         vt = opuc.verblunsky_from_moments(qseries.moments(p, K=K), N=n0 + 1)
         fit = laxpair.fit_spectral_matrix(p, vt, n0)
-        sp = painleve.params_from_weight(p, n0)
         coords = painleve.extract_coords(fit.matrix, sp)
         lines = []
         for k in range(args.steps + 1):

@@ -24,7 +24,9 @@ import mpmath as mp
 
 from .errors import DomainError, SingularMeasureError
 from .polys import padd, peval, pmax, pmul, pmulz, pscale, pstar
-from .qseries import caratheodory_quad
+# caratheodory_quad stays bound here as the quadrature oracle of F;
+# perfbench/selftest.py wraps this binding
+from .qseries import caratheodory, caratheodory_quad  # noqa: F401
 
 __all__ = [
     "star", "VerblunskyTable", "inner_poly", "verblunsky_from_moments",
@@ -165,17 +167,19 @@ def wronskian_residuals(vt, n):
     return pmax(r1), pmax(r2), pmax(r3)
 
 
-def epsilon_eval(p, vt, n, z, N=None):
-    """eps_n(z) = psi_n(z) + F(z) phi_n(z), F by quadrature (|z| != 1)."""
-    N = vt.moments.N if N is None else N
-    F = caratheodory_quad(p, z, N)
+def epsilon_eval(p, vt, n, z):
+    """eps_n(z) = psi_n(z) + F(z) phi_n(z) for |z| != 1.
+
+    F comes from the Szego coefficients of vt's moment table, so `p` must
+    be the weight of that table.
+    """
+    F = caratheodory(vt.moments, z)
     return peval(list(vt.psi[n]), z) + F * peval(list(vt.phi[n]), z)
 
 
-def epsilon_star_eval(p, vt, n, z, N=None):
-    """eps*_n(z) = psi*_n(z) - F(z) phi*_n(z)."""
-    N = vt.moments.N if N is None else N
-    F = caratheodory_quad(p, z, N)
+def epsilon_star_eval(p, vt, n, z):
+    """eps*_n(z) = psi*_n(z) - F(z) phi*_n(z), F as in `epsilon_eval`."""
+    F = caratheodory(vt.moments, z)
     return peval(vt.psi_star(n), z) - F * peval(vt.phi_star(n), z)
 
 

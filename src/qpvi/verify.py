@@ -90,8 +90,11 @@ def _result(index, name, value, tol, detail=""):
 
 
 def check_01_degenerate_weight(ctx):
-    """a = b collapses the weight to 1 and every alpha_n to 0."""
-    with mp.workprec(128):
+    """a = b collapses the weight to 1 and every alpha_n to 0.
+
+    The Szego series of a = b is g = [1], so the alpha_n come out exactly 0.
+    """
+    with mp.workprec(ctx.prec):
         p = qseries.QWeightParams(a=ctx.params.a, b=ctx.params.a, q=ctx.params.q)
         vt = opuc.verblunsky_from_moments(qseries.moments(p, K=21), N=20)
         worst = max(abs(vt.alpha[n]) for n in range(1, 21))

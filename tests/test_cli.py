@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qpvi import cli
+from qpvi import cli, qseries
 
 WEIGHT = ["--a", "0.3,0.2", "--b", "0.5", "--q", "0.5", "--prec", "128"]
 
@@ -46,6 +46,13 @@ class TestExitCodes:
         code, _ = run(capsys, ["orbit", *WEIGHT, "--n-start", "0"])
         assert code == 2
 
+    def test_orbit_validates_before_moments(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("moments computed before validation")
+        monkeypatch.setattr(qseries, "moments", refuse)
+        code, _ = run(capsys, ["orbit", "--b", "0"])
+        assert code == 2
+
 
 class TestMoments:
     def test_json_envelope(self, capsys):
@@ -79,6 +86,11 @@ class TestVerblunsky:
         a1 = doc["data"]["alpha"][1]
         assert abs(a1[0] + 0.421169964177008) < 1e-12
         assert abs(a1[1] + 0.3153201432919679) < 1e-12
+
+    def test_q_near_one(self, capsys):
+        code, out = run(capsys, ["verblunsky", "--q", "0.97", "--N", "8"])
+        assert code == 0
+        assert len(json.loads(out)["data"]["alpha"]) == 9
 
     def test_determinism(self, capsys):
         _, out1 = run(capsys, ["verblunsky", *WEIGHT, "--N", "4"])

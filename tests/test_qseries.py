@@ -82,14 +82,14 @@ class TestMoments:
 
     def test_grid_too_small(self, ref_params):
         with pytest.raises(DomainError):
-            qseries.moments(ref_params, K=40, N=64)
+            qseries.moments_quad(ref_params, K=40, N=64)
 
     def test_aliasing_guard(self, ref_params):
         # N just above 2K but far too small for the precision: the tail
         # estimate r^(N-K) must trip the guard
         with mp.workprec(192):
             with pytest.raises(PrecisionError):
-                qseries.moments(ref_params, K=30, N=62)
+                qseries.moments_quad(ref_params, K=30, N=62)
 
     def test_json_round_trip(self, table):
         d = table.to_json_dict()
@@ -122,3 +122,69 @@ class TestCaratheodory:
         U, resid = qseries.fit_caratheodory_u(ref_params)
         assert len(U) == 3
         assert resid < 1e-40
+
+
+def _weight(a, b, q):
+    return qseries.QWeightParams(a=mp.mpc(*a), b=mp.mpc(*b), q=mp.mpf(q))
+
+
+class TestSzegoSeries:
+    def test_coefficients_match_products(self, ref_params, prec192):
+        # sum g_n z^n = (az; q)_inf / (bz; q)_inf, and |G|^2 = w on the circle
+        g, mass = qseries.szego_coefficients(ref_params)
+        a, b, q = ref_params.a, ref_params.b, ref_params.q
+        for z in (mp.mpc("0.4", "0.3"), mp.exp(1j * mp.mpf("0.7"))):
+            G = mp.polyval(g[::-1], z)
+            want = qseries.qpoch_inf(a * z, q) / qseries.qpoch_inf(b * z, q)
+            assert abs(G - want) < 1e-50
+        z = mp.exp(1j * mp.mpf("2.1"))
+        assert abs(abs(mp.polyval(g[::-1], z)) ** 2 - qseries.weight_eval(ref_params, z)) < 1e-50
+        assert abs(mass - mp.fsum(abs(x) ** 2 for x in g)) < 1e-50
+
+    def test_moments_match_quadrature_reference(self, ref_params, table, prec192):
+        quad = qseries.moments_quad(ref_params, K=20)
+        assert max(abs(table.cmom(k) - quad.cmom(k)) for k in range(-20, 21)) <= 1e-50
+
+    @pytest.mark.parametrize("a, b", [(("0.4",), ("0.1", "0.3")),   # real a
+                                      (("0.3", "0.2"), ("0",))])     # b = 0
+    def test_moments_match_quadrature(self, a, b, prec192):
+        p = _weight(a, b, "0.3")
+        series, quad = qseries.moments(p, K=20), qseries.moments_quad(p, K=20, N=192)
+        assert quad.N == 192 and series.N is None
+        assert max(abs(x - y) for x, y in zip(series.c, quad.c)) <= 1e-50
+
+    def test_caratheodory_matches_quadrature(self, ref_params, table, prec192):
+        for z in (mp.mpc("0.2", "0.1"), mp.mpc("-0.5", "0.4"),    # inside
+                  mp.mpc("2", "-1"), mp.mpc("-0.3", "4")):        # outside
+            assert abs(qseries.caratheodory(table, z)
+                       - qseries.caratheodory_quad(ref_params, z)) <= 1e-50
+
+    def test_degenerate_weight_is_exact(self, ref_params, prec192):
+        p = qseries.QWeightParams(a=ref_params.a, b=ref_params.a, q=ref_params.q)
+        t = qseries.moments(p, K=6)
+        assert t.g == (1,) and t.mass == 1
+        assert all(t.cmom(k) == 0 for k in range(-6, 7) if k != 0)
+
+    def test_caratheodory_guards(self, ref_params, table):
+        with pytest.raises(DomainError):
+            qseries.caratheodory(table, mp.exp(1j * mp.mpf("0.3")))
+        # a table without Szego coefficients, as moments_quad returns
+        bare = qseries.MomentTable(params=ref_params, K=0, c=(mp.mpc(1),), N=64)
+        with pytest.raises(DomainError):
+            qseries.caratheodory(bare, mp.mpc("0.2"))
+
+    def test_iteration_cap(self, ref_params, monkeypatch):
+        monkeypatch.setattr(qseries, "_MAX_TERMS", 20)
+        with pytest.raises(ConvergenceError):
+            qseries.moments(ref_params, K=4)
+
+    @pytest.mark.parametrize("a, b", [(("0.3", "0.2"), ("0.9",)),   # |b| = 0.9
+                                      (("0", "0.85"), ("0.5",))])    # |a| = 0.85
+    def test_whole_domain_stable_under_precision(self, a, b):
+        # both weights were rejected by the 512-node grid at 192 bits
+        def cs(prec):
+            with mp.workprec(prec):
+                return qseries.moments(_weight(a, b, "0.5"), K=48).c
+        lo, hi = cs(192), cs(384)
+        with mp.workprec(384):
+            assert max(abs(x - y) for x, y in zip(lo, hi)) <= 1e-50
