@@ -45,8 +45,6 @@ def _add_common(sp, with_weight=True):
                     "(default: env QPVI_PREC or 192)")
     sp.add_argument("--tol", type=float, help="override the default tolerance")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers "
-                    "for sampled checks")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", help="output path (default: stdout)")
 
@@ -99,7 +97,7 @@ def _resolve(args):
     prec = args.prec or int(os.environ.get("QPVI_PREC", preset["prec"]))
     if prec < 53:
         raise ConfigError("precision below 53 bits is not supported")
-    cfg = {"prec": prec, "seed": args.seed, "jobs": args.jobs}
+    cfg = {"prec": prec, "seed": args.seed}
     if hasattr(args, "a"):
         cfg["a"] = args.a or preset["a"]
         cfg["b"] = args.b or preset["b"]
@@ -121,6 +119,13 @@ def _emit(args, text):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _require_json(args, what=None):
+    """Refuse --format csv for outputs that have no CSV form, before any work."""
+    if args.format != "json":
+        raise ConfigError(f"{what or args.command} writes JSON only; "
+                          f"--format {args.format} is not supported")
 
 
 def _envelope(cfg, data):
@@ -167,6 +172,7 @@ def cmd_verblunsky(args):
 
 
 def cmd_lax(args):
+    _require_json(args)
     cfg = _resolve(args)
     with mp.workprec(cfg["prec"]):
         p = _weight_params(cfg)
@@ -181,6 +187,7 @@ def cmd_lax(args):
 
 
 def cmd_orbit(args):
+    _require_json(args)
     cfg = _resolve(args)
     cfg["n_start"], cfg["steps"] = args.n_start, args.steps
     if args.n_start < 1 or args.steps < 0:
@@ -210,11 +217,11 @@ def cmd_orbit(args):
 
 
 def cmd_weyl(args):
+    _require_json(args)
     cfg = {"prec": args.prec or int(os.environ.get("QPVI_PREC", 192)),
-           "seed": args.seed, "jobs": args.jobs}
+           "seed": args.seed}
     checks = weyl.check_translation()
-    items = [(128, args.seed, i) for i in range(20)]
-    worst = max(verify._pmap(verify._composite_sample, items, args.jobs))
+    worst = max(verify._composite_sample(128, args.seed, i) for i in range(20))
     data = {"matrix": [list(row) for row in weyl.phi_pic()],
             "lattice_checks": checks,
             "composite_samples": 20,
@@ -224,6 +231,8 @@ def cmd_weyl(args):
 
 
 def cmd_ode(args):
+    if args.limit_check:
+        _require_json(args, "ode --limit-check")
     prec = args.prec or int(os.environ.get("QPVI_PREC", 192))
     cfg = {"prec": prec, "K1": args.K1, "K2": args.K2, "Theta2": args.Theta2,
            "C": [args.C1, args.C2, args.C3, args.C4],
@@ -236,7 +245,7 @@ def cmd_ode(args):
         if args.limit_check:
             window = {"t0": mp.mpf(args.t0), "t1": mp.mpf(args.t1),
                       "u0": _parse_complex(args.u0), "v0": _parse_complex(args.v0)}
-            rep = continuum.limit_check(lp=lp, window=window)
+            rep = continuum.limit_check(lp=lp, window=window, prec=prec)
             _emit(args, _envelope(cfg, rep.to_json_dict()))
             return 0 if rep.decreasing and rep.fitted_order >= 0.8 else 3
         traj = continuum.integrate(lp, mp.mpf(args.t0), mp.mpf(args.t1),
@@ -254,11 +263,11 @@ def cmd_ode(args):
 
 
 def cmd_verify_all(args):
+    _require_json(args)
     cfg = _resolve(args)
     with mp.workprec(cfg["prec"]):
         p = _weight_params(cfg)
-    results = verify.run_all(params=p, prec=cfg["prec"], seed=cfg["seed"],
-                             jobs=cfg["jobs"])
+    results = verify.run_all(params=p, prec=cfg["prec"], seed=cfg["seed"])
     for res in results:
         print(res.line())
     ok = all(r.passed for r in results)

@@ -11,7 +11,6 @@ all of them off one shared cache of moment/recursion/fit data.
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -48,10 +47,9 @@ class CheckResult:
 class VerificationContext:
     """Shared cache: moments, recursion table, and fitted matrices."""
 
-    def __init__(self, params=None, prec=192, seed=0, jobs=1):
+    def __init__(self, params=None, prec=192, seed=0):
         self.prec = prec
         self.seed = seed
-        self.jobs = max(1, jobs)
         with mp.workprec(prec):
             self.params = params if params is not None else qseries.QWeightParams(
                 a=mp.mpc(*map(mp.mpf, REFERENCE["a"])),
@@ -187,8 +185,7 @@ def check_08_three_routes(ctx):
     return _result(8, "three-route step agreement", worst, 1e-10)
 
 
-def _factorization_sample(args):
-    prec, seed, i = args
+def _factorization_sample(prec, seed, i):
     with mp.workprec(prec):
         rng = random.Random(f"{seed}:fact:{i}")
 
@@ -206,8 +203,7 @@ def _factorization_sample(args):
 
 
 def check_09_factorizations(ctx):
-    items = [(ctx.prec, ctx.seed, i) for i in range(20)]
-    worst = max(_pmap(_factorization_sample, items, ctx.jobs))
+    worst = max(_factorization_sample(ctx.prec, ctx.seed, i) for i in range(20))
     return _result(9, "pencil factorizations on constraint variety", worst, 1e-25)
 
 
@@ -218,8 +214,7 @@ def check_10_picard(ctx):
                    0.0, detail="exact" if checks["all"] else f"failed: {failed}")
 
 
-def _composite_sample(args):
-    prec, seed, i = args
+def _composite_sample(prec, seed, i):
     with mp.workprec(prec):
         rng = random.Random(f"{seed}:weyl:{i}")
 
@@ -247,8 +242,7 @@ def _composite_sample(args):
 
 
 def check_11_composite(ctx):
-    items = [(128, ctx.seed, i) for i in range(100)]
-    worst = max(_pmap(_composite_sample, items, ctx.jobs))
+    worst = max(_composite_sample(128, ctx.seed, i) for i in range(100))
     return _result(11, "reflection word vs closed forms vs step", worst, 1e-10)
 
 
@@ -268,7 +262,7 @@ def check_12_weight_identities(ctx):
 
 
 def check_13_continuum(ctx):
-    rep = continuum.limit_check()
+    rep = continuum.limit_check(prec=ctx.prec)
     ok = rep.decreasing and rep.fitted_order >= mp.mpf("0.8")
     errs = ", ".join(f"{float(e):.2e}" for e in rep.errors)
     return CheckResult(index=13, name="continuum limit order", passed=bool(ok),
@@ -285,13 +279,6 @@ CRITERIA = (
 )
 
 
-def _pmap(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items, chunksize=1))
-
-
-def run_all(params=None, prec=192, seed=0, jobs=1):
-    ctx = VerificationContext(params=params, prec=prec, seed=seed, jobs=jobs)
+def run_all(params=None, prec=192, seed=0):
+    ctx = VerificationContext(params=params, prec=prec, seed=seed)
     return [crit(ctx) for crit in CRITERIA]

@@ -8,7 +8,7 @@ from qpvi import qseries, verify
 def ctx():
     """Shared verification context: moment table, Verblunsky table and
     spectral fits are computed once at 192 bits and reused everywhere."""
-    return verify.VerificationContext(prec=192, seed=0, jobs=1)
+    return verify.VerificationContext(prec=192, seed=0)
 
 
 @pytest.fixture(scope="session")

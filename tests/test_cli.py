@@ -1,8 +1,9 @@
 import json
 
+import mpmath as mp
 import pytest
 
-from qpvi import cli, qseries
+from qpvi import cli, continuum, painleve, qseries, weyl
 
 WEIGHT = ["--a", "0.3,0.2", "--b", "0.5", "--q", "0.5", "--prec", "128"]
 
@@ -153,3 +154,49 @@ class TestWeylOde:
         code, out = run(capsys, ["ode", "--t1", "0.7", "--npoints", "3"])
         assert code == 0
         assert json.loads(out)["config"]["prec"] == 96
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computation started before the request was validated")
+
+
+class TestFormat:
+    @pytest.mark.parametrize("argv", [["lax", *WEIGHT], ["orbit", *WEIGHT],
+                                      ["weyl"], ["verify-all", *WEIGHT],
+                                      ["ode", "--limit-check"]],
+                             ids=["lax", "orbit", "weyl", "verify-all", "limit-check"])
+    def test_csv_refused_where_output_is_json(self, capsys, monkeypatch, argv):
+        for mod, name in ((qseries, "moments"), (weyl, "check_translation"),
+                          (continuum, "discrete_orbit")):
+            monkeypatch.setattr(mod, name, _refuse)
+        code, out = run(capsys, [*argv, "--format", "csv"])
+        assert code == 2 and out == ""
+
+
+class TestLimitCheck:
+    def test_three_decreasing_errors(self, capsys):
+        code, out = run(capsys, ["ode", "--limit-check", "--prec", "128"])
+        assert code == 0
+        data = json.loads(out)["data"]
+        errs = data["errors"]
+        assert len(errs) == 3 and errs[0] > errs[1] > errs[2] > 0
+        assert data["decreasing"] and data["fitted_order"] >= 0.8
+
+    def test_runs_at_requested_precision(self, capsys, monkeypatch):
+        seen = []
+        orbit = continuum.discrete_orbit
+
+        def spy(*args, **kwargs):
+            seen.append(mp.mp.prec)
+            return orbit(*args, **kwargs)
+        monkeypatch.setattr(continuum, "discrete_orbit", spy)
+        code, out = run(capsys, ["ode", "--limit-check", "--prec", "160"])
+        assert code == 0
+        assert json.loads(out)["config"]["prec"] == 160
+        assert seen == [160, 160, 160]
+
+    def test_window_across_singularity(self, capsys, monkeypatch):
+        monkeypatch.setattr(painleve, "phi_step", _refuse)
+        monkeypatch.setattr(continuum, "phi_step", _refuse)
+        code, out = run(capsys, ["ode", "--limit-check", "--t0", "1.2", "--t1", "0.8"])
+        assert code == 2 and out == ""

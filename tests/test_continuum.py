@@ -5,9 +5,32 @@ from qpvi import continuum
 from qpvi.errors import ConstraintError, DomainError, SingularityError
 
 
+# the tolerances `limit_check` gives the DOP853 reference
+STUDY_TOL = {"rtol": 1e-13, "atol": 1e-15}
+
+
+def rk4_endpoint(lp, t0, t1, u0, v0, nsteps):
+    """Classical fixed-step RK4 on `ode_rhs` at working precision: a test oracle."""
+    h = (mp.mpf(t1) - mp.mpf(t0)) / nsteps
+    t, u, v = mp.mpf(t0), mp.mpc(u0), mp.mpc(v0)
+    for _ in range(nsteps):
+        a1, b1 = continuum.ode_rhs(lp, t, u, v)
+        a2, b2 = continuum.ode_rhs(lp, t + h / 2, u + h / 2 * a1, v + h / 2 * b1)
+        a3, b3 = continuum.ode_rhs(lp, t + h / 2, u + h / 2 * a2, v + h / 2 * b2)
+        a4, b4 = continuum.ode_rhs(lp, t + h, u + h * a3, v + h * b3)
+        u += h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        v += h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+        t += h
+    return u, v
+
+
 @pytest.fixture(scope="module")
 def ref():
     return continuum.reference_limit()
+
+
+POINTS = ((mp.mpf("0.7"), mp.mpc("0.3", "0.1"), mp.mpc("1.2", "-0.2")),
+          (mp.mpf("0.45"), mp.mpc("-0.8", "0.5"), mp.mpc("0.4", "0.9")))
 
 
 class TestLimitParams:
@@ -28,9 +51,19 @@ class TestLimitParams:
 class TestVectorField:
     def test_independent_grouping(self, ref, prec192):
         lp, _ = ref
-        for t, u, v in ((mp.mpf("0.7"), mp.mpc("0.3", "0.1"), mp.mpc("1.2", "-0.2")),
-                        (mp.mpf("0.45"), mp.mpc("-0.8", "0.5"), mp.mpc("0.4", "0.9"))):
+        for t, u, v in POINTS:
             assert continuum.rhs_crosscheck(lp, t, u, v) < 1e-45
+
+    def test_solver_evaluates_the_same_field(self, ref, prec192):
+        # the solver's complex evaluation against ode_rhs on mpmath
+        lp, _ = ref
+        rhs = continuum._solver_rhs(lp)
+        for t, u, v in POINTS:
+            du, dv = continuum.ode_rhs(lp, t, u, v)
+            re_du, im_du, re_dv, im_dv = rhs(float(t), [float(u.real), float(u.imag),
+                                                       float(v.real), float(v.imag)])
+            assert abs(complex(re_du, im_du) - du) <= 1e-13 * abs(du)
+            assert abs(complex(re_dv, im_dv) - dv) <= 1e-13 * abs(dv)
 
     def test_regularity_guards(self, ref):
         lp, _ = ref
@@ -83,12 +116,12 @@ class TestIntegration:
     def test_solver_against_rk4(self, ref):
         lp, w = ref
         t0, t1 = mp.mpf(str(w["t0"])), mp.mpf(str(w["t1"]))
-        traj = continuum.integrate(lp, t0, t1, w["u0"], w["v0"])
+        traj = continuum.integrate(lp, t0, t1, w["u0"], w["v0"], **STUDY_TOL)
         assert len(traj.t) == 201
         with mp.workprec(128):
-            u_rk, v_rk = continuum._rk4_endpoint(lp, t0, t1, w["u0"], w["v0"], 2000)
-        assert abs(complex(u_rk) - complex(traj.u[-1])) < 1e-8
-        assert abs(complex(v_rk) - complex(traj.v[-1])) < 1e-8
+            u_rk, v_rk = rk4_endpoint(lp, t0, t1, w["u0"], w["v0"], 2000)
+        assert abs(complex(u_rk) - complex(traj.u[-1])) < 1e-12
+        assert abs(complex(v_rk) - complex(traj.v[-1])) < 1e-12
 
     def test_window_validation(self, ref):
         lp, w = ref
@@ -116,12 +149,38 @@ class TestLimit:
             eps = mp.mpf("0.005")
             _, _, u_end, v_end = continuum.discrete_orbit(lp, eps, t0, t1,
                                                           w["u0"], w["v0"])
-            u_ref, v_ref = continuum._rk4_endpoint(lp, t0, t1, w["u0"], w["v0"], 1500)
+            u_ref, v_ref = rk4_endpoint(lp, t0, t1, w["u0"], w["v0"], 1500)
             err = abs(u_end - u_ref) + abs(v_end - v_ref)
         assert err < mp.mpf("0.05")
 
+    def test_reference_matches_rk4_oracle(self, ref):
+        # the DOP853 reference reproduces the error an RK4 reference gives
+        lp, w = ref
+        rep = continuum.limit_check(eps_list=("0.01", "0.005"))
+        with mp.workprec(128):
+            t0 = mp.mpf(str(w["t0"]))
+            _, t_end, u_end, v_end = continuum.discrete_orbit(
+                lp, mp.mpf("0.01"), t0, mp.mpf(str(w["t1"])), w["u0"], w["v0"])
+            u_rk, v_rk = rk4_endpoint(lp, t0, t_end, w["u0"], w["v0"], 1000)
+            err = abs(u_end - u_rk) + abs(v_end - v_rk)
+        assert abs(rep.errors[0] - err) <= 1e-9 * err
+
+    def test_window_checked_before_orbits(self, ref, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbit started before the window was checked")
+        monkeypatch.setattr(continuum, "phi_step", refuse)
+        lp, w = ref
+        # the last window ends its eps = 0.01 orbit at t0 q^40 = 0.999
+        for t0, t1 in (("1.2", "0.8"), ("0.4", "0.8"), ("0.8", "-0.1"), ("1", "0.5"),
+                       ("1.49334", "1.001")):
+            window = dict(w, t0=mp.mpf(t0), t1=mp.mpf(t1))
+            with pytest.raises(DomainError):
+                continuum.limit_check(lp, window=window)
+        with pytest.raises(DomainError):
+            continuum.limit_check(lp, window=w, eps_list=("0.01", "1.5"))
+
     def test_first_order_convergence(self, ref):
-        rep = continuum.limit_check(eps_list=("0.01", "0.005"), rk_steps=800)
+        rep = continuum.limit_check(eps_list=("0.01", "0.005"))
         assert rep.decreasing
         assert rep.fitted_order > 0.7
         d = rep.to_json_dict()
