@@ -14,6 +14,7 @@ from .errors import (ChartError, ConfigError, ConsistencyError,
 from .qseries import MomentTable, QWeightParams, moments
 from .opuc import VerblunskyTable, verblunsky_from_moments
 from .laxpair import SpectralFit, fit_spectral_matrix
-from .painleve import SurfaceCoords, SurfaceParams, params_from_weight, phi_step
+from .painleve import (SurfaceCoords, SurfaceParams, params_from_weight,
+                       phi_orbit, phi_step)
 from .continuum import LimitParams, limit_check
 from .verify import run_all

@@ -221,7 +221,8 @@ def cmd_weyl(args):
     cfg = {"prec": args.prec or int(os.environ.get("QPVI_PREC", 192)),
            "seed": args.seed}
     checks = weyl.check_translation()
-    worst = max(verify._composite_sample(128, args.seed, i) for i in range(20))
+    worst = max(verify._composite_sample(cfg["prec"], args.seed, i)
+                for i in range(20))
     data = {"matrix": [list(row) for row in weyl.phi_pic()],
             "lattice_checks": checks,
             "composite_samples": 20,

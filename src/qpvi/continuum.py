@@ -20,9 +20,11 @@ K1 + K2 + sum C_i = Th1 + Th2 (the eps-linearization of the constraint
 variety; off it the step is not O(eps) and no limit system exists).
 K1 and Th1 then drop out of the right-hand side.
 
-`limit_check` measures the endpoint gap between the discrete orbit and a
-high-order integration of this system for a decreasing sequence of eps
-and fits the convergence order, which is 1 in eps.  The reference
+`discrete_orbit` runs the discrete orbit as one `painleve.phi_orbit` call,
+which computes the surface coefficients once and advances them by powers
+of q.  `limit_check` measures the endpoint gap between the discrete orbit
+and a high-order integration of this system for a decreasing sequence of
+eps and fits the convergence order, which is 1 in eps.  The reference
 endpoint comes from the adaptive DOP853 solver behind `integrate`
 (Hairer, Norsett and Wanner, Solving ODEs I, II.10) at rtol = 1e-13,
 atol = 1e-15: about 1e-14 accurate, against gaps of at least 6.7e-3.
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConstraintError, DomainError, SingularityError, StepFailure
-from .painleve import SurfaceCoords, SurfaceParams, phi_step
+from .painleve import SurfaceCoords, SurfaceParams, phi_orbit, phi_step
 
 __all__ = [
     "LimitParams", "reference_limit", "ode_rhs", "rhs_crosscheck",
@@ -165,7 +167,7 @@ def _orbit_length(eps, t0, t1):
 
 
 def discrete_orbit(lp, eps, t0, t1, u0, v0):
-    """Run the discrete step from t0 until t0 q^k ~ t1.
+    """Run the discrete step from t0 until t0 q^k ~ t1, as one `phi_orbit`.
 
     Returns (k, t_end, u_end, v_end) with u, v read back through the
     embedding y = 1 + eps u, xi = v.
@@ -174,8 +176,7 @@ def discrete_orbit(lp, eps, t0, t1, u0, v0):
     k, t_end = _orbit_length(eps, t0, mp.mpf(t1))
     sp = discrete_step_params(lp, eps, t0)
     coords = SurfaceCoords(y=1 + eps * mp.mpc(u0), xi=mp.mpc(v0))
-    for _ in range(k):
-        coords, sp = phi_step(coords, sp)
+    coords, _ = phi_orbit(coords, sp, k)
     return k, t_end, (coords.y - 1) / eps, coords.xi
 
 

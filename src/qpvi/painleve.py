@@ -11,11 +11,17 @@ with parameters (kappa1, kappa2, theta1, theta2; c1..c4) subject to
     kappa1 kappa2 c1 c2 c3 c4 = theta1 theta2.
 
 Raising n by one multiplies (kappa1, theta1) by q and moves (y, xi) by an
-explicit birational involution-free map: y' = S/(yT) with S, T the
-quadratics in xi written out in `phi_step`, and xi' a ratio of four linear
-forms in xi.  The same step is realized on matrices by a polynomial gauge
-transform A -> B(qz) A(z) adj(B(z)) / (z Delta) in `matrix_step`, so the
-three routes (recompute at n+1, phi_step, matrix_step) must agree.
+explicit birational involution-free map: y' = S/(yT) with S, T quadratics
+in xi, and xi' a ratio of four linear forms in xi.  `phi_orbit` runs k
+steps: the parameter-only coefficients of S, T and xi' are computed once
+and advanced by a power of q per step, so an orbit neither re-derives nor
+re-validates the parameters at every step; `phi_step` is the orbit of one
+step.  Parameters are validated where they are built: `SurfaceParams`
+checks the constraint, and `phi_orbit` returns its parameters through that
+constructor, so every orbit is checked at both ends.  The same step is
+realized on matrices by a polynomial gauge transform
+A -> B(qz) A(z) adj(B(z)) / (z Delta) in `matrix_step`, so the three
+routes (recompute at n+1, phi_step, matrix_step) must agree.
 
 The map blows down exactly eight parameter-dependent points; steps landing
 on them raise IndeterminacyError naming the nearest one.
@@ -26,13 +32,14 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import (ConsistencyError, ConstraintError, DegenerateError,
-                     GaugeError, IndeterminacyError, SingularGaugeError)
+                     DomainError, GaugeError, IndeterminacyError,
+                     SingularGaugeError)
 from .polys import pdeg, peval, pmax, pscale, ptrim, mat_mul, mat_q
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
-    "extract_coords", "phi_step", "matrix_step", "factorization_residuals",
-    "blown_up_points",
+    "extract_coords", "phi_orbit", "phi_step", "matrix_step",
+    "factorization_residuals", "blown_up_points",
 ]
 
 
@@ -179,59 +186,107 @@ def extract_coords(A, sp, tol=None):
     return SurfaceCoords(y=y, xi=xi)
 
 
-def _st_terms(coords, sp):
-    y, xi = coords.y, coords.xi
+def _st_coefficients(sp):
+    # the parameter-only products of S and T, in the order `_st_terms` reads
+    # them; one step multiplies them by q^2, q^2, 1, q, q, 1, q, q, q, q
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
     c1, c2, c3, c4 = sp.c
     q = sp.q
+    m = q * k1 * k2
     s1 = c1 + c2 + c3 + c4
-    s3 = c1 * c2 * c3 + c1 * c2 * c4 + c1 * c3 * c4 + c2 * c3 * c4
-    S = [-q * k1 * k2 * t1 * xi ** 2 * (y - c3) * (y - c4),
-         xi * ((q ** 2 * k1 * t1 + k2 * t2) * y ** 2 - q * k1 * k2 * s3 * y
-               + 2 * q * t1 * t2),
-         -q * t2 * (y - c1) * (y - c2)]
-    T = [-k1 * k2 ** 2 * xi ** 2 * (y - c3) * (y - c4),
-         xi * (2 * q * k1 * k2 * y ** 2 - q * k1 * k2 * s1 * y
-               + (q ** 2 * k1 * t1 + k2 * t2)),
-         -q ** 2 * k1 * (y - c1) * (y - c2)]
+    s3 = c1 * c2 * (c3 + c4) + (c1 + c2) * c3 * c4
+    return (-m * t1, q * q * k1 * t1, k2 * t2, m * s3, 2 * q * t1 * t2,
+            -q * t2, -k1 * k2 * k2, 2 * m, m * s1, -q * q * k1)
+
+
+def _st_terms(cf, c, y, xi):
+    # S and T, three terms each in powers of xi, at one point; the two
+    # share (y - c1)(y - c2), xi^2 (y - c3)(y - c4) and q^2 k1 t1 + k2 t2
+    sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
+    c1, c2, c3, c4 = c
+    a12 = (y - c1) * (y - c2)
+    xa34 = xi * xi * (y - c3) * (y - c4)
+    p = p1 + p2
+    y2 = y * y
+    S = (sa * xa34, xi * (p * y2 - sb * y + sc), sd * a12)
+    T = (ta * xa34, xi * (tb * y2 - tc * y + p), td * a12)
     return S, T
 
 
-def phi_step(coords, sp):
-    """One Painleve step: returns (new coords, stepped params).
+def _indeterminate(what, sp, k1, t1, y, xi):
+    # the error of a step from (y, xi) under sp with (kappa1, theta1) moved on
+    here = SurfaceParams(k1=k1, k2=sp.k2, t1=t1, t2=sp.t2, c=sp.c, q=sp.q)
+    return IndeterminacyError(what + _nearest_base_point(here, y, xi))
 
-    y' = S/(yT); xi' is the closed ratio of linear forms.  Near-vanishing
-    denominators are rejected relative to the term magnitudes so that
-    catastrophic cancellation is reported instead of silently amplified.
+
+def phi_orbit(coords, sp, k):
+    """k Painleve steps: returns (coords after k steps, their params).
+
+    y' = S/(yT) with S, T the quadratics in xi of `_st_terms`, and
+    xi' = (c1 c2 / (q kappa1 theta1 xi)) f1 f2 / (g1 g2) with f1, f2, g1,
+    g2 linear in xi.  The parameter-only coefficients are computed once;
+    since a step multiplies kappa1 and theta1 by q, each then advances by
+    one multiplication by q, q^2, 1/q or 1/q^2.  The returned parameters
+    go through the `SurfaceParams` constructor, so the constraint is
+    checked at both ends of the orbit; in between the flow scales both of
+    its sides by q.  Near-vanishing denominators are rejected relative to
+    the term magnitudes, so that catastrophic cancellation is reported
+    instead of silently amplified; the error names the base point nearest
+    to the failing step, under that step's parameters.
     """
+    if k < 0:
+        raise DomainError("need k >= 0 steps")
     y, xi = coords.y, coords.xi
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
-    c1, c2, c3, c4 = sp.c
+    c1, c2, c3, c4 = c = sp.c
     q = sp.q
-    Sterms, Tterms = _st_terms(coords, sp)
-    S = mp.fsum(Sterms)
-    T = mp.fsum(Tterms)
-    scale = abs(y) * max(abs(t) for t in Tterms)
-    if scale == 0 or abs(y * T) < _tiny() * scale:
-        raise IndeterminacyError(
-            "y T cancels to working precision near "
-            + _nearest_base_point(sp, y, xi))
-    y_new = S / (y * T)
+    tiny = _tiny()
+    cf = _st_coefficients(sp)
+    q2 = q * q
+    iq = 1 / q
+    iq2 = iq * iq
+    w = q / k2
+    aw = abs(w)
+    r1 = q * t1 / (c1 * k2)
+    r2 = q * t1 / (c2 * k2)
+    r3 = t2 / (q * c3 * k1)
+    r4 = t2 / (q * c4 * k1)
+    pref = c1 * c2 / (q * k1 * t1)
 
-    if abs(xi) * abs(t1) == 0:
-        raise IndeterminacyError(
-            "xi = 0; step hit " + _nearest_base_point(sp, y, xi))
-    f1 = xi * (y - q * t1 / (c1 * k2)) - (q / k2) * (y - c2)
-    f2 = xi * (y - q * t1 / (c2 * k2)) - (q / k2) * (y - c1)
-    g1 = xi * (y - c4) - (q / k2) * (y - t2 / (q * c3 * k1))
-    g2 = xi * (y - c3) - (q / k2) * (y - t2 / (q * c4 * k1))
-    gscale = (abs(xi) + abs(q / k2)) * (1 + abs(y))
-    if abs(g1) < _tiny() * gscale or abs(g2) < _tiny() * gscale:
-        raise IndeterminacyError(
-            "xi' denominator factor vanishes; step hit "
-            + _nearest_base_point(sp, y, xi))
-    xi_new = (c1 * c2 / (q * k1 * t1 * xi)) * (f1 * f2) / (g1 * g2)
-    return SurfaceCoords(y=y_new, xi=xi_new), sp.step()
+    for j in range(k):
+        if j:
+            sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
+            cf = (sa * q2, p1 * q2, p2, sb * q, sc * q, sd,
+                  ta * q, tb * q, tc * q, td * q)
+            r1, r2, r3, r4 = r1 * q, r2 * q, r3 * iq, r4 * iq
+            pref = pref * iq2
+        Sterms, Tterms = _st_terms(cf, c, y, xi)
+        yT = y * mp.fsum(Tterms)
+        ay = abs(y)
+        scale = ay * max(abs(t) for t in Tterms)
+        if scale == 0 or abs(yT) < tiny * scale:
+            raise _indeterminate("y T cancels to working precision near ",
+                                sp, k1, t1, y, xi)
+        if xi == 0 or t1 == 0:
+            raise _indeterminate("xi = 0; step hit ", sp, k1, t1, y, xi)
+        g1 = xi * (y - c4) - w * (y - r3)
+        g2 = xi * (y - c3) - w * (y - r4)
+        gscale = (abs(xi) + aw) * (1 + ay)
+        if abs(g1) < tiny * gscale or abs(g2) < tiny * gscale:
+            raise _indeterminate("xi' denominator factor vanishes; step hit ",
+                                sp, k1, t1, y, xi)
+        f1 = xi * (y - r1) - w * (y - c2)
+        f2 = xi * (y - r2) - w * (y - c1)
+        y, xi = (mp.fsum(Sterms) / yT,
+                 pref * (f1 * f2) / (xi * (g1 * g2)))
+        k1, t1 = q * k1, q * t1
+    return (SurfaceCoords(y=y, xi=xi),
+            SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=c, q=q))
+
+
+def phi_step(coords, sp):
+    """One Painleve step: returns (new coords, stepped params); see `phi_orbit`."""
+    return phi_orbit(coords, sp, 1)
 
 
 def matrix_step(A, sp, tol=None):
@@ -281,7 +336,7 @@ def factorization_residuals(coords, sp):
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
     c1, c2, c3, c4 = sp.c
     q = sp.q
-    Sterms, Tterms = _st_terms(coords, sp)
+    Sterms, Tterms = _st_terms(_st_coefficients(sp), sp.c, y, xi)
     S = mp.fsum(Sterms)
     T = mp.fsum(Tterms)
     scale = max(max(abs(t) for t in Sterms),

@@ -11,7 +11,7 @@ all of them off one shared cache of moment/recursion/fit data.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
@@ -185,20 +185,26 @@ def check_08_three_routes(ctx):
     return _result(8, "three-route step agreement", worst, 1e-10)
 
 
+def _z(rng):
+    # a random complex number with modulus in [0.4, 1.5] and uniform phase
+    r = 0.4 + 1.1 * rng.random()
+    ph = 2 * mp.pi * rng.random()
+    return r * mp.e ** (1j * ph)
+
+
+def _factorization_point(seed, i):
+    """(params, coords) of the i-th generic sample of check 09, at working precision."""
+    rng = random.Random(f"{seed}:fact:{i}")
+    k1, k2, t1 = _z(rng), _z(rng), _z(rng)
+    c = (_z(rng), _z(rng), _z(rng), _z(rng))
+    t2 = k1 * k2 * c[0] * c[1] * c[2] * c[3] / t1
+    sp = painleve.SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=c, q=_z(rng))
+    return sp, SurfaceCoords(y=_z(rng), xi=_z(rng))
+
+
 def _factorization_sample(prec, seed, i):
     with mp.workprec(prec):
-        rng = random.Random(f"{seed}:fact:{i}")
-
-        def z():
-            r = 0.4 + 1.1 * rng.random()
-            ph = 2 * mp.pi * rng.random()
-            return r * mp.e ** (1j * ph)
-
-        k1, k2, t1 = z(), z(), z()
-        c = (z(), z(), z(), z())
-        t2 = k1 * k2 * c[0] * c[1] * c[2] * c[3] / t1
-        sp = painleve.SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=c, q=z())
-        coords = SurfaceCoords(y=z(), xi=z())
+        sp, coords = _factorization_point(seed, i)
         return float(max(painleve.factorization_residuals(coords, sp)))
 
 
@@ -214,16 +220,15 @@ def check_10_picard(ctx):
                    0.0, detail="exact" if checks["all"] else f"failed: {failed}")
 
 
+def _composite_point(seed, i):
+    """The i-th generic b-point of check 11, at working precision."""
+    rng = random.Random(f"{seed}:weyl:{i}")
+    return weyl.BPoint(b=tuple(_z(rng) for _ in range(8)), f=_z(rng), g=_z(rng))
+
+
 def _composite_sample(prec, seed, i):
     with mp.workprec(prec):
-        rng = random.Random(f"{seed}:weyl:{i}")
-
-        def z():
-            r = 0.4 + 1.1 * rng.random()
-            ph = 2 * mp.pi * rng.random()
-            return r * mp.e ** (1j * ph)
-
-        pt = weyl.BPoint(b=tuple(z() for _ in range(8)), f=z(), g=z())
+        pt = _composite_point(seed, i)
         qw = (pt.b[0] * pt.b[1] * pt.b[6] * pt.b[7]) / (
             pt.b[2] * pt.b[3] * pt.b[4] * pt.b[5])
         out = weyl.composite_map(pt)
@@ -242,7 +247,7 @@ def _composite_sample(prec, seed, i):
 
 
 def check_11_composite(ctx):
-    worst = max(_composite_sample(128, ctx.seed, i) for i in range(100))
+    worst = max(_composite_sample(ctx.prec, ctx.seed, i) for i in range(100))
     return _result(11, "reflection word vs closed forms vs step", worst, 1e-10)
 
 
@@ -262,12 +267,13 @@ def check_12_weight_identities(ctx):
 
 
 def check_13_continuum(ctx):
+    """The continuum gap is first order in eps: |fitted order - 1| <= 0.05."""
     rep = continuum.limit_check(prec=ctx.prec)
-    ok = rep.decreasing and rep.fitted_order >= mp.mpf("0.8")
     errs = ", ".join(f"{float(e):.2e}" for e in rep.errors)
-    return CheckResult(index=13, name="continuum limit order", passed=bool(ok),
-                       value=float(rep.fitted_order), tol=0.8,
-                       detail=f"errors [{errs}], order >= 0.8 required")
+    res = _result(13, "continuum limit order", abs(rep.fitted_order - 1), 0.05,
+                  detail=f"errors [{errs}], fitted order "
+                         f"{float(rep.fitted_order):.4f}, decreasing required")
+    return replace(res, passed=res.passed and rep.decreasing)
 
 
 CRITERIA = (

@@ -5,7 +5,7 @@ Run with -s to see the lines as they complete:
     pytest tests/test_acceptance.py -v -s
 """
 
-from qpvi import verify
+from qpvi import continuum, verify
 
 
 def _run(ctx, fn):
@@ -66,3 +66,17 @@ def test_12_szego_function_and_u_fit(ctx):
 
 def test_13_continuum_convergence(ctx):
     _run(ctx, verify.check_13_continuum)
+
+
+def test_13_gate_is_order_within_005_of_one(ctx, monkeypatch):
+    def report(order, errors):
+        return continuum.LimitReport(eps=(0.01, 0.005, 0.0025), steps=(69, 138, 277),
+                                     errors=errors, orders=(), fitted_order=order)
+    cases = [(1.04, (4e-2, 2e-2, 1e-2), True), (0.9, (4e-2, 2e-2, 1e-2), False),
+             (1.06, (4e-2, 2e-2, 1e-2), False), (1.0, (4e-2, 5e-2, 1e-2), False)]
+    for order, errors, passed in cases:
+        monkeypatch.setattr(continuum, "limit_check",
+                            lambda prec, r=report(order, errors): r)
+        res = verify.check_13_continuum(ctx)
+        assert res.passed is passed
+        assert res.value == abs(order - 1) and res.tol == 0.05

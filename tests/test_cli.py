@@ -3,6 +3,7 @@ import json
 import mpmath as mp
 import pytest
 
+import qpvi
 from qpvi import cli, continuum, painleve, qseries, weyl
 
 WEIGHT = ["--a", "0.3,0.2", "--b", "0.5", "--q", "0.5", "--prec", "128"]
@@ -141,6 +142,19 @@ class TestWeylOde:
         assert doc["data"]["composite_max_rel_error"] < 1e-10
         assert len(doc["data"]["matrix"]) == 10
 
+    def test_weyl_runs_at_requested_precision(self, capsys, monkeypatch):
+        seen = set()
+        composite = weyl.composite_map
+
+        def spy(pt):
+            seen.add(mp.mp.prec)
+            return composite(pt)
+        monkeypatch.setattr(weyl, "composite_map", spy)
+        code, out = run(capsys, ["weyl", "--prec", "160", "--seed", "3"])
+        assert code == 0
+        assert json.loads(out)["config"]["prec"] == 160
+        assert seen == {160}
+
     def test_ode_csv(self, capsys):
         code, out = run(capsys, ["ode", "--prec", "128", "--t1", "0.7",
                                  "--npoints", "5", "--format", "csv"])
@@ -196,7 +210,7 @@ class TestLimitCheck:
         assert seen == [160, 160, 160]
 
     def test_window_across_singularity(self, capsys, monkeypatch):
-        monkeypatch.setattr(painleve, "phi_step", _refuse)
-        monkeypatch.setattr(continuum, "phi_step", _refuse)
+        for mod in (qpvi, painleve, continuum):
+            monkeypatch.setattr(mod, "phi_orbit", _refuse)
         code, out = run(capsys, ["ode", "--limit-check", "--t0", "1.2", "--t1", "0.8"])
         assert code == 2 and out == ""

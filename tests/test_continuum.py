@@ -1,7 +1,8 @@
 import mpmath as mp
 import pytest
 
-from qpvi import continuum
+import qpvi
+from qpvi import continuum, painleve
 from qpvi.errors import ConstraintError, DomainError, SingularityError
 
 
@@ -168,8 +169,11 @@ class TestLimit:
     def test_window_checked_before_orbits(self, ref, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("orbit started before the window was checked")
-        monkeypatch.setattr(continuum, "phi_step", refuse)
+        for mod in (qpvi, painleve, continuum):
+            monkeypatch.setattr(mod, "phi_orbit", refuse)
         lp, w = ref
+        with pytest.raises(AssertionError):  # a good window reaches the patch
+            continuum.limit_check(lp, window=w, eps_list=("0.01",))
         # the last window ends its eps = 0.01 orbit at t0 q^40 = 0.999
         for t0, t1 in (("1.2", "0.8"), ("0.4", "0.8"), ("0.8", "-0.1"), ("1", "0.5"),
                        ("1.49334", "1.001")):

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpvi import painleve, weyl
+from qpvi import painleve, verify, weyl
 from qpvi.errors import ChartError, DomainError, IndeterminacyError
 
 vec = st.lists(st.integers(-6, 6), min_size=10, max_size=10).map(tuple)
@@ -155,3 +155,15 @@ class TestDictionary:
         # the point's translation multiplier is the reciprocal of the weight
         # base: theta1 -> q theta1 makes b5 = c1 c2 / theta1 grow by 1/q
         assert close(pt.q * ref_params.q, mp.mpf(1), 1e-40)
+
+
+def test_check_11_runs_at_context_precision(ctx, monkeypatch):
+    seen = set()
+    composite = weyl.composite_map
+
+    def spy(pt):
+        seen.add(mp.mp.prec)
+        return composite(pt)
+    monkeypatch.setattr(weyl, "composite_map", spy)
+    assert verify.check_11_composite(ctx).passed
+    assert seen == {ctx.prec}
