@@ -38,14 +38,14 @@ import mpmath as mp
 
 from .errors import DegenerateError, DegreeError, FitError
 from .opuc import epsilon_eval, epsilon_star_eval
-from .polys import (mat_max, mat_mul, mat_q, padd, pdeg, peval, pmax, pmul,
-                    pscale, pstar)
+from .polys import (json_complex, mat_det, mat_max, mat_mul, mat_q, padd, peval,
+                    pmax, pmul, pscale)
 from .qseries import vw_polys
 
 __all__ = [
     "SpectralFit", "theta_closed", "theta_star_closed", "fit_spectral_matrix",
     "build_B", "check_fundamental", "det_ratio_constant",
-    "epsilon_column_residuals", "fits_to_json_dict",
+    "epsilon_column_residuals",
 ]
 
 # sample points inside the unit disk for the rank-deficient n = 1 system
@@ -71,7 +71,7 @@ class SpectralFit:
 
     def to_json_dict(self):
         def poly(p):
-            return [[float(x.real), float(x.imag)] for x in p]
+            return [json_complex(x) for x in p]
         return {"n": self.n, "e11": poly(self.e11), "e12": poly(self.e12),
                 "e21": poly(self.e21), "e22": poly(self.e22),
                 "theta": poly(self.theta), "theta_star": poly(self.theta_star),
@@ -137,10 +137,10 @@ def fit_spectral_matrix(p, vt, n, tol=None):
     if n < 2:
         # augment with the eps identities; coefficients alone are rank-deficient
         for z in _EPS_NODES:
-            e = epsilon_eval(p, vt, n, z)
-            es = epsilon_star_eval(p, vt, n, z)
-            eq = epsilon_eval(p, vt, n, q * z)
-            esq = epsilon_star_eval(p, vt, n, q * z)
+            e = epsilon_eval(vt, n, z)
+            es = epsilon_star_eval(vt, n, z)
+            eq = epsilon_eval(vt, n, q * z)
+            esq = epsilon_star_eval(vt, n, q * z)
             wz = peval(W, z)
             rows1.append([e, z * e, z ** 2 * e, -es, -z * es])
             rhs1.append(-wz * eq)
@@ -186,8 +186,7 @@ def check_fundamental(fit_n, fit_next, Bn, q):
 
 def det_ratio_constant(fit, p):
     """(constant, spread) of det A_n / (V W), which must be z-independent."""
-    det = padd(pmul(fit.matrix[0], fit.matrix[3]),
-               pmul(fit.matrix[1], fit.matrix[2]), -1)
+    det = mat_det(fit.matrix)
     VW = pmul(*vw_polys(p))
     scale = pmax(VW)
     idx = [i for i in range(len(VW)) if abs(VW[i]) > scale * mp.mpf(2) ** -40]
@@ -208,19 +207,15 @@ def epsilon_column_residuals(p, vt, fit, zs=None):
     n, q = fit.n, p.q
     worst = mp.mpf(0)
     for z in zs:
-        e = epsilon_eval(p, vt, n, z)
-        es = epsilon_star_eval(p, vt, n, z)
+        e = epsilon_eval(vt, n, z)
+        es = epsilon_star_eval(vt, n, z)
         wz = peval(W, z)
-        lhs1 = -wz * epsilon_eval(p, vt, n, q * z)
+        lhs1 = -wz * epsilon_eval(vt, n, q * z)
         rhs1 = peval(fit.matrix[0], z) * e - peval(fit.matrix[1], z) * es
-        lhs2 = -wz * epsilon_star_eval(p, vt, n, q * z)
+        lhs2 = -wz * epsilon_star_eval(vt, n, q * z)
         rhs2 = peval(fit.matrix[3], z) * es - peval(fit.matrix[2], z) * e
         worst = max(worst,
                     abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1)),
                     abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2)))
     return worst
 
-
-def fits_to_json_dict(fits):
-    """JSON object keyed by the string order n."""
-    return {str(f.n): f.to_json_dict() for f in fits}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DomainError, SingularMeasureError
-from .polys import padd, peval, pmax, pmul, pmulz, pscale, pstar
+from .polys import json_complex, padd, peval, pmax, pmul, pmulz, pscale, pstar
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
 from .qseries import caratheodory, caratheodory_quad  # noqa: F401
@@ -56,10 +56,6 @@ class VerblunskyTable:
     phi: tuple
     psi: tuple
 
-    @property
-    def params(self):
-        return self.moments.params
-
     def phi_star(self, n):
         return pstar(list(self.phi[n]), n)
 
@@ -69,9 +65,9 @@ class VerblunskyTable:
     def to_json_dict(self):
         return {
             "N": self.N,
-            "alpha": [[float(x.real), float(x.imag)] for x in self.alpha],
+            "alpha": [json_complex(x) for x in self.alpha],
             "sigma": [float(s) for s in self.sigma],
-            "phi": [[[float(x.real), float(x.imag)] for x in p] for p in self.phi],
+            "phi": [[json_complex(x) for x in p] for p in self.phi],
         }
 
     def to_csv_lines(self):
@@ -167,41 +163,37 @@ def wronskian_residuals(vt, n):
     return pmax(r1), pmax(r2), pmax(r3)
 
 
-def epsilon_eval(p, vt, n, z):
+def epsilon_eval(vt, n, z):
     """eps_n(z) = psi_n(z) + F(z) phi_n(z) for |z| != 1.
 
-    F comes from the Szego coefficients of vt's moment table, so `p` must
-    be the weight of that table.
+    F comes from the Szego coefficients of vt's moment table.
     """
     F = caratheodory(vt.moments, z)
     return peval(list(vt.psi[n]), z) + F * peval(list(vt.phi[n]), z)
 
 
-def epsilon_star_eval(p, vt, n, z):
+def epsilon_star_eval(vt, n, z):
     """eps*_n(z) = psi*_n(z) - F(z) phi*_n(z), F as in `epsilon_eval`."""
     F = caratheodory(vt.moments, z)
     return peval(vt.psi_star(n), z) - F * peval(vt.phi_star(n), z)
 
 
-def epsilon_asymptotics(p, vt, n, small=None, large=None):
+def epsilon_asymptotics(vt, n):
     """Relative deviations from the four boundary behaviours of eps, eps*.
 
     eps_n ~ 2 sigma_n z^n and eps*_n ~ 2 conj(alpha_{n+1}) sigma_n z^{n+1}
     as z -> 0; z eps_n -> 2 sigma_n alpha_{n+1} and eps*_n -> 2 sigma_n as
     z -> inf.  Deviations are O(|z|) resp. O(1/|z|), so the sample radii
-    bound the expected size.
+    1e-4 and 1e4 bound the expected size.
     """
-    small = mp.mpf("1e-4") if small is None else small
-    large = mp.mpf("1e4") if large is None else large
     s, a1 = vt.sigma[n], vt.alpha[n + 1]
-    z0 = mp.mpc(small)
-    zi = mp.mpc(large)
+    z0, zi = mp.mpc("1e-4"), mp.mpc("1e4")
     out = {
-        "eps_origin": abs(epsilon_eval(p, vt, n, z0) / (2 * s * z0 ** n) - 1),
-        "eps_infinity": abs(zi * epsilon_eval(p, vt, n, zi) / (2 * s * a1) - 1),
+        "eps_origin": abs(epsilon_eval(vt, n, z0) / (2 * s * z0 ** n) - 1),
+        "eps_infinity": abs(zi * epsilon_eval(vt, n, zi) / (2 * s * a1) - 1),
         "eps_star_origin": abs(
-            epsilon_star_eval(p, vt, n, z0)
+            epsilon_star_eval(vt, n, z0)
             / (2 * mp.conj(a1) * s * z0 ** (n + 1)) - 1),
-        "eps_star_infinity": abs(epsilon_star_eval(p, vt, n, zi) / (2 * s) - 1),
+        "eps_star_infinity": abs(epsilon_star_eval(vt, n, zi) / (2 * s) - 1),
     }
     return out

@@ -34,7 +34,7 @@ import mpmath as mp
 from .errors import (ConsistencyError, ConstraintError, DegenerateError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
-from .polys import pdeg, peval, pmax, pscale, ptrim, mat_mul, mat_q
+from .polys import json_complex, pdeg, peval, pmax, pscale, ptrim, mat_mul, mat_q
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
@@ -86,11 +86,9 @@ class SurfaceParams:
                              c=self.c, q=self.q)
 
     def to_json_dict(self):
-        def c2(z):
-            return [float(z.real), float(z.imag)]
-        return {"kappa1": c2(self.k1), "kappa2": c2(self.k2),
-                "theta1": c2(self.t1), "theta2": c2(self.t2),
-                "c": [c2(x) for x in self.c], "q": c2(self.q)}
+        return {"kappa1": json_complex(self.k1), "kappa2": json_complex(self.k2),
+                "theta1": json_complex(self.t1), "theta2": json_complex(self.t2),
+                "c": [json_complex(x) for x in self.c], "q": json_complex(self.q)}
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ the empty list is zero.  2x2 polynomial matrices are 4-lists of such
 coefficient lists in row-major order ``[e11, e12, e21, e22]``.  Everything
 here is allocation-light and precision-agnostic: callers set
 ``mp.mp.prec`` (or use ``mp.workprec``) around these routines.
+`json_complex` is the one JSON form of a complex number, ``[re, im]``.
 """
 
 import mpmath as mp
@@ -13,7 +14,7 @@ from .errors import DegreeError
 
 __all__ = [
     "padd", "pscale", "pmul", "pmulz", "pq", "peval", "pstar", "pmax",
-    "pdeg", "ptrim", "mat_mul", "mat_det", "mat_q", "mat_max", "mat_adj",
+    "pdeg", "ptrim", "mat_mul", "mat_det", "mat_q", "mat_max", "json_complex",
 ]
 
 
@@ -100,6 +101,6 @@ def mat_max(X):
     return max(pmax(e) for e in X)
 
 
-def mat_adj(X):
-    """Adjugate: X * adj(X) = det(X) * I."""
-    return [list(X[3]), pscale(X[1], -1), pscale(X[2], -1), list(X[0])]
+def json_complex(z):
+    """[re, im] as Python floats."""
+    return [float(z.real), float(z.imag)]

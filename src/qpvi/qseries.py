@@ -11,11 +11,9 @@ equation
     W(z) w(qz) = -V(z) w(z),
     V(z) = (qz - conj(a))(bz - 1),   W(z) = (qz - conj(b))(1 - az),
 
-and on the circle w = 1/|f_+|^2 with f_+ = (b e^{i t}; q)_inf / (a e^{i t}; q)_inf.
+and w = |G|^2 on the circle with the Szego function
 
-Equivalently w = |G|^2 on the circle with the Szego function
-
-    G(z) = 1/f_+ = (az; q)_inf / (bz; q)_inf = sum_{n>=0} g_n z^n,
+    G(z) = (az; q)_inf / (bz; q)_inf = sum_{n>=0} g_n z^n,
 
 whose Taylor coefficients follow from the q-binomial theorem
 (Gasper-Rahman, Basic Hypergeometric Series, 1.3):
@@ -35,7 +33,8 @@ for |z| < 1, and F(z) = -conj F(1/conj z) outside the disk.  The series
 needs no grid; its length grows like prec / log2(1/|b|).
 
 Independent oracles, kept for the tests and checks: the weight itself
-through the q-Pochhammer products (`weight_eval`), the trapezoid rule on
+through the q-Pochhammer products (`weight_eval`, which check 12 compares
+with |G|^2 from the series on the circle), the trapezoid rule on
 a uniform grid of the circle (`moments_quad`, `caratheodory_quad`), and
 the finite moment series c_0 + 2 sum_{k=1..K} c_k z^k
 (`caratheodory_series`).  F inherits a q-difference equation with an
@@ -52,13 +51,13 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import peval, pmul
+from .polys import json_complex, peval, pmul
 
 __all__ = [
-    "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "fplus_eval",
-    "vw_polys", "weight_feq_residual", "unit_modulus_residual",
-    "szego_coefficients", "moments", "caratheodory", "moments_quad",
-    "caratheodory_quad", "caratheodory_series", "fit_caratheodory_u",
+    "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
+    "weight_feq_residual", "szego_coefficients", "moments", "caratheodory",
+    "moments_quad", "caratheodory_quad", "caratheodory_series",
+    "fit_caratheodory_u",
 ]
 
 DEFAULT_NODES = 512
@@ -82,18 +81,17 @@ class QWeightParams:
             raise DomainError("|a| and |b| must be < 1 for a smooth positive weight")
 
 
-def qpoch_inf(z, q, tol=None):
+def qpoch_inf(z, q):
     """(z; q)_inf = prod_{k>=0} (1 - z q^k).
 
-    Truncates once |z q^k| drops below `tol` (default: a few bits under
-    working precision); the neglected tail multiplies the result by
+    Truncates once |z q^k| drops below tol = 2^-(prec + 8), a few bits under
+    working precision; the neglected tail multiplies the result by
     1 + O(tol/(1-q)).
     """
     q = mp.mpf(q)
     if not 0 <= q < 1:
         raise ConvergenceError(f"q-Pochhammer product diverges for q = {mp.nstr(q, 8)}")
-    if tol is None:
-        tol = mp.mpf(2) ** (-(mp.mp.prec + 8))
+    tol = mp.mpf(2) ** (-(mp.mp.prec + 8))
     out = mp.mpc(1)
     zz = mp.mpc(z)
     it = 0
@@ -118,15 +116,6 @@ def weight_eval(p, z):
     return num / den
 
 
-def fplus_eval(p, theta):
-    """Szego function f_+ at z = e^{i theta}; w = 1/|f_+|^2 on the circle."""
-    z = mp.e ** (1j * mp.mpf(theta))
-    den = qpoch_inf(p.a * z, p.q)
-    if abs(den) < mp.mpf(2) ** (-(mp.mp.prec // 2)):
-        raise PoleError(f"f_+ pole near theta = {mp.nstr(theta, 8)}")
-    return qpoch_inf(p.b * z, p.q) / den
-
-
 def vw_polys(p):
     """Coefficient lists of V(z) = (qz - conj(a))(bz - 1), W(z) = (qz - conj(b))(1 - az)."""
     V = pmul([-mp.conj(p.a), p.q], [mp.mpc(-1), p.b])
@@ -140,12 +129,6 @@ def weight_feq_residual(p, z):
     lhs = peval(W, z) * weight_eval(p, p.q * z)
     rhs = -peval(V, z) * weight_eval(p, z)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-
-
-def unit_modulus_residual(p, theta):
-    """|w(e^{i theta}) |f_+|^2 - 1|."""
-    z = mp.e ** (1j * mp.mpf(theta))
-    return abs(weight_eval(p, z) * abs(fplus_eval(p, theta)) ** 2 - 1)
 
 
 # Szego series longer than this are refused rather than summed
@@ -211,11 +194,17 @@ class MomentTable:
     def to_json_dict(self):
         return {
             "q": float(self.params.q),
-            "a": [float(self.params.a.real), float(self.params.a.imag)],
-            "b": [float(self.params.b.real), float(self.params.b.imag)],
+            "a": json_complex(self.params.a),
+            "b": json_complex(self.params.b),
             "K": self.K,
-            "c": [[float(x.real), float(x.imag)] for x in self.c],
+            "c": [json_complex(x) for x in self.c],
         }
+
+    def to_csv_lines(self):
+        yield "k,re_c,im_c"
+        for k in range(-self.K, self.K + 1):
+            ck = self.cmom(k)
+            yield f"{k},{float(ck.real)!r},{float(ck.imag)!r}"
 
 
 def moments(p, K):

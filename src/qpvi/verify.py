@@ -11,7 +11,7 @@ all of them off one shared cache of moment/recursion/fit data.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import mpmath as mp
 
@@ -40,8 +40,7 @@ class CheckResult:
                 f"value={self.value:.3e} tol={self.tol:.1e}{extra}")
 
     def to_json_dict(self):
-        return {"index": self.index, "name": self.name, "passed": self.passed,
-                "value": self.value, "tol": self.tol, "detail": self.detail}
+        return asdict(self)
 
 
 class VerificationContext:
@@ -161,9 +160,7 @@ def check_07_determinant(ctx):
         passed_mag = worst_mag <= 1e-12
     res = _result(7, "det A = const q^n V W", worst_spread, 1e-15,
                   detail=f"const/q^n = {sorted(signs)}, |const| gap {float(worst_mag):.1e}")
-    return CheckResult(index=res.index, name=res.name,
-                       passed=res.passed and passed_mag, value=res.value,
-                       tol=res.tol, detail=res.detail)
+    return replace(res, passed=res.passed and passed_mag)
 
 
 def check_08_three_routes(ctx):
@@ -252,28 +249,34 @@ def check_11_composite(ctx):
 
 
 def check_12_weight_identities(ctx):
+    """w = |G|^2 on the circle, w from the q-Pochhammer products and G from
+    the Szego series; and the q-difference equation of F."""
     with mp.workprec(ctx.prec):
         p = ctx.params
-        worst_circle = max(
-            qseries.unit_modulus_residual(p, 2 * mp.pi * j / 100 + mp.mpf("0.1"))
-            for j in range(100))
+        g = ctx.table().g[::-1]
+        worst_circle = mp.mpf(0)
+        for j in range(100):
+            z = mp.expj(2 * mp.pi * j / 100 + mp.mpf("0.1"))
+            G2 = abs(mp.polyval(g, z)) ** 2
+            worst_circle = max(worst_circle, abs(qseries.weight_eval(p, z) - G2) / G2)
         _, resid_u = qseries.fit_caratheodory_u(p)
         passed = worst_circle <= 1e-25 and resid_u <= 1e-15
-    return CheckResult(index=12, name="weight and Caratheodory q-identities",
-                       passed=bool(passed), value=float(max(worst_circle, resid_u)),
-                       tol=1e-15,
-                       detail=f"circle {float(worst_circle):.1e} (tol 1e-25), "
-                              f"F-equation {float(resid_u):.1e} (tol 1e-15)")
+    res = _result(12, "weight and Caratheodory q-identities",
+                  max(worst_circle, resid_u), 1e-15,
+                  detail=f"w = |G|^2 {float(worst_circle):.1e} (tol 1e-25), "
+                         f"F-equation {float(resid_u):.1e} (tol 1e-15)")
+    return replace(res, passed=bool(passed))
 
 
 def check_13_continuum(ctx):
-    """The continuum gap is first order in eps: |fitted order - 1| <= 0.05."""
+    """The continuum gap is first order in eps: `LimitReport.passed`."""
     rep = continuum.limit_check(prec=ctx.prec)
     errs = ", ".join(f"{float(e):.2e}" for e in rep.errors)
-    res = _result(13, "continuum limit order", abs(rep.fitted_order - 1), 0.05,
+    res = _result(13, "continuum limit order", abs(rep.fitted_order - 1),
+                  continuum.ORDER_TOL,
                   detail=f"errors [{errs}], fitted order "
                          f"{float(rep.fitted_order):.4f}, decreasing required")
-    return replace(res, passed=res.passed and rep.decreasing)
+    return replace(res, passed=bool(rep.passed))
 
 
 CRITERIA = (

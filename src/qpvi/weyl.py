@@ -10,12 +10,15 @@ E0..E9) is an isometry fixing delta and alpha0..alpha3, permuting the D_i
 in two 2-cycles, and translating alpha4 -> alpha4 - delta,
 alpha5 -> alpha5 + delta: a lattice translation.
 
-The geometric side realizes that translation as a composition of
-involutions acting on eight parameters b1..b8 and a point (f, g) of the
-surface.  w1, w4, w5 permute parameters; w2, w3 are de Jonquieres moves in
-f resp. g; w0 acts in a P^2 chart reached through f = y/(x - a1 z),
-g = z/x; sigma is the inversion exchanging the two rulings.  The reduced
-word
+The geometric side realizes that translation as a word in maps acting on
+eight parameters b1..b8 and a point (f, g) of the surface.  The
+reflections w0..w5 are involutions: w1, w4, w5 permute parameters; w2, w3
+are de Jonquieres moves in f resp. g; w0 acts in a P^2 chart reached
+through f = y/(x - a1 z), g = z/x.  The inversion sigma, f -> c_f/f and
+g -> c_g/g with c_f, c_g built from b, is not an involution: sigma^2
+multiplies b1..b4 and g by the lattice q (`BPoint.q`) and b5..b8 and f
+by q^2, so the reversed word inverts phi only up to that rescaling.  The
+reduced word
 
     phi = sigma w4 w3 w2 w0 w1 w2 w3 w4     (rightmost factor first)
 
@@ -222,7 +225,11 @@ def _w0(pt):
 
 
 def sigma_inversion(pt):
-    """The inversion swapping the two rulings of the quadric."""
+    """The inversion f -> c_f/f, g -> c_g/g, with the parameters it induces.
+
+    Not an involution: applied twice it multiplies b1..b4 and g by
+    q = `BPoint.q` and b5..b8 and f by q^2.
+    """
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
     if _near_zero(pt.f) or _near_zero(pt.g):
         raise IndeterminacyError("inversion is indeterminate on f g = 0")

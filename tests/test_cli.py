@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import mpmath as mp
 import pytest
 
 import qpvi
-from qpvi import cli, continuum, painleve, qseries, weyl
+from qpvi import cli, continuum, painleve, qseries, verify, weyl
 
 WEIGHT = ["--a", "0.3,0.2", "--b", "0.5", "--q", "0.5", "--prec", "128"]
 
@@ -183,8 +184,16 @@ class TestFormat:
         for mod, name in ((qseries, "moments"), (weyl, "check_translation"),
                           (continuum, "discrete_orbit")):
             monkeypatch.setattr(mod, name, _refuse)
-        code, out = run(capsys, [*argv, "--format", "csv"])
-        assert code == 2 and out == ""
+        argv = [*argv, "--format", "csv"]
+        if argv[0] == "ode":
+            # `ode` has --format for its trajectory; the study refuses csv
+            code = cli.main(argv)
+        else:
+            # the other JSON-only subcommands have no --format: argparse exits
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            code = exc.value.code
+        assert code == 2 and capsys.readouterr().out == ""
 
 
 class TestLimitCheck:
@@ -214,3 +223,121 @@ class TestLimitCheck:
             monkeypatch.setattr(mod, "phi_orbit", _refuse)
         code, out = run(capsys, ["ode", "--limit-check", "--t0", "1.2", "--t1", "0.8"])
         assert code == 2 and out == ""
+
+
+# the exact option set of each subcommand: a new or lost flag fails here
+OPTIONS = {
+    "moments": {"--a", "--b", "--q", "--N", "--K", "--prec", "--format", "--out"},
+    "verblunsky": {"--a", "--b", "--q", "--N", "--prec", "--format", "--out"},
+    "lax": {"--a", "--b", "--q", "--N", "--prec", "--tol", "--out"},
+    "orbit": {"--a", "--b", "--q", "--prec", "--n-start", "--steps", "--out"},
+    "weyl": {"--prec", "--seed", "--out"},
+    "ode": {"--prec", "--format", "--out", "--limit-check", "--t0", "--t1", "--u0",
+            "--v0", "--npoints", "--K1", "--K2", "--Theta2", "--C1", "--C2", "--C3",
+            "--C4"},
+    "verify-all": {"--a", "--b", "--q", "--prec", "--seed", "--out"},
+}
+
+# cheap base runs; a flag given twice takes its last value
+BASE = {
+    "moments": ["moments", "--N", "2", "--prec", "64"],
+    "verblunsky": ["verblunsky", "--N", "3", "--prec", "64"],
+    "lax": ["lax", "--N", "1", "--prec", "64"],
+    "orbit": ["orbit", "--n-start", "2", "--steps", "1", "--prec", "64"],
+    "weyl": ["weyl", "--prec", "64"],
+    "ode": ["ode", "--t1", "0.7", "--npoints", "3", "--prec", "64"],
+    "ode --limit-check": ["ode", "--limit-check", "--prec", "64"],
+}
+
+# (base, flag, value, other value): the two runs must give different data
+FLAG_VALUES = [
+    *((cmd, flag, v1, v2) for cmd in ("moments", "verblunsky", "lax", "orbit")
+      for flag, v1, v2 in (("--a", "0.3,0.2", "0.2,0.3"), ("--b", "0.5", "0.4"),
+                           ("--q", "0.5", "0.4"))),
+    ("moments", "--N", "2", "3"), ("moments", "--K", "3", "4"),
+    ("moments", "--prec", "53", "128"),
+    ("verblunsky", "--N", "3", "4"), ("verblunsky", "--prec", "53", "128"),
+    ("lax", "--N", "1", "2"), ("lax", "--prec", "64", "128"),
+    ("lax", "--tol", "1e-10", "1e-40"),
+    ("orbit", "--n-start", "2", "3"), ("orbit", "--steps", "1", "2"),
+    ("orbit", "--prec", "64", "128"),
+    ("weyl", "--seed", "0", "1"), ("weyl", "--prec", "64", "128"),
+    ("ode", "--t0", "0.8", "0.75"), ("ode", "--t1", "0.7", "0.6"),
+    ("ode", "--u0", "0.3,0.1", "0.3,0.2"), ("ode", "--v0", "1.2,-0.2", "1.1,-0.2"),
+    ("ode", "--npoints", "3", "4"), ("ode", "--K2", "-0.3", "-0.2"),
+    ("ode", "--Theta2", "0.25", "0.3"),
+    *(("ode", f"--C{i}", "0.1", "0.05") for i in range(1, 5)),
+    # K1 drops out of the limit system, and the trajectory is double
+    # precision: both act on the discrete orbits of the study
+    ("ode --limit-check", "--K1", "0.4", "0.5"),
+    ("ode --limit-check", "--prec", "64", "128"),
+]
+
+
+def _subcommands():
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[-1] for a in sp._actions
+                   if not isinstance(a, argparse._HelpAction)}
+            for name, sp in sub.choices.items()}
+
+
+class TestContract:
+    def test_option_sets(self):
+        assert _subcommands() == OPTIONS
+        assert sum(len(opts) for opts in OPTIONS.values()) == 54
+
+    def test_every_value_flag_is_exercised(self):
+        # --format and --out have their own tests, --limit-check is the
+        # study itself, and verify-all's flags are traced into run_all below
+        covered = {(base.split()[0], flag) for base, flag, _, _ in FLAG_VALUES}
+        for cmd, opts in OPTIONS.items():
+            if cmd == "verify-all":
+                continue
+            for flag in opts - {"--format", "--out", "--limit-check"}:
+                assert (cmd, flag) in covered, (cmd, flag)
+
+    @pytest.mark.parametrize("base,flag,v1,v2", FLAG_VALUES,
+                             ids=[f"{b}{f}" for b, f, _, _ in FLAG_VALUES])
+    def test_value_changes_output(self, capsys, base, flag, v1, v2):
+        def data(value):
+            argv = [*BASE[base], flag, value]
+            code, out = run(capsys, argv)
+            if code != 0:
+                return code
+            return out if argv[0] == "orbit" else json.loads(out)["data"]
+        assert data(v1) != data(v2)
+
+    def test_verify_all_passes_its_flags(self, capsys, monkeypatch):
+        seen = {}
+
+        def spy(params, prec, seed):
+            seen.update(a=params.a, b=params.b, q=params.q, prec=prec, seed=seed)
+            return []
+        monkeypatch.setattr(verify, "run_all", spy)
+        code, _ = run(capsys, ["verify-all", "--a", "0.2,0.1", "--b", "0.4,-0.1",
+                               "--q", "0.3", "--prec", "96", "--seed", "7"])
+        assert code == 0
+        assert seen.pop("prec") == 96 and seen.pop("seed") == 7
+        expect = {"a": 0.2 + 0.1j, "b": 0.4 - 0.1j, "q": 0.3}
+        assert all(abs(seen[k] - v) < 1e-15 for k, v in expect.items())
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_precision_floor_everywhere(self, capsys, monkeypatch, command):
+        for mod, name in ((qseries, "moments"), (weyl, "check_translation"),
+                          (continuum, "integrate"), (verify, "run_all")):
+            monkeypatch.setattr(mod, name, _refuse)
+        code, out = run(capsys, [command, "--prec", "20"])
+        assert code == 2 and out == ""
+
+    def test_limit_gate_is_check_13s(self, capsys, monkeypatch, ctx):
+        # a decreasing study of order 0.9 fails check 13 and the CLI alike
+        rep = continuum.LimitReport(eps=(0.01, 0.005, 0.0025), steps=(69, 138, 277),
+                                    errors=(4e-2, 2.2e-2, 1.2e-2), orders=(0.9, 0.9),
+                                    fitted_order=0.9)
+        monkeypatch.setattr(continuum, "limit_check", lambda **kwargs: rep)
+        assert rep.decreasing and not rep.passed
+        assert not verify.check_13_continuum(ctx).passed
+        code, out = run(capsys, ["ode", "--limit-check", "--prec", "64"])
+        assert code == 3
+        assert json.loads(out)["data"]["fitted_order"] == 0.9

@@ -51,9 +51,12 @@ class TestLimitParams:
 
 class TestVectorField:
     def test_independent_grouping(self, ref, prec192):
+        # the finite difference of the discrete step, an independent route
+        # to the field, pins ode_rhs to about eps at 600 bits
         lp, _ = ref
         for t, u, v in POINTS:
-            assert continuum.rhs_crosscheck(lp, t, u, v) < 1e-45
+            assert continuum.rhs_discrete_residual(lp, t, u, v, eps="1e-60",
+                                                   prec=600) < 1e-45
 
     def test_solver_evaluates_the_same_field(self, ref, prec192):
         # the solver's complex evaluation against ode_rhs on mpmath

@@ -79,13 +79,13 @@ class TestSecondKind:
             for r in opuc.wronskian_residuals(vt, n):
                 assert r < 1e-45
 
-    def test_epsilon_asymptotics(self, ref_params, vt, prec192):
-        devs = opuc.epsilon_asymptotics(ref_params, vt, 4)
+    def test_epsilon_asymptotics(self, vt, prec192):
+        devs = opuc.epsilon_asymptotics(vt, 4)
         for k, v in devs.items():
             assert v < 1e-3, k
 
-    def test_epsilon_te_values(self, ref_params, vt, prec192):
+    def test_epsilon_te_values(self, vt, prec192):
         # eps and eps_star reproduce 2 sigma_n z^n at a generic small point
         n, z = 3, mp.mpc("0.01", "0.005")
-        e = opuc.epsilon_eval(ref_params, vt, n, z)
+        e = opuc.epsilon_eval(vt, n, z)
         assert abs(e / (2 * vt.sigma[n] * z**n) - 1) < 1e-2

@@ -51,11 +51,12 @@ class TestWeight:
             qseries.weight_eval(ref_params, mp.mpc(0))
 
     def test_szego_function_factorization(self, ref_params, prec192):
-        # w(theta) |f_plus(theta)|^2 == 1
+        # w(e^{i theta}) = |G(e^{i theta})|^2: products against the Szego series
+        g, _ = qseries.szego_coefficients(ref_params)
         for j in range(9):
-            theta = mp.mpf(2 * j + 1) / 9
-            r = qseries.unit_modulus_residual(ref_params, theta)
-            assert r < 1e-40
+            z = mp.expj(mp.mpf(2 * j + 1) / 9)
+            G2 = abs(mp.polyval(g[::-1], z)) ** 2
+            assert abs(qseries.weight_eval(ref_params, z) - G2) / G2 < 1e-40
 
     def test_functional_equation(self, ref_params, prec192):
         # W(z) w(qz) = -V(z) w(z) away from poles and zeros

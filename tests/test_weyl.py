@@ -93,6 +93,22 @@ class TestBirational:
             assert close(pt2.f, s**2 * pt.f)
             assert close(pt2.g, s * pt.g)
 
+    def test_word_factors_at_check_11_point(self):
+        # w_i^2 = id for the six reflections; sigma^2 scales b1..b4 and g by
+        # the lattice q and b5..b8 and f by q^2, as the module docstring says
+        with mp.workprec(192):
+            pt = verify._composite_point(0, 1)
+            for i in range(6):
+                assert points_close(weyl.elementary(i, weyl.elementary(i, pt)), pt,
+                                    1e-50), i
+            q = pt.q
+            scaled = weyl.BPoint(b=tuple(x * q for x in pt.b[:4])
+                                 + tuple(x * q ** 2 for x in pt.b[4:]),
+                                 f=pt.f * q ** 2, g=pt.g * q)
+            assert points_close(weyl.sigma_inversion(weyl.sigma_inversion(pt)),
+                                scaled, 1e-50)
+            assert not close(q, 1)
+
     def test_q_invariance(self):
         with mp.workprec(128):
             pt = random_bpoint(5)
