@@ -12,16 +12,21 @@ and the same matrix moves the second-kind column with a sign twist,
     -W(z) eps*_n(qz) = Ps(z) eps*_n(z) - Qs(z) eps_n(z).
 
 Both rows are overdetermined linear systems in the five unknown
-coefficients and are solved by least squares on the polynomial
-coefficients; the n = 1 system is rank-deficient on coefficients alone
-and is augmented with pointwise samples of the eps identities.
+coefficients and are solved by least squares (`polys.lstsq`) on the
+polynomial coefficients.  The n = 1 system is rank-deficient on
+coefficients alone and is augmented with the Taylor coefficients of
+z^1..z^{n+2} of the eps identities, where eps_n = psi_n + F phi_n with
+F = 1 + 2 sum_{k>=1} c_k z^k truncated at degree n + 2: those coefficients
+need only c_1..c_{n+2}, which every table with K >= N + 1 holds.  The
+pointwise eps identities (`epsilon_column_residuals`) stay an independent
+check of the fit.
 
 Writing Q = -alpha_{n+1} Theta_n and Qs = -z conj(alpha_{n+1}) Theta*_n,
 the linear factors admit closed forms in the Verblunsky data:
 
     Theta_n  = (a - b q^{n+1}) z + (conj(b) q^n - conj(a)) alpha_n / alpha_{n+1},
     Theta*_n = (a q - b q^{n+1}) (conj(alpha_n)/conj(alpha_{n+1})) z
-               + (b q^{n+1} - conj(a)),
+               + (conj(b) q^{n+1} - conj(a)),
 
 while P has corner coefficients (b q^{n+1}, conj(b) q^n) and Ps has
 (a q, conj(a)).  A_n = [[P, Q], [Qs, Ps]] together with
@@ -30,16 +35,21 @@ while P has corner coefficients (b q^{n+1}, conj(b) q^n) and Ps has
 
 satisfies the compatibility identity A_{n+1}(z) B_n(z) = B_n(qz) A_n(z),
 and det A_n is the fixed multiple -q^n of V(z) W(z).
+
+Theta_n and Theta*_n need alpha_{n+1} != 0.  For small |a| the alpha_n
+decay like |a|^n yet keep most of their bits, so they are refused only
+when alpha_{n+1} is zero at working precision
+(`VerblunskyTable.alpha_nonzero`).
 """
 
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import DegenerateError, DegreeError, FitError
+from .errors import DegreeError, FitError
 from .opuc import epsilon_eval, epsilon_star_eval
-from .polys import (json_complex, mat_det, mat_max, mat_mul, mat_q, padd, peval,
-                    pmax, pmul, pscale)
+from .polys import (json_complex, lstsq, mat_det, mat_max, mat_mul, mat_q, padd,
+                    peval, pmax, pmul, pq, pscale)
 from .qseries import vw_polys
 
 __all__ = [
@@ -47,10 +57,6 @@ __all__ = [
     "build_B", "check_fundamental", "det_ratio_constant",
     "epsilon_column_residuals",
 ]
-
-# sample points inside the unit disk for the rank-deficient n = 1 system
-_EPS_NODES = (mp.mpc("0.31", "0.17"), mp.mpc("-0.22", "0.4"), mp.mpc("0.1", "-0.45"))
-
 
 @dataclass(frozen=True)
 class SpectralFit:
@@ -79,9 +85,7 @@ class SpectralFit:
 
 
 def _alpha_ratio(vt, n):
-    if abs(vt.alpha[n + 1]) < mp.mpf(2) ** (-(mp.mp.prec // 2)):
-        raise DegenerateError(f"alpha_{n + 1} vanishes; linear factors degenerate")
-    return vt.alpha[n] / vt.alpha[n + 1]
+    return vt.alpha[n] / vt.alpha_nonzero(n + 1)
 
 
 def theta_closed(p, vt, n):
@@ -94,7 +98,7 @@ def theta_closed(p, vt, n):
 def theta_star_closed(p, vt, n):
     """Closed form of Theta*_n."""
     lam = (p.a * p.q - p.b * p.q ** (n + 1)) * mp.conj(_alpha_ratio(vt, n))
-    mu = p.b * p.q ** (n + 1) - mp.conj(p.a)
+    mu = mp.conj(p.b) * p.q ** (n + 1) - mp.conj(p.a)
     return [mu, lam]
 
 
@@ -112,6 +116,15 @@ def _coeff_rows(target, lhs, first, second, first_degs, second_degs):
     return rows, rhs
 
 
+def _eps_taylor(vt, n, D):
+    """Taylor coefficients of z^0..z^D of eps_n and eps*_n at the origin."""
+    F = [mp.mpc(1)] + [2 * vt.moments.cmom(k) for k in range(1, D + 1)]
+    ph, st = list(vt.phi[n]), vt.phi_star(n)
+    eps = padd(list(vt.psi[n]), pmul(F, ph))
+    eps_star = padd(vt.psi_star(n), pmul(F, st), -1)
+    return eps[:D + 1], eps_star[:D + 1]
+
+
 def fit_spectral_matrix(p, vt, n, tol=None):
     """Least-squares fit of A_n from the phi-row identities.
 
@@ -120,6 +133,7 @@ def fit_spectral_matrix(p, vt, n, tol=None):
     """
     if n < 1 or n + 1 > vt.N:
         raise DegreeError(f"fit needs 1 <= n <= {vt.N - 1}, got {n}")
+    a1 = vt.alpha_nonzero(n + 1)
     if tol is None:
         tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
     V, W = vw_polys(p)
@@ -128,31 +142,33 @@ def fit_spectral_matrix(p, vt, n, tol=None):
     st = vt.phi_star(n)
 
     # first row: V(z) phi(qz) = P phi + Q phi*
-    lhs1 = pmul(V, [x * q ** i for i, x in enumerate(ph)])
+    lhs1 = pmul(V, pq(ph, q))
     rows1, rhs1 = _coeff_rows(n + 2, lhs1, ph, st, range(3), range(2))
     # second row: V(z) phi*(qz) = Ps phi* + Qs phi, Qs = z*(linear)
-    lhs2 = pmul(V, [x * q ** i for i, x in enumerate(st)])
+    lhs2 = pmul(V, pq(st, q))
     rows2, rhs2 = _coeff_rows(n + 2, lhs2, st, ph, range(3), range(1, 3))
 
     if n < 2:
-        # augment with the eps identities; coefficients alone are rank-deficient
-        for z in _EPS_NODES:
-            e = epsilon_eval(vt, n, z)
-            es = epsilon_star_eval(vt, n, z)
-            eq = epsilon_eval(vt, n, q * z)
-            esq = epsilon_star_eval(vt, n, q * z)
-            wz = peval(W, z)
-            rows1.append([e, z * e, z ** 2 * e, -es, -z * es])
-            rhs1.append(-wz * eq)
-            rows2.append([es, z * es, z ** 2 * es, -z * e, -z ** 2 * e])
-            rhs2.append(-wz * esq)
+        # coefficients alone are rank-deficient: add z^1..z^D of
+        # -W eps(qz) = P eps - Q eps*  and  -W eps*(qz) = Ps eps* - Qs eps,
+        # exact through degree D = n + 2 with F truncated there
+        D = n + 2
+        e, es = _eps_taylor(vt, n, D)
+        mW = pscale(W, -1)
+        for rows, rhs, first, second, lhs, degs in (
+                (rows1, rhs1, e, es, pmul(mW, pq(e, q)), range(2)),
+                (rows2, rhs2, es, e, pmul(mW, pq(es, q)), range(1, 3))):
+            extra, extra_rhs = _coeff_rows(D, lhs, first, pscale(second, -1),
+                                           range(3), degs)
+            rows += extra[1:]
+            rhs += extra_rhs[1:]
 
-    sol1, _ = mp.qr_solve(mp.matrix(rows1), mp.matrix(rhs1))
-    sol2, _ = mp.qr_solve(mp.matrix(rows2), mp.matrix(rhs2))
-    P = [sol1[0], sol1[1], sol1[2]]
-    Q = [sol1[3], sol1[4]]
-    Ps = [sol2[0], sol2[1], sol2[2]]
-    Qs = [mp.mpc(0), sol2[3], sol2[4]]
+    sol1 = lstsq(rows1, rhs1)
+    sol2 = lstsq(rows2, rhs2)
+    P = sol1[:3]
+    Q = sol1[3:]
+    Ps = sol2[:3]
+    Qs = [mp.mpc(0)] + sol2[3:]
 
     r1 = pmax(padd(lhs1, padd(pmul(P, ph), pmul(Q, st)), -1)) / (1 + pmax(lhs1))
     r2 = pmax(padd(lhs2, padd(pmul(Ps, st), pmul(Qs, ph)), -1)) / (1 + pmax(lhs2))
@@ -160,9 +176,6 @@ def fit_spectral_matrix(p, vt, n, tol=None):
     if resid > tol:
         raise FitError(f"A_{n} fit residual {mp.nstr(resid, 5)} exceeds {mp.nstr(tol, 5)}")
 
-    a1 = vt.alpha[n + 1]
-    if abs(a1) < mp.mpf(2) ** (-(mp.mp.prec // 2)):
-        raise DegenerateError(f"alpha_{n + 1} vanishes; cannot normalize Theta_{n}")
     theta = pscale(Q, -1 / a1)
     theta_star = pscale(Qs[1:], -1 / mp.conj(a1))
     return SpectralFit(n=n, e11=tuple(P), e12=tuple(Q), e21=tuple(Qs),

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import DomainError, SingularMeasureError
-from .polys import json_complex, padd, peval, pmax, pmul, pmulz, pscale, pstar
+from .errors import DegenerateError, DomainError, SingularMeasureError
+from .polys import (hpd_solve, json_complex, padd, peval, pmax, pmul, pmulz, pscale,
+                    pstar)
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
 from .qseries import caratheodory, caratheodory_quad  # noqa: F401
@@ -61,6 +62,18 @@ class VerblunskyTable:
 
     def psi_star(self, n):
         return pstar(list(self.psi[n]), n)
+
+    def alpha_nonzero(self, n):
+        """alpha_n, or DegenerateError when it is zero at working precision.
+
+        Every |alpha_n| < 1 is known to about an ulp of 1, so a small
+        alpha_n keeps the bits it has above eps (for |a| ~ 1e-4 the
+        alpha_n decay like |a|^n yet alpha_11 ~ 1e-29 keeps over 90 bits);
+        only |alpha_n| <= eps carries none.
+        """
+        if abs(self.alpha[n]) <= mp.eps:
+            raise DegenerateError(f"alpha_{n} is zero at working precision")
+        return self.alpha[n]
 
     def to_json_dict(self):
         return {
@@ -106,22 +119,23 @@ def verblunsky_toeplitz(table, n):
     """alpha_n from the Toeplitz normal equations (independent of the recursion).
 
     Solves c_{k-n} + sum_{j<n} y_j c_{k-j} = 0, k = 0..n-1, for the monic
-    least-squares polynomial and reads alpha_n = phi_n(0) = y_0.
+    least-squares polynomial and reads alpha_n = phi_n(0) = y_0.  The
+    matrix (c_{k-j}) is Hermitian positive definite for a positive measure
+    and is solved by plain LDL^H elimination (`polys.hpd_solve`), never by
+    Levinson or Szego, so this route stays independent of the recursion.
+    Its D is sigma_0..sigma_{n-1} (Simon, OPUC vol. 1, 1.5); a pivot that
+    is not positive at working precision raises SingularMeasureError.
     """
     if n < 1:
         raise DomainError("Toeplitz route needs n >= 1")
     if table.K < n:
         raise DomainError(f"need K >= {n} moments")
-    M = mp.matrix(n, n)
-    rhs = mp.matrix(n, 1)
-    for k in range(n):
-        for j in range(n):
-            M[k, j] = table.cmom(k - j)
-        rhs[k] = table.cmom(k - n)
+    M = [[table.cmom(k - j) for j in range(n)] for k in range(n)]
+    rhs = [table.cmom(k - n) for k in range(n)]
     try:
-        y = mp.lu_solve(M, rhs)
+        y = hpd_solve(M, rhs)
     except ZeroDivisionError as exc:
-        raise SingularMeasureError("Toeplitz system is singular") from exc
+        raise SingularMeasureError("Toeplitz system is not positive definite") from exc
     return -y[0]
 
 

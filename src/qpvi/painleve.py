@@ -115,10 +115,16 @@ def params_from_weight(p, n):
 
 
 def y_closed(p, vt, n):
-    """Closed form of y_n through the Verblunsky coefficients."""
-    den = (p.a - p.b * p.q ** (n + 1)) * vt.alpha[n + 1]
-    if abs(den) < _tiny():
-        raise DegenerateError("y_n closed form degenerates")
+    """Closed form of y_n through the Verblunsky coefficients.
+
+    Refused when a - b q^{n+1} cancels relative to its two terms, or when
+    alpha_{n+1} is zero at working precision.
+    """
+    bq = p.b * p.q ** (n + 1)
+    lam = p.a - bq
+    if abs(lam) <= _tiny() * (abs(p.a) + abs(bq)):
+        raise DegenerateError("a - b q^(n+1) cancels; y_n closed form degenerates")
+    den = lam * vt.alpha_nonzero(n + 1)
     return (mp.conj(p.a) - mp.conj(p.b) * p.q ** n) * vt.alpha[n] / den
 
 
@@ -163,13 +169,15 @@ def extract_coords(A, sp, tol=None):
     if tol is None:
         tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
     e11, e12, e21, e22 = A
-    e12 = ptrim(list(e12), _tiny() * (pmax(e12) + 1))
+    # thresholds relative to each entry's own scale: for small |a| the
+    # off-diagonal entries carry a factor alpha_{n+1} far below 1
+    e12 = ptrim(list(e12), _tiny() * pmax(e12))
     if pdeg(e12) != 1:
         raise GaugeError(f"e12 must have exact degree 1, got degree {pdeg(e12)}")
     y = -e12[0] / e12[1]
     c1, c2, c3, c4 = sp.c
     e11y = peval(e11, y)
-    if abs(e11y) < _tiny() * (pmax(e11) + 1):
+    if abs(e11y) <= _tiny() * pmax(e11):
         raise IndeterminacyError(
             "e11(y) vanishes; matrix sits at " + _nearest_base_point(sp, y, mp.inf))
     xi = (y - c1) * (y - c2) / e11y
@@ -298,8 +306,8 @@ def matrix_step(A, sp, tol=None):
         tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
     q, k1, k2, t1, t2 = sp.q, sp.k1, sp.k2, sp.t1, sp.t2
     e11, e12, e21, e22 = [list(e) for e in A]
-    e12 = ptrim(e12, _tiny() * (pmax(e12) + 1))
-    if pdeg(e12) != 1 or abs(e12[1]) < _tiny() * (pmax(e12) + 1):
+    e12 = ptrim(e12, _tiny() * pmax(e12))
+    if pdeg(e12) != 1 or abs(e12[1]) < _tiny() * pmax(e12):
         raise GaugeError("e12 must have exact degree 1 to normalize the gauge")
     lc = e12[1]
     e12n = pscale(e12, 1 / lc)

@@ -6,6 +6,12 @@ coefficient lists in row-major order ``[e11, e12, e21, e22]``.  Everything
 here is allocation-light and precision-agnostic: callers set
 ``mp.mp.prec`` (or use ``mp.workprec``) around these routines.
 `json_complex` is the one JSON form of a complex number, ``[re, im]``.
+
+The two dense solvers work on plain lists too: `lstsq` (Householder QR,
+for the overdetermined fits) and `hpd_solve` (LDL^H, for Hermitian
+positive definite systems such as Toeplitz moment matrices).  Both carry
+10 guard bits and form every inner product with `mp.fdot`, as mpmath's
+own `qr_solve` does, and return values rounded to working precision.
 """
 
 import mpmath as mp
@@ -15,6 +21,7 @@ from .errors import DegreeError
 __all__ = [
     "padd", "pscale", "pmul", "pmulz", "pq", "peval", "pstar", "pmax",
     "pdeg", "ptrim", "mat_mul", "mat_det", "mat_q", "mat_max", "json_complex",
+    "lstsq", "hpd_solve",
 ]
 
 
@@ -104,3 +111,75 @@ def mat_max(X):
 def json_complex(z):
     """[re, im] as Python floats."""
     return [float(z.real), float(z.imag)]
+
+
+def lstsq(rows, rhs):
+    """Least-squares solution x of rows x = rhs by Householder QR.
+
+    `rows` holds the m >= k rows of an m x k matrix, `rhs` its m right-hand
+    sides.  Column j is reflected onto p_j e_j with the complex-phase choice
+    p_j = -sqrt(s) a_jj/|a_jj| (-sqrt(s) when a_jj = 0), s being the squared
+    norm of the column's remaining part, so a lead with zero real part
+    needs no special case.  A column whose remaining part is not above
+    eps times its own norm is numerically dependent on the ones before it
+    and raises ZeroDivisionError.
+    """
+    m, k = len(rows), len(rows[0])
+    with mp.extraprec(10):
+        cols = [[mp.mpc(r[j]) for r in rows] for j in range(k)]
+        b = [mp.mpc(x) for x in rhs]
+        norms = [mp.fdot(c, c, conjugate=True).real for c in cols]
+        diag = []
+        for j in range(k):
+            v = cols[j][j:]
+            s = mp.fdot(v, v, conjugate=True).real
+            if not s > mp.eps * norms[j]:
+                raise ZeroDivisionError(f"column {j} is numerically dependent")
+            r, ajj = mp.sqrt(s), v[0]
+            p = -r * ajj / abs(ajj) if ajj else -r
+            # H = I - kappa v v^H maps the column to p e_j; with this p,
+            # kappa = 1/(s - conj(p) a_jj) = 1/(s + r |a_jj|) is real
+            kappa = 1 / (s + r * abs(ajj))
+            v[0] = ajj - p
+            for c in cols[j + 1:] + [b]:
+                y = mp.fdot(c[j:], v, conjugate=True) * kappa
+                for i in range(j, m):
+                    c[i] -= v[i - j] * y
+            diag.append(p)
+        x = [mp.mpc(0)] * k
+        for i in range(k - 1, -1, -1):
+            ri = [cols[j][i] for j in range(i + 1, k)]
+            x[i] = (b[i] - mp.fdot(ri, x[i + 1:])) / diag[i]
+    return [+xi for xi in x]
+
+
+def hpd_solve(M, rhs):
+    """Solve M x = rhs for Hermitian positive definite M by LDL^H.
+
+    Reads the lower triangle of M (a list of rows) and the real part of its
+    diagonal.  M = L D L^H with L unit lower triangular and D real; a pivot
+    d_j not above eps M_jj is not positive at working precision and raises
+    ZeroDivisionError, so an indefinite or singular M is refused.
+    """
+    n = len(M)
+    tol = mp.eps
+    with mp.extraprec(10):
+        L = [[] for _ in range(n)]  # L[i] holds L_i0 .. L_i(i-1)
+        d = []
+        for j in range(n):
+            w = [mp.conj(L[j][k]) * d[k] for k in range(j)]
+            mjj = mp.re(M[j][j])
+            dj = mjj - mp.re(mp.fdot(L[j], w))
+            if not dj > tol * mjj:
+                raise ZeroDivisionError(f"LDL^H pivot {j} is not positive")
+            d.append(dj)
+            for i in range(j + 1, n):
+                L[i].append((M[i][j] - mp.fdot(L[i], w)) / dj)
+        z = []
+        for i in range(n):
+            z.append(rhs[i] - mp.fdot(L[i], z))
+        x = [mp.mpc(0)] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = z[i] / d[i] - mp.fdot(x[i + 1:], [L[k][i] for k in range(i + 1, n)],
+                                         conjugate=True)
+    return [+xi for xi in x]

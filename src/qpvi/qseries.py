@@ -42,8 +42,8 @@ extra polynomial part,
 
     W(z) F(qz) = -V(z) F(z) + U(z),   deg U <= 2,
 
-and `fit_caratheodory_u` recovers U by least squares with a held-out
-residual that certifies the identity.
+and `fit_caratheodory_u` recovers U by least squares (`polys.lstsq`)
+with a held-out residual that certifies the identity.
 """
 
 from dataclasses import dataclass
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import json_complex, peval, pmul
+from .polys import json_complex, lstsq, peval, pmul
 
 __all__ = [
     "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
@@ -327,10 +327,7 @@ def fit_caratheodory_u(p, nfit=8, nheld=30, rfit=0.3):
                 + peval(V, z) * caratheodory(table, z))
 
     zs = [rfit * mp.e ** (2j * mp.pi * j / nfit) for j in range(nfit)]
-    A = mp.matrix([[1, z, z ** 2] for z in zs])
-    rhs = mp.matrix([lhs(z) for z in zs])
-    sol, _ = mp.qr_solve(A, rhs)
-    U = [sol[0], sol[1], sol[2]]
+    U = lstsq([[1, z, z ** 2] for z in zs], [lhs(z) for z in zs])
     resid = mp.mpf(0)
     for j in range(nheld):
         z = 1.23 * rfit * mp.e ** (2j * mp.pi * (j + mp.mpf("0.37")) / nheld)

@@ -134,6 +134,17 @@ class TestLaxOrbit:
                    - 0.5 * recs[0]["params"]["kappa1"][0]) < 1e-12
 
 
+class TestVerifyAll:
+    def test_complex_b_passes_every_check(self, capsys):
+        # the default a with a non-real b: check 05 compares Theta*_n with
+        # its closed form, whose constant term carries conj(b)
+        code, out = run(capsys, ["verify-all", "--b", "0.2,0.6"])
+        lines = out.splitlines()
+        assert code == 0, out
+        assert sum(line.startswith("[PASS]") for line in lines) == 13
+        assert lines[-1] == "all 13 checks passed"
+
+
 class TestWeylOde:
     def test_weyl_report(self, capsys):
         code, out = run(capsys, ["weyl", "--prec", "128", "--seed", "3"])

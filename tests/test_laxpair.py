@@ -1,9 +1,20 @@
 import mpmath as mp
 import pytest
 
-from qpvi import laxpair, opuc, qseries
-from qpvi.errors import DegreeError, FitError
+from qpvi import laxpair, opuc, painleve, qseries
+from qpvi.errors import DegenerateError, DegreeError, FitError
 from qpvi.polys import padd, pmax
+
+
+@pytest.fixture(scope="module")
+def complex_b():
+    """(params, table, fits 1..5) of a weight with non-real b, the
+    `qpvi verify-all --b 0.2,0.6` weight."""
+    with mp.workprec(192):
+        p = qseries.QWeightParams(a=mp.mpc("0.3", "0.2"), b=mp.mpc("0.2", "0.6"),
+                                  q=mp.mpf("0.5"))
+        vt = opuc.verblunsky_from_moments(qseries.moments(p, K=14), N=12)
+        return p, vt, {n: laxpair.fit_spectral_matrix(p, vt, n) for n in range(1, 6)}
 
 
 class TestFit:
@@ -11,13 +22,15 @@ class TestFit:
         for fit in fits.values():
             assert fit.residual < 1e-45
 
-    def test_theta_closed_forms(self, ref_params, vt, fits, prec192):
-        for n in (1, 2, 5, 9):
-            fit = fits[n]
-            th = laxpair.theta_closed(ref_params, vt, n)
-            ts = laxpair.theta_star_closed(ref_params, vt, n)
-            assert pmax(padd(fit.theta, th, -1)) < 1e-40
-            assert pmax(padd(fit.theta_star, ts, -1)) < 1e-40
+    def test_theta_closed_forms(self, ref_params, vt, fits, complex_b, prec192):
+        for p, vt_p, fits_p, orders in ((ref_params, vt, fits, (1, 2, 5, 9)),
+                                        (*complex_b, (1, 2, 5))):
+            for n in orders:
+                fit = fits_p[n]
+                th = laxpair.theta_closed(p, vt_p, n)
+                ts = laxpair.theta_star_closed(p, vt_p, n)
+                assert pmax(padd(fit.theta, th, -1)) < 1e-40
+                assert pmax(padd(fit.theta_star, ts, -1)) < 1e-40
 
     def test_corner_entries(self, ref_params, vt, fits, prec192):
         a, b, q = ref_params.a, ref_params.b, ref_params.q
@@ -46,9 +59,13 @@ class TestFit:
         with pytest.raises(FitError):
             laxpair.fit_spectral_matrix(ref_params, vt, 3, tol=mp.mpf(10) ** -200)
 
-    def test_epsilon_columns(self, ref_params, vt, fits, prec192):
+    def test_epsilon_columns(self, ref_params, vt, fits, complex_b, prec192):
+        # the n = 1 fit is built from Taylor coefficients at the origin; the
+        # pointwise eps identities check it independently
         for n in (1, 5):
             assert laxpair.epsilon_column_residuals(ref_params, vt, fits[n]) < 1e-40
+        p, vt_b, fits_b = complex_b
+        assert laxpair.epsilon_column_residuals(p, vt_b, fits_b[1]) < 1e-40
 
 
 class TestCompatibility:
@@ -65,3 +82,67 @@ class TestCompatibility:
             assert spread < 1e-40
             # det A_n = -q^n V W
             assert abs(const + q**n) < 1e-40
+
+
+# weights of the benchmark's `weights` stream (seed/request 4/204, 9/30,
+# 12/241, 16/346, 18/272, 25/192, 31/95, 108/10) whose alpha_n decay like
+# |a|^n and fall below 2^-96, yet keep 90+ correct bits
+SMALL_ALPHA = [
+    (complex(-0.00012411562719816783, 0.00015095046388548898),
+     complex(-0.22887083041254422, 0.3284581002379719), 0.25380324811852484),
+    (complex(0.00016800733412229355, -0.00011081906878033364),
+     complex(-0.0530719769007586, -0.02368250266340268), 0.21227993753862992),
+    (complex(-2.7951852684698884e-05, -0.00014908747736622525),
+     complex(0.09078290697007266, 0.09080404501783622), 0.3601117572003184),
+    (complex(3.848256917826299e-05, 7.172863047380802e-05),
+     complex(0.33449486196616685, -0.03641772403320895), 0.21264276696679396),
+    (complex(-0.002098587166408872, 0.0002691305147002206),
+     complex(-0.00637477770911022, -0.0022435756666608206), 0.23409286231781645),
+    (complex(-0.0002884139195428116, -0.0003298131893135433),
+     complex(0.02035914722345632, 0.12124183557351104), 0.2974756534184784),
+    (complex(4.2797007284438186e-05, -0.00021153682743495645),
+     complex(0.13369210559010486, -0.14868154456403715), 0.3625382842170848),
+    (complex(4.288617316082853e-05, 0.00010333206144028777),
+     complex(-0.42064143977510704, -0.0204575569420122), 0.29125693657251817),
+]
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+class TestSmallAlpha:
+    @pytest.mark.parametrize("a,b,q", SMALL_ALPHA)
+    def test_chain_under_benchmark_gates(self, a, b, q, prec192):
+        # moments -> Szego -> Toeplitz -> A_1..A_10 -> three step routes
+        p = qseries.QWeightParams(a=mp.mpc(a), b=mp.mpc(b), q=mp.mpf(q))
+        table = qseries.moments(p, K=14)
+        vt = opuc.verblunsky_from_moments(table, N=12)
+        assert abs(vt.alpha[11]) < 2 ** -96
+        toeplitz = max(abs(opuc.verblunsky_toeplitz(table, n) - vt.alpha[n])
+                       for n in range(1, 13))
+        assert toeplitz <= 1e-20
+        fits = {n: laxpair.fit_spectral_matrix(p, vt, n) for n in range(1, 11)}
+        for n in range(1, 9):
+            sp = painleve.params_from_weight(p, n)
+            cur = painleve.extract_coords(fits[n].matrix, sp)
+            direct = painleve.extract_coords(fits[n + 1].matrix, sp.step())
+            stepped, _ = painleve.phi_step(cur, sp)
+            Am, _ = painleve.matrix_step(fits[n].matrix, sp)
+            mat = painleve.extract_coords(Am, sp.step())
+            for got in (stepped, mat):
+                assert _rel(got.y, direct.y) <= 1e-10
+                assert _rel(got.xi, direct.xi) <= 1e-10
+            assert _rel(painleve.y_closed(p, vt, n), cur.y) <= 1e-10
+
+    def test_equal_parameters_degenerate(self, prec192):
+        # a = b: the weight is 1 and every alpha_n is exactly 0
+        p = qseries.QWeightParams(a=mp.mpc("0.3", "0.2"), b=mp.mpc("0.3", "0.2"),
+                                  q=mp.mpf("0.5"))
+        vt = opuc.verblunsky_from_moments(qseries.moments(p, K=5), N=4)
+        with pytest.raises(DegenerateError):
+            laxpair.fit_spectral_matrix(p, vt, 1)
+        with pytest.raises(DegenerateError):
+            laxpair.theta_closed(p, vt, 1)
+        with pytest.raises(DegenerateError):
+            painleve.y_closed(p, vt, 1)
