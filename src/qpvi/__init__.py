@@ -1,7 +1,7 @@
 """Verblunsky coefficients of q-Gamma weights and the discrete Painleve
-structure they carry: moment tables, the Szego recursion, fitted q-difference
-spectral matrices, the birational step in three equivalent forms, the exact
-lattice translation behind it, and the continuum limit."""
+structure they carry: moment tables, the Szego recursion, the q-difference
+spectral matrices in closed form, the birational step in three equivalent
+forms, the exact lattice translation behind it, and the continuum limit."""
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Subcommands mirror the library layers: `moments` and `verblunsky` emit the
-weight data, `lax` the fitted spectral matrices, `orbit` the Painleve
+weight data, `lax` the spectral matrices, `orbit` the Painleve
 orbit in (y, xi), `weyl` the lattice/composite report, `ode` the continuum
 trajectory or its convergence study, and `verify-all` the thirteen
 acceptance checks.  Exit codes: 0 success, 2 configuration error,
@@ -30,10 +30,13 @@ def _parse_complex(text):
 
 
 def _add_weight(sp):
-    """--a, --b, --q; the default is the reference weight."""
-    sp.add_argument("--a", default="0.3,0.2", help="weight parameter a as re,im")
-    sp.add_argument("--b", default="0.5", help="weight parameter b as re,im")
-    sp.add_argument("--q", default="0.5", help="weight parameter q in (0, 1)")
+    """--a, --b, --q; the default is the reference weight `verify.REFERENCE`."""
+    ref = verify.REFERENCE
+    for name in ("a", "b"):
+        sp.add_argument(f"--{name}", default=",".join(ref[name]),
+                        help=f"weight parameter {name} as re,im; with a negative "
+                             f"real part write --{name}=-0.4,0.3")
+    sp.add_argument("--q", default=ref["q"], help="weight parameter q in (0, 1)")
 
 
 def _add_output(sp, csv=False):
@@ -61,12 +64,12 @@ def build_parser():
     sp.add_argument("--N", type=int, default=20, help="table order")
     _add_output(sp, csv=True)
 
-    sp = sub.add_parser("lax", help="fitted spectral matrices A_n")
+    sp = sub.add_parser("lax", help="spectral matrices A_n")
     _add_weight(sp)
-    sp.add_argument("--N", type=int, default=8, help="fit A_1..A_N")
+    sp.add_argument("--N", type=int, default=8, help="build A_1..A_N")
     _add_output(sp)
     sp.add_argument("--tol", type=float,
-                    help="fit residual gate (default: 2^-(prec/3))")
+                    help="residual gate of the phi rows (default: 2^-(prec/3))")
 
     sp = sub.add_parser("orbit", help="Painleve orbit in (y, xi)")
     _add_weight(sp)

@@ -11,25 +11,32 @@ and the same matrix moves the second-kind column with a sign twist,
     -W(z) eps_n(qz)  = P(z) eps_n(z)  - Q(z)  eps*_n(z),
     -W(z) eps*_n(qz) = Ps(z) eps*_n(z) - Qs(z) eps_n(z).
 
-Both rows are overdetermined linear systems in the five unknown
-coefficients and are solved by least squares (`polys.lstsq`) on the
-polynomial coefficients.  The n = 1 system is rank-deficient on
-coefficients alone and is augmented with the Taylor coefficients of
-z^1..z^{n+2} of the eps identities, where eps_n = psi_n + F phi_n with
-F = 1 + 2 sum_{k>=1} c_k z^k truncated at degree n + 2: those coefficients
-need only c_1..c_{n+2}, which every table with K >= N + 1 holds.  The
-pointwise eps identities (`epsilon_column_residuals`) stay an independent
-check of the fit.
-
+Every coefficient of A_n is fixed by alpha_n, alpha_{n+1}, the weight and
+s_n, the z^{n-1} coefficient of phi_n (Simon, OPUC vol. 1, sec. 1.5).
 Writing Q = -alpha_{n+1} Theta_n and Qs = -z conj(alpha_{n+1}) Theta*_n,
-the linear factors admit closed forms in the Verblunsky data:
 
     Theta_n  = (a - b q^{n+1}) z + (conj(b) q^n - conj(a)) alpha_n / alpha_{n+1},
     Theta*_n = (a q - b q^{n+1}) (conj(alpha_n)/conj(alpha_{n+1})) z
                + (conj(b) q^{n+1} - conj(a)),
 
-while P has corner coefficients (b q^{n+1}, conj(b) q^n) and Ps has
-(a q, conj(a)).  A_n = [[P, Q], [Qs, Ps]] together with
+and, with V_1, Q_1, Qs_1 the z^1 coefficients of V, Q, Qs,
+
+    P  = conj(b) q^n + (V_1 q^n + b q^n (1 - q) s_n - Q_1 conj(alpha_n)) z
+         + b q^{n+1} z^2,
+    Ps = conj(a) + (V_1 + (q - 1) conj(a) conj(s_n) - Qs_1 alpha_n) z + a q z^2.
+
+`fit_spectral_matrix` builds A_n from these forms and certifies it on
+every call by the coefficient residual of both phi rows.  The least-squares
+fit of the five unknown coefficients of each row (`lstsq_spectral_matrix`,
+`polys.lstsq`) is kept as their independent oracle for the checks and
+tests.  Its n = 1 system is rank-deficient on coefficients alone and is
+augmented with the Taylor coefficients of z^1..z^{n+2} of the eps
+identities, where eps_n = psi_n + F phi_n with F = 1 + 2 sum_{k>=1} c_k z^k
+truncated at degree n + 2: those coefficients need only c_1..c_{n+2},
+which every table with K >= N + 1 holds.  The pointwise eps identities
+(`epsilon_column_residuals`) check either route independently.
+
+A_n = [[P, Q], [Qs, Ps]] together with
 
     B_n = [[z, alpha_{n+1}], [conj(alpha_{n+1}) z, 1]]
 
@@ -54,13 +61,14 @@ from .qseries import vw_polys
 
 __all__ = [
     "SpectralFit", "theta_closed", "theta_star_closed", "fit_spectral_matrix",
+    "lstsq_spectral_matrix",
     "build_B", "check_fundamental", "det_ratio_constant",
     "epsilon_column_residuals",
 ]
 
 @dataclass(frozen=True)
 class SpectralFit:
-    """Fitted A_n with the extracted linear factors and fit residual."""
+    """A_n with its linear factors Theta_n, Theta*_n and phi-row residual."""
 
     n: int
     e11: tuple
@@ -102,6 +110,57 @@ def theta_star_closed(p, vt, n):
     return [mu, lam]
 
 
+def _check_order(vt, n):
+    if n < 1 or n + 1 > vt.N:
+        raise DegreeError(f"fit needs 1 <= n <= {vt.N - 1}, got {n}")
+    return vt.alpha_nonzero(n + 1)
+
+
+def _certify(p, vt, n, P, Q, Ps, Qs, theta, theta_star, tol):
+    """SpectralFit of A_n = [[P, Q], [Qs, Ps]] after the coefficient residual
+    of both phi rows; FitError if it exceeds `tol` (default 2^-(prec/3))."""
+    if tol is None:
+        tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
+    V, _ = vw_polys(p)
+    ph = list(vt.phi[n])
+    st = vt.phi_star(n)
+    lhs1 = pmul(V, pq(ph, p.q))
+    lhs2 = pmul(V, pq(st, p.q))
+    r1 = pmax(padd(lhs1, padd(pmul(P, ph), pmul(Q, st)), -1)) / (1 + pmax(lhs1))
+    r2 = pmax(padd(lhs2, padd(pmul(Ps, st), pmul(Qs, ph)), -1)) / (1 + pmax(lhs2))
+    resid = max(r1, r2)
+    if resid > tol:
+        raise FitError(f"A_{n} fit residual {mp.nstr(resid, 5)} exceeds {mp.nstr(tol, 5)}")
+    return SpectralFit(n=n, e11=tuple(P), e12=tuple(Q), e21=tuple(Qs),
+                       e22=tuple(Ps), theta=tuple(theta),
+                       theta_star=tuple(theta_star), residual=resid)
+
+
+def fit_spectral_matrix(p, vt, n, tol=None):
+    """A_n in closed form from alpha_n, alpha_{n+1}, phi_n and the weight.
+
+    Returns a SpectralFit; raises FitError if either phi row misses its
+    identity by more than `tol` relative to the coefficient scale.  That
+    residual certifies the closed form on every call.
+    """
+    a1 = _check_order(vt, n)
+    q, qn = p.q, p.q ** n
+    theta = theta_closed(p, vt, n)
+    theta_star = theta_star_closed(p, vt, n)
+    Q = pscale(theta, -a1)
+    Qs = [mp.mpc(0)] + pscale(theta_star, -mp.conj(a1))
+    V1 = vw_polys(p)[0][1]
+    s = vt.phi[n][n - 1]
+    an = vt.alpha[n]
+    P = [mp.conj(p.b) * qn,
+         V1 * qn + p.b * qn * (1 - q) * s - Q[1] * mp.conj(an),
+         p.b * qn * q]
+    Ps = [mp.conj(p.a),
+          V1 + (q - 1) * mp.conj(p.a) * mp.conj(s) - Qs[1] * an,
+          p.a * q]
+    return _certify(p, vt, n, P, Q, Ps, Qs, theta, theta_star, tol)
+
+
 def _coeff_rows(target, lhs, first, second, first_degs, second_degs):
     """Coefficient-matching rows: lhs_i = sum over shifted copies of the bases."""
     rows, rhs = [], []
@@ -125,28 +184,22 @@ def _eps_taylor(vt, n, D):
     return eps[:D + 1], eps_star[:D + 1]
 
 
-def fit_spectral_matrix(p, vt, n, tol=None):
-    """Least-squares fit of A_n from the phi-row identities.
+def lstsq_spectral_matrix(p, vt, n, tol=None):
+    """Least-squares fit of A_n from the phi-row identities: the oracle of
+    `fit_spectral_matrix`, for the checks and tests.
 
-    Returns a SpectralFit; raises FitError if either row misses its
-    identity by more than `tol` relative to the coefficient scale.
+    Returns a SpectralFit under the same residual gate.
     """
-    if n < 1 or n + 1 > vt.N:
-        raise DegreeError(f"fit needs 1 <= n <= {vt.N - 1}, got {n}")
-    a1 = vt.alpha_nonzero(n + 1)
-    if tol is None:
-        tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
+    a1 = _check_order(vt, n)
     V, W = vw_polys(p)
     q = p.q
     ph = list(vt.phi[n])
     st = vt.phi_star(n)
 
     # first row: V(z) phi(qz) = P phi + Q phi*
-    lhs1 = pmul(V, pq(ph, q))
-    rows1, rhs1 = _coeff_rows(n + 2, lhs1, ph, st, range(3), range(2))
+    rows1, rhs1 = _coeff_rows(n + 2, pmul(V, pq(ph, q)), ph, st, range(3), range(2))
     # second row: V(z) phi*(qz) = Ps phi* + Qs phi, Qs = z*(linear)
-    lhs2 = pmul(V, pq(st, q))
-    rows2, rhs2 = _coeff_rows(n + 2, lhs2, st, ph, range(3), range(1, 3))
+    rows2, rhs2 = _coeff_rows(n + 2, pmul(V, pq(st, q)), st, ph, range(3), range(1, 3))
 
     if n < 2:
         # coefficients alone are rank-deficient: add z^1..z^D of
@@ -165,22 +218,10 @@ def fit_spectral_matrix(p, vt, n, tol=None):
 
     sol1 = lstsq(rows1, rhs1)
     sol2 = lstsq(rows2, rhs2)
-    P = sol1[:3]
     Q = sol1[3:]
-    Ps = sol2[:3]
     Qs = [mp.mpc(0)] + sol2[3:]
-
-    r1 = pmax(padd(lhs1, padd(pmul(P, ph), pmul(Q, st)), -1)) / (1 + pmax(lhs1))
-    r2 = pmax(padd(lhs2, padd(pmul(Ps, st), pmul(Qs, ph)), -1)) / (1 + pmax(lhs2))
-    resid = max(r1, r2)
-    if resid > tol:
-        raise FitError(f"A_{n} fit residual {mp.nstr(resid, 5)} exceeds {mp.nstr(tol, 5)}")
-
-    theta = pscale(Q, -1 / a1)
-    theta_star = pscale(Qs[1:], -1 / mp.conj(a1))
-    return SpectralFit(n=n, e11=tuple(P), e12=tuple(Q), e21=tuple(Qs),
-                       e22=tuple(Ps), theta=tuple(theta),
-                       theta_star=tuple(theta_star), residual=resid)
+    return _certify(p, vt, n, sol1[:3], Q, sol2[:3], Qs,
+                    pscale(Q, -1 / a1), pscale(Qs[1:], -1 / mp.conj(a1)), tol)
 
 
 def build_B(vt, n):
@@ -213,7 +254,7 @@ def det_ratio_constant(fit, p):
 
 
 def epsilon_column_residuals(p, vt, fit, zs=None):
-    """Pointwise residuals of the eps-column identities for a fitted A_n."""
+    """Pointwise residuals of the eps-column identities for an A_n."""
     if zs is None:
         zs = [mp.mpf("0.28") * mp.e ** (2j * mp.pi * k / 5 + 0.3j) for k in range(5)]
     V, W = vw_polys(p)

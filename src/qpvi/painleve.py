@@ -1,6 +1,6 @@
 """The discrete Painleve step induced by raising the polynomial order.
 
-The fitted spectral matrix A_n, viewed up to diagonal conjugation, is
+The spectral matrix A_n, viewed up to diagonal conjugation, is
 coordinatized by a point (y, xi) on a rational surface:
 
     y  = the root of the off-diagonal entry e12,

@@ -6,8 +6,9 @@ from qpvi import qseries, verify
 
 @pytest.fixture(scope="session")
 def ctx():
-    """Shared verification context: moment table, Verblunsky table and
-    spectral fits are computed once at 192 bits and reused everywhere."""
+    """Shared verification context: moment table, Verblunsky table, the
+    closed-form A_n and their least-squares oracle are computed once at
+    192 bits and reused everywhere."""
     return verify.VerificationContext(prec=192, seed=0)
 
 
@@ -29,6 +30,11 @@ def vt(ctx):
 @pytest.fixture(scope="session")
 def fits(ctx):
     return ctx.fits()
+
+
+@pytest.fixture(scope="session")
+def oracle_fits(ctx):
+    return ctx.oracle_fits()
 
 
 @pytest.fixture()

@@ -333,6 +333,28 @@ class TestContract:
         expect = {"a": 0.2 + 0.1j, "b": 0.4 - 0.1j, "q": 0.3}
         assert all(abs(seen[k] - v) < 1e-15 for k, v in expect.items())
 
+    def _params_of(self, capsys, monkeypatch, argv):
+        """The weight `qpvi verify-all` hands to `verify.run_all`."""
+        seen = []
+        monkeypatch.setattr(verify, "run_all",
+                            lambda params, prec, seed: seen.append(params) or [])
+        code, _ = run(capsys, argv)
+        assert code == 0
+        return seen[0]
+
+    def test_default_weight_is_the_reference(self, capsys, monkeypatch):
+        params = self._params_of(capsys, monkeypatch, ["verify-all"])
+        assert params == verify.VerificationContext().params
+
+    def test_negative_real_part(self, capsys, monkeypatch):
+        params = self._params_of(capsys, monkeypatch,
+                                 ["verify-all", "--a=-0.2,0.1", "--b=-0.4,0.3"])
+        assert abs(params.a - complex(-0.2, 0.1)) < 1e-15
+        assert abs(params.b - complex(-0.4, 0.3)) < 1e-15
+        # with a space, argparse takes the value for an option
+        with pytest.raises(SystemExit):
+            cli.main(["verify-all", "--b", "-0.4,0.3"])
+
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_precision_floor_everywhere(self, capsys, monkeypatch, command):
         for mod, name in ((qseries, "moments"), (weyl, "check_translation"),

@@ -1,30 +1,43 @@
 import mpmath as mp
 import pytest
 
-from qpvi import laxpair, opuc, painleve, qseries
+from qpvi import laxpair, opuc, painleve, polys, qseries
 from qpvi.errors import DegenerateError, DegreeError, FitError
 from qpvi.polys import padd, pmax
 
 
 @pytest.fixture(scope="module")
 def complex_b():
-    """(params, table, fits 1..5) of a weight with non-real b, the
-    `qpvi verify-all --b 0.2,0.6` weight."""
+    """(params, table, closed A_1..A_10, least-squares A_1..A_10) of a weight
+    with non-real b, the `qpvi verify-all --b 0.2,0.6` weight."""
     with mp.workprec(192):
         p = qseries.QWeightParams(a=mp.mpc("0.3", "0.2"), b=mp.mpc("0.2", "0.6"),
                                   q=mp.mpf("0.5"))
         vt = opuc.verblunsky_from_moments(qseries.moments(p, K=14), N=12)
-        return p, vt, {n: laxpair.fit_spectral_matrix(p, vt, n) for n in range(1, 6)}
+        return (p, vt, {n: laxpair.fit_spectral_matrix(p, vt, n) for n in range(1, 11)},
+                {n: laxpair.lstsq_spectral_matrix(p, vt, n) for n in range(1, 11)})
+
+
+ROUTES = [laxpair.fit_spectral_matrix, laxpair.lstsq_spectral_matrix]
+
+
+def _entry_gap(closed, fitted):
+    """Worst relative gap between the entries of two A_n, each entry at its scale."""
+    return max(pmax(padd(x, y, -1)) / pmax(y)
+               for x, y in zip(closed.matrix, fitted.matrix))
 
 
 class TestFit:
-    def test_residual_gate(self, fits):
-        for fit in fits.values():
+    def test_residual_gate(self, fits, oracle_fits):
+        for fit in (*fits.values(), *oracle_fits.values()):
             assert fit.residual < 1e-45
 
-    def test_theta_closed_forms(self, ref_params, vt, fits, complex_b, prec192):
-        for p, vt_p, fits_p, orders in ((ref_params, vt, fits, (1, 2, 5, 9)),
-                                        (*complex_b, (1, 2, 5))):
+    # the closed route builds Theta_n, Theta*_n and the corners from the
+    # closed forms, so these three tests run on the least-squares fit
+    def test_theta_closed_forms(self, ref_params, vt, oracle_fits, complex_b, prec192):
+        p_b, vt_b, _, oracle_b = complex_b
+        for p, vt_p, fits_p, orders in ((ref_params, vt, oracle_fits, (1, 2, 5, 9)),
+                                        (p_b, vt_b, oracle_b, (1, 2, 5))):
             for n in orders:
                 fit = fits_p[n]
                 th = laxpair.theta_closed(p, vt_p, n)
@@ -32,40 +45,63 @@ class TestFit:
                 assert pmax(padd(fit.theta, th, -1)) < 1e-40
                 assert pmax(padd(fit.theta_star, ts, -1)) < 1e-40
 
-    def test_corner_entries(self, ref_params, vt, fits, prec192):
+    def test_corner_entries(self, ref_params, vt, oracle_fits, prec192):
         a, b, q = ref_params.a, ref_params.b, ref_params.q
         for n in (1, 3, 7):
-            fit = fits[n]
+            fit = oracle_fits[n]
             assert abs(fit.e11[-1] - b * q**(n + 1)) < 1e-40
             assert abs(fit.e11[0] - mp.conj(b) * q**n) < 1e-40
             assert abs(fit.e22[-1] - a * q) < 1e-40
             assert abs(fit.e22[0] - mp.conj(a)) < 1e-40
 
-    def test_offdiagonal_structure(self, vt, fits, prec192):
+    def test_offdiagonal_structure(self, vt, oracle_fits, prec192):
         for n in (2, 6):
-            fit = fits[n]
+            fit = oracle_fits[n]
             # e12 = -alpha_{n+1} Theta_n, e21 = -z conj(alpha_{n+1}) Theta*_n
             assert abs(fit.e12[0] + vt.alpha[n + 1] * fit.theta[0]) < 1e-40
             assert fit.e21[0] == 0
             assert abs(fit.e21[1] + mp.conj(vt.alpha[n + 1]) * fit.theta_star[0]) < 1e-40
 
+    def test_closed_matches_least_squares(self, fits, oracle_fits, complex_b, prec192):
+        _, _, closed_b, oracle_b = complex_b
+        for n in range(1, 11):
+            assert _entry_gap(fits[n], oracle_fits[n]) < 1e-45
+            assert _entry_gap(closed_b[n], oracle_b[n]) < 1e-45
+
+    def test_hot_path_solves_nothing(self, ref_params, vt, complex_b, monkeypatch,
+                                     prec192):
+        def refuse(rows, rhs):
+            raise AssertionError("fit_spectral_matrix reached lstsq")
+        monkeypatch.setattr(laxpair, "lstsq", refuse)
+        monkeypatch.setattr(polys, "lstsq", refuse)
+        for p, vt_p in ((ref_params, vt), complex_b[:2]):
+            for n in range(1, 11):
+                assert laxpair.fit_spectral_matrix(p, vt_p, n).residual < 1e-45
+        with pytest.raises(AssertionError):
+            laxpair.lstsq_spectral_matrix(ref_params, vt, 1)
+
     def test_index_range(self, ref_params, vt):
-        with pytest.raises(DegreeError):
-            laxpair.fit_spectral_matrix(ref_params, vt, 0)
-        with pytest.raises(DegreeError):
-            laxpair.fit_spectral_matrix(ref_params, vt, vt.N)
+        for route in ROUTES:
+            with pytest.raises(DegreeError):
+                route(ref_params, vt, 0)
+            with pytest.raises(DegreeError):
+                route(ref_params, vt, vt.N)
 
     def test_unattainable_tolerance(self, ref_params, vt, prec192):
-        with pytest.raises(FitError):
-            laxpair.fit_spectral_matrix(ref_params, vt, 3, tol=mp.mpf(10) ** -200)
+        for route in ROUTES:
+            with pytest.raises(FitError):
+                route(ref_params, vt, 3, tol=mp.mpf(10) ** -200)
 
-    def test_epsilon_columns(self, ref_params, vt, fits, complex_b, prec192):
-        # the n = 1 fit is built from Taylor coefficients at the origin; the
-        # pointwise eps identities check it independently
-        for n in (1, 5):
-            assert laxpair.epsilon_column_residuals(ref_params, vt, fits[n]) < 1e-40
-        p, vt_b, fits_b = complex_b
-        assert laxpair.epsilon_column_residuals(p, vt_b, fits_b[1]) < 1e-40
+    def test_epsilon_columns(self, ref_params, vt, fits, oracle_fits, complex_b,
+                             prec192):
+        # the pointwise eps identities are used by neither route; at n = 1
+        # the least-squares fit is built from their Taylor coefficients
+        for fits_p in (fits, oracle_fits):
+            for n in (1, 5):
+                assert laxpair.epsilon_column_residuals(ref_params, vt, fits_p[n]) < 1e-40
+        p, vt_b, closed_b, oracle_b = complex_b
+        for fits_p in (closed_b, oracle_b):
+            assert laxpair.epsilon_column_residuals(p, vt_b, fits_p[1]) < 1e-40
 
 
 class TestCompatibility:
@@ -123,6 +159,10 @@ class TestSmallAlpha:
                        for n in range(1, 13))
         assert toeplitz <= 1e-20
         fits = {n: laxpair.fit_spectral_matrix(p, vt, n) for n in range(1, 11)}
+        # e12 and e21 carry alpha_{n+1} ~ |a|^(n+1): the fit's absolute
+        # error of about 1e-58 becomes a relative one of up to 1e-28 there
+        for n in range(1, 11):
+            assert _entry_gap(fits[n], laxpair.lstsq_spectral_matrix(p, vt, n)) < 1e-25
         for n in range(1, 9):
             sp = painleve.params_from_weight(p, n)
             cur = painleve.extract_coords(fits[n].matrix, sp)
