@@ -85,16 +85,17 @@ def build_parser():
     _add_output(sp, csv=True)
     sp.add_argument("--limit-check", action="store_true",
                     help="run the discrete-to-continuum convergence study")
-    sp.add_argument("--t0", default="0.8")
-    sp.add_argument("--t1", default="0.4")
-    sp.add_argument("--u0", default="0.3,0.1")
-    sp.add_argument("--v0", default="1.2,-0.2")
+    # the defaults are the reference study `continuum.REFERENCE_LIMIT`
+    ref = continuum.REFERENCE_LIMIT
+    for name in ("t0", "t1"):
+        sp.add_argument(f"--{name}", default=ref[name])
+    for name in ("u0", "v0"):
+        sp.add_argument(f"--{name}", default=",".join(ref[name]))
     sp.add_argument("--npoints", type=int, default=201)
-    sp.add_argument("--K1", default="0.4")
-    sp.add_argument("--K2", default="-0.3")
-    sp.add_argument("--Theta2", default="0.25")
-    for i, d in ((1, "0.15"), (2, "-0.2"), (3, "0.35"), (4, "0.2")):
-        sp.add_argument(f"--C{i}", default=d)
+    for name in ("K1", "K2", "Theta2"):
+        sp.add_argument(f"--{name}", default=ref[name])
+    for i, c in enumerate(ref["C"], 1):
+        sp.add_argument(f"--C{i}", default=c)
 
     sp = sub.add_parser("verify-all", help="run the thirteen acceptance checks")
     _add_weight(sp)

@@ -47,7 +47,7 @@ from .errors import ConstraintError, DomainError, SingularityError, StepFailure
 from .painleve import SurfaceCoords, SurfaceParams, phi_orbit, phi_step
 
 __all__ = [
-    "LimitParams", "reference_limit", "ode_rhs", "discrete_step_params",
+    "LimitParams", "REFERENCE_LIMIT", "reference_limit", "ode_rhs", "discrete_step_params",
     "discrete_orbit", "rhs_discrete_residual", "Trajectory", "integrate",
     "limit_check", "LimitReport", "ORDER_TOL",
 ]
@@ -82,14 +82,21 @@ class LimitParams:
         return cls(K1=K1, K2=K2, Th1=Th1, Th2=Th2, C=C)
 
 
+# the reference configuration of the convergence study as decimal strings,
+# complex values as (re, im); `qpvi ode` takes its flag defaults from here
+REFERENCE_LIMIT = {"K1": "0.4", "K2": "-0.3", "Theta2": "0.25",
+                   "C": ("0.15", "-0.2", "0.35", "0.2"),
+                   "t0": "0.8", "t1": "0.4", "u0": ("0.3", "0.1"), "v0": ("1.2", "-0.2")}
+
+
 def reference_limit():
-    """The documented reference configuration for the convergence study."""
-    lp = LimitParams.from_theta2(K1=mp.mpf("0.4"), K2=mp.mpf("-0.3"),
-                                 Th2=mp.mpf("0.25"),
-                                 C=(mp.mpf("0.15"), mp.mpf("-0.2"),
-                                    mp.mpf("0.35"), mp.mpf("0.2")))
-    window = {"t0": mp.mpf("0.8"), "t1": mp.mpf("0.4"),
-              "u0": mp.mpc("0.3", "0.1"), "v0": mp.mpc("1.2", "-0.2")}
+    """The reference configuration `REFERENCE_LIMIT` for the convergence study."""
+    ref = REFERENCE_LIMIT
+    lp = LimitParams.from_theta2(K1=mp.mpf(ref["K1"]), K2=mp.mpf(ref["K2"]),
+                                 Th2=mp.mpf(ref["Theta2"]),
+                                 C=tuple(mp.mpf(c) for c in ref["C"]))
+    window = {"t0": mp.mpf(ref["t0"]), "t1": mp.mpf(ref["t1"]),
+              "u0": mp.mpc(*ref["u0"]), "v0": mp.mpc(*ref["v0"])}
     return lp, window
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DegenerateError, DomainError, SingularMeasureError
-from .polys import (hpd_solve, json_complex, padd, peval, pmax, pmul, pmulz, pscale,
+from .polys import (dot, hpd_solve, json_complex, padd, peval, pmax, pmul, pmulz, pscale,
                     pstar)
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
@@ -39,11 +39,15 @@ star = pstar
 
 
 def inner_poly(table, p, r):
-    """<p, r> = sum_{j,k} p_j conj(r_k) c_{k-j} in the moment bilinear form."""
+    """<p, r> = sum_{j,k} p_j conj(r_k) c_{k-j} in the moment bilinear form.
+
+    The sum over j for each k, then the sum over k, are exact `dot`s rounded
+    once each; for r = [1], as in the recursion, that is one rounding.
+    """
     if max(len(p), len(r)) - 1 > table.K:
         raise DomainError("moment table too short for this inner product")
-    return mp.fsum(p[j] * mp.conj(r[k]) * table.cmom(k - j)
-                   for j in range(len(p)) for k in range(len(r)))
+    inner = [dot(p, [table.cmom(k - j) for j in range(len(p))]) for k in range(len(r))]
+    return dot(inner, r, conjugate=True)
 
 
 @dataclass(frozen=True)

@@ -7,29 +7,157 @@ here is allocation-light and precision-agnostic: callers set
 ``mp.mp.prec`` (or use ``mp.workprec``) around these routines.
 `json_complex` is the one JSON form of a complex number, ``[re, im]``.
 
+Sums of products go through one exact kernel.  An mpf is a dyadic
+rational, so a vector of mpf/mpc values converts exactly, once, to
+Gaussian integers at a common binary exponent; products and sums of those
+are exact Python integer arithmetic, and each result is rounded once
+(`libmp.from_man_exp`) at the working precision and rounding mode.  On it
+rest `dot` (the rounding of `mp.fdot`, without fdot's per-term object
+handling), `pmul` (exact convolution), `pmax` (exact squared magnitudes,
+one square root) and `autocorr`.  The kernel reads the mpmath 1.x raw
+layouts ``x._mpf_ = (sign, man, exp, bc)`` and ``x._mpc_ = (re, im)``;
+an inf or nan entry raises ValueError.
+
 The two dense solvers work on plain lists too: `lstsq` (Householder QR,
 for the overdetermined fits) and `hpd_solve` (LDL^H, for Hermitian
 positive definite systems such as Toeplitz moment matrices).  Both carry
-10 guard bits and form every inner product with `mp.fdot`, as mpmath's
-own `qr_solve` does, and return values rounded to working precision.
+10 guard bits and form every inner product with `dot`, and return values
+rounded to working precision.
 """
 
+from operator import add, mul
+
 import mpmath as mp
+from mpmath.libmp import from_man_exp, fzero, mpf_sqrt
 
 from .errors import DegreeError
 
 __all__ = [
     "padd", "pscale", "pmul", "pmulz", "pq", "peval", "pstar", "pmax",
     "pdeg", "ptrim", "mat_mul", "mat_det", "mat_q", "mat_max", "json_complex",
-    "lstsq", "hpd_solve",
+    "dot", "autocorr", "lstsq", "hpd_solve",
 ]
+
+_MPF, _MPC = mp.mpf, mp.mpc
+_make_mpf, _make_mpc = mp.mp.make_mpf, mp.mp.make_mpc
+
+
+def _gauss(xs):
+    """(re, im, exp, cplx): x_k = (re_k + i im_k) 2^exp exactly, as Python ints.
+
+    `cplx` tells whether any x_k is an mpc.  Values that are neither mpf
+    nor mpc are converted by `mp.mpmathify` first.  The common exponent is
+    the least exponent of the raw parts, zeros (exponent 0) included.
+    """
+    if not xs:
+        return [], [], 0, False
+    try:
+        raw = [t for x in xs for t in x._mpc_]
+        cplx = True
+    except AttributeError:
+        raw, cplx = [], False
+        for x in xs:
+            if type(x) is not _MPC and type(x) is not _MPF:
+                x = mp.mpmathify(x)
+            if type(x) is _MPC:
+                raw += x._mpc_
+                cplx = True
+            else:
+                raw += (x._mpf_, fzero)
+    sign, man, exp, bc = zip(*raw)
+    if min(bc) < 0:  # the raw forms of inf, -inf and nan have bc < 0
+        raise ValueError("inf or nan entry in an exact dot product")
+    e = min(exp)
+    ints = [(-m if s else m) << (x - e) for s, m, x in zip(sign, man, exp)]
+    return ints[0::2], ints[1::2], e, cplx
+
+
+def _round(man, exp):
+    """man 2^exp as a raw mpf, rounded once at the working precision and mode.
+
+    Round-to-nearest, mpmath's default, is done inline: it is the rounding
+    of `libmp.from_man_exp`, which takes most of the time of a short dot
+    product.  Other modes call from_man_exp.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    if rnd != "n":
+        return from_man_exp(man, exp, prec, rnd)
+    if not man:
+        return fzero
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    n = man.bit_length() - prec
+    if n > 0:
+        # the half bit of the cut, then ties to even
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    tz = (man & -man).bit_length() - 1  # mpmath strips trailing zero bits
+    if tz:
+        man >>= tz
+        exp += tz
+    return (sign, man, exp, man.bit_length())
+
+
+def _isum(x, y):
+    return sum(map(mul, x, y))
+
+
+def dot(A, B, conjugate=False):
+    """sum_k A_k B_k, or sum_k A_k conj(B_k): exact, then rounded once.
+
+    Returns what `mp.fdot` returns for the same arguments wherever fdot sums
+    exactly: an mpf when every entry is real, else an mpc.  fdot's running
+    sum drops a product that lies more than 2 prec bits below its last bit,
+    or the sum itself when a product lies that far above it; this kernel
+    keeps every bit.  A and B have equal length.
+    """
+    ar, ai, ea, ca = _gauss(A)
+    br, bi, eb, cb = _gauss(B)
+    e = ea + eb
+    if not (ca or cb):
+        return _make_mpf(_round(_isum(ar, br), e))
+    if conjugate:
+        re = _isum(ar, br) + _isum(ai, bi)
+        im = _isum(ai, br) - _isum(ar, bi)
+    else:
+        re = _isum(ar, br) - _isum(ai, bi)
+        im = _isum(ar, bi) + _isum(ai, br)
+    return _make_mpc((_round(re, e), _round(im, e)))
+
+
+def autocorr(x, K):
+    """[sum_m x_{m+k} conj(x_m) for k = 0..K], each exact, then rounded once.
+
+    Lag k equals `dot(x[k:], x[:len(x) - k], conjugate=True)` as an mpc;
+    the vector is converted once for all lags.
+    """
+    re, im, e, _ = _gauss(x)
+    out = []
+    for k in range(K + 1):
+        r, i = re[k:], im[k:]
+        out.append(_make_mpc((_round(_isum(r, re) + _isum(i, im), 2 * e),
+                              _round(_isum(i, re) - _isum(r, im), 2 * e))))
+    return out
 
 
 def padd(p, r, s=1):
     """p + s*r, aligned by degree."""
-    n = max(len(p), len(r))
-    return [(p[i] if i < len(p) else mp.mpc(0))
-            + s * (r[i] if i < len(r) else mp.mpc(0)) for i in range(n)]
+    n, m = len(p), len(r)
+    if s == 1:
+        head = [x + y for x, y in zip(p, r)]
+        tail = [+y for y in r[n:]]
+    elif s == -1:
+        head = [x - y for x, y in zip(p, r)]
+        tail = [-y for y in r[n:]]
+    else:
+        head = [x + s * y for x, y in zip(p, r)]
+        tail = [s * y for y in r[n:]]
+    return head + [+x for x in p[m:]] + tail
 
 
 def pscale(p, s):
@@ -37,12 +165,21 @@ def pscale(p, s):
 
 
 def pmul(p, r):
+    """p * r by exact convolution, each coefficient rounded once."""
     if not p or not r:
         return []
-    out = [mp.mpc(0)] * (len(p) + len(r) - 1)
-    for i, pi in enumerate(p):
-        for j, rj in enumerate(r):
-            out[i + j] += pi * rj
+    pr, pi, ep, _ = _gauss(p)
+    rr, ri, er, _ = _gauss(r)
+    rr, ri = rr[::-1], ri[::-1]
+    n, m, e = len(p), len(r), ep + er
+    out = []
+    for k in range(n + m - 1):
+        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
+        # p_j r_{k-j} for j = lo..hi-1; r_{k-j} sits at m-1-k+j reversed
+        a, b = pr[lo:hi], pi[lo:hi]
+        c, d = rr[m - 1 - k + lo:m - 1 - k + hi], ri[m - 1 - k + lo:m - 1 - k + hi]
+        out.append(_make_mpc((_round(_isum(a, c) - _isum(b, d), e),
+                              _round(_isum(a, d) + _isum(b, c), e))))
     return out
 
 
@@ -71,7 +208,13 @@ def pstar(p, n):
 
 
 def pmax(p):
-    return max((abs(x) for x in p), default=mp.mpf(0))
+    """max_k |p_k|: exact squared magnitudes, one correctly rounded square root."""
+    if not p:
+        return mp.mpf(0)
+    re, im, e, _ = _gauss(p)
+    top = max(map(add, map(mul, re, re), map(mul, im, im)))
+    prec, rnd = mp.mp._prec_rounding
+    return _make_mpf(mpf_sqrt(from_man_exp(top, 2 * e), prec, rnd))
 
 
 def pdeg(p, tol=0):
@@ -128,11 +271,11 @@ def lstsq(rows, rhs):
     with mp.extraprec(10):
         cols = [[mp.mpc(r[j]) for r in rows] for j in range(k)]
         b = [mp.mpc(x) for x in rhs]
-        norms = [mp.fdot(c, c, conjugate=True).real for c in cols]
+        norms = [dot(c, c, conjugate=True).real for c in cols]
         diag = []
         for j in range(k):
             v = cols[j][j:]
-            s = mp.fdot(v, v, conjugate=True).real
+            s = dot(v, v, conjugate=True).real
             if not s > mp.eps * norms[j]:
                 raise ZeroDivisionError(f"column {j} is numerically dependent")
             r, ajj = mp.sqrt(s), v[0]
@@ -142,14 +285,14 @@ def lstsq(rows, rhs):
             kappa = 1 / (s + r * abs(ajj))
             v[0] = ajj - p
             for c in cols[j + 1:] + [b]:
-                y = mp.fdot(c[j:], v, conjugate=True) * kappa
+                y = dot(c[j:], v, conjugate=True) * kappa
                 for i in range(j, m):
                     c[i] -= v[i - j] * y
             diag.append(p)
         x = [mp.mpc(0)] * k
         for i in range(k - 1, -1, -1):
             ri = [cols[j][i] for j in range(i + 1, k)]
-            x[i] = (b[i] - mp.fdot(ri, x[i + 1:])) / diag[i]
+            x[i] = (b[i] - dot(ri, x[i + 1:])) / diag[i]
     return [+xi for xi in x]
 
 
@@ -169,17 +312,17 @@ def hpd_solve(M, rhs):
         for j in range(n):
             w = [mp.conj(L[j][k]) * d[k] for k in range(j)]
             mjj = mp.re(M[j][j])
-            dj = mjj - mp.re(mp.fdot(L[j], w))
+            dj = mjj - mp.re(dot(L[j], w))
             if not dj > tol * mjj:
                 raise ZeroDivisionError(f"LDL^H pivot {j} is not positive")
             d.append(dj)
             for i in range(j + 1, n):
-                L[i].append((M[i][j] - mp.fdot(L[i], w)) / dj)
+                L[i].append((M[i][j] - dot(L[i], w)) / dj)
         z = []
         for i in range(n):
-            z.append(rhs[i] - mp.fdot(L[i], z))
+            z.append(rhs[i] - dot(L[i], z))
         x = [mp.mpc(0)] * n
         for i in range(n - 1, -1, -1):
-            x[i] = z[i] / d[i] - mp.fdot(x[i + 1:], [L[k][i] for k in range(i + 1, n)],
-                                         conjugate=True)
+            x[i] = z[i] / d[i] - dot(x[i + 1:], [L[k][i] for k in range(i + 1, n)],
+                                     conjugate=True)
     return [+xi for xi in x]

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import json_complex, lstsq, peval, pmul
+from .polys import autocorr, dot, json_complex, lstsq, peval, pmul
 
 __all__ = [
     "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
@@ -163,7 +163,7 @@ def szego_coefficients(p):
             break
         g.append(nxt)
         qn = qn1
-    return tuple(g), mp.fdot(g, g, conjugate=True).real
+    return tuple(g), dot(g, g, conjugate=True).real
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,7 @@ def moments(p, K):
     if K < 0:
         raise DomainError(f"need K >= 0, got K = {K}")
     g, mass = szego_coefficients(p)
-    L = len(g)
-    pos = [mp.mpc(mp.fdot(g[k:], g[:L - k], conjugate=True)) / mass
-           for k in range(1, K + 1)]
+    pos = [x / mass for x in autocorr(g, K)[1:]]
     cs = [mp.conj(x) for x in reversed(pos)] + [mp.mpc(1)] + pos
     return MomentTable(params=p, K=K, c=tuple(cs), g=g, mass=mass)
 

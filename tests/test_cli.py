@@ -346,6 +346,18 @@ class TestContract:
         params = self._params_of(capsys, monkeypatch, ["verify-all"])
         assert params == verify.VerificationContext().params
 
+    def test_default_limit_is_the_reference(self, capsys, monkeypatch):
+        seen = {}
+        rep = continuum.LimitReport(eps=(0.01, 0.005), steps=(69, 138),
+                                    errors=(2e-2, 1e-2), orders=(1.0,), fitted_order=1.0)
+        monkeypatch.setattr(continuum, "limit_check",
+                            lambda **kwargs: seen.update(kwargs) or rep)
+        code, _ = run(capsys, ["ode", "--limit-check"])
+        assert code == 0
+        with mp.workprec(seen["prec"]):
+            lp, window = continuum.reference_limit()
+        assert seen["lp"] == lp and seen["window"] == window
+
     def test_negative_real_part(self, capsys, monkeypatch):
         params = self._params_of(capsys, monkeypatch,
                                  ["verify-all", "--a=-0.2,0.1", "--b=-0.4,0.3"])

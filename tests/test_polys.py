@@ -1,13 +1,19 @@
 import random
+from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_pos, mpf_sum
 
-from qpvi import opuc, qseries
+import qpvi
+from qpvi import laxpair, opuc, painleve, polys, qseries
 from qpvi.errors import SingularMeasureError
-from qpvi.polys import hpd_solve, lstsq
+from qpvi.polys import autocorr, dot, hpd_solve, lstsq, padd, pmax, pmul
 
-# mp.qr_solve and mp.lu_solve appear here only as oracles for the list kernels
+# mp.qr_solve, mp.lu_solve and mp.fdot appear here only as oracles for the
+# list kernels
 
 
 def _rc(rng):
@@ -89,3 +95,233 @@ class TestHpdSolve:
             hpd_solve(M, [mp.mpc(1), mp.mpc(0)])
         with pytest.raises(SingularMeasureError):
             opuc.verblunsky_toeplitz(table, 2)
+
+
+# --- the exact kernel: dot, pmul, pmax, autocorr, padd ---------------------
+
+# (working precision, mantissa bits, exponent spread).  In each, every
+# product's bits lie within 2 prec bits of every other's, the window in
+# which mp.fdot's running sum is exact; the last spans +-400 bits.
+WINDOWS = [(53, 20, 16), (192, 53, 40), (1000, 100, 400)]
+
+
+def _real(draw, bits, spread):
+    man = draw(st.integers(-(2 ** bits - 1), 2 ** bits - 1))
+    return mp.mp.make_mpf(from_man_exp(man, draw(st.integers(-spread, spread))))
+
+
+@st.composite
+def vectors(draw, n, bits, spread, kinds=("mpf", "mpc", "zero")):
+    """Lists of n mpf, mpc and exact zeros, exponents in +-spread."""
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            out.append(draw(st.sampled_from([mp.mpf(0), mp.mpc(0)])))
+        elif kind == "mpf":
+            out.append(_real(draw, bits, spread))
+        else:
+            out.append(mp.mpc(_real(draw, bits, spread), _real(draw, bits, spread)))
+    return out
+
+
+@st.composite
+def dot_cases(draw, windows=WINDOWS):
+    prec, bits, spread = draw(st.sampled_from(windows))
+    n = draw(st.integers(0, 40))
+    return (prec, draw(vectors(n, bits, spread)), draw(vectors(n, bits, spread)),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+def _bits(x):
+    return x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)
+
+
+def _exact_dot(A, B, conjugate):
+    """fdot's exact products, summed with no window, rounded once: raw (re, im)."""
+    re, im = [], []
+    for a, b in zip(A, B):
+        ar, ai = mp.mpc(a)._mpc_
+        br, bi = mp.mpc(mp.conj(b) if conjugate else b)._mpc_
+        re += [mpf_mul(ar, br), mpf_neg(mpf_mul(ai, bi))]
+        im += [mpf_mul(ar, bi), mpf_mul(ai, br)]
+    prec, rnd = mp.mp._prec_rounding
+    return mpf_pos(mpf_sum(re), prec, rnd), mpf_pos(mpf_sum(im), prec, rnd)
+
+
+class TestDot:
+    @settings(max_examples=150, deadline=None)
+    @given(dot_cases())
+    def test_equals_fdot_bitwise(self, case):
+        prec, A, B, conjugate, extra = case
+        with mp.workprec(prec), mp.extraprec(10 if extra else 0):
+            got, want = dot(A, B, conjugate), mp.fdot(A, B, conjugate=conjugate)
+        assert type(got) is type(want) and _bits(got) == _bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dot_cases(windows=[(53, 53, 400), (192, 192, 400)]))
+    def test_exact_beyond_fdots_window(self, case):
+        # with +-400-bit exponents at 53 bits fdot may drop a product; dot
+        # is the exact sum rounded once everywhere
+        prec, A, B, conjugate, extra = case
+        with mp.workprec(prec), mp.extraprec(10 if extra else 0):
+            assert _bits(dot(A, B, conjugate)) == _exact_dot(A, B, conjugate)
+
+    def test_fdot_drops_what_dot_keeps(self):
+        tiny = mp.ldexp(1, -500)
+        A = [mp.mpf(1), tiny, mp.mpf(-1)]
+        with mp.workprec(53):
+            assert mp.fdot(A, [1, 1, 1]) == 0
+            assert dot(A, [1, 1, 1]) == tiny
+
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)])
+    def test_non_finite_raises(self, bad):
+        for call in (lambda: dot([1, bad], [1, 1]), lambda: pmul([bad], [1]),
+                     lambda: pmax([1, bad]), lambda: autocorr([1, bad], 1)):
+            with pytest.raises(ValueError):
+                call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: vectors(n, 60, 30, ("mpc",))),
+           st.integers(0, 12))
+    def test_autocorr_is_dot_per_lag(self, x, K):
+        with mp.workprec(60):
+            got = autocorr(x, K)
+            for k in range(K + 1):
+                want = mp.mpc(dot(x[k:], x[:max(len(x) - k, 0)], conjugate=True))
+                assert got[k]._mpc_ == want._mpc_
+
+
+def _old_pmul(p, r):
+    out = [mp.mpc(0)] * (len(p) + len(r) - 1)
+    for i, pi in enumerate(p):
+        for j, rj in enumerate(r):
+            out[i + j] += pi * rj
+    return out
+
+
+@st.composite
+def poly_pairs(draw, prec=53):
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return draw(vectors(n, prec, 20)), draw(vectors(m, prec, 20))
+
+
+class TestPolyKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(poly_pairs())
+    def test_pmul_is_the_exact_product_rounded_once(self, pr):
+        p, r = pr
+        with mp.workprec(4 * 53):
+            exact = _old_pmul(p, r)
+        with mp.workprec(53):
+            got = pmul(p, r)
+            assert [x._mpc_ for x in got] == [(+x)._mpc_ for x in exact]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 30).flatmap(lambda n: vectors(n, 53, 200)))
+    def test_pmax_within_half_an_ulp(self, p):
+        with mp.workprec(53):
+            got = pmax(p)
+        with mp.workprec(4 * 53):
+            want = max((abs(x) for x in p), default=mp.mpf(0))
+            if want == 0:
+                assert got == 0
+                return
+            _, _, exp, bc = got._mpf_
+            assert abs(got - want) <= mp.ldexp(1, exp + bc - 53 - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: vectors(n, 53, 20)),
+           st.integers(0, 12).flatmap(lambda n: vectors(n, 53, 20)),
+           st.sampled_from([1, -1, mp.mpc("0.3", "-1.7")]))
+    def test_padd_is_bit_identical_to_the_padded_sum(self, p, r, s):
+        # inputs at working precision, as everywhere in the package
+        n = max(len(p), len(r))
+        with mp.workprec(53):
+            want = [(p[i] if i < len(p) else mp.mpc(0)) + s * (r[i] if i < len(r) else mp.mpc(0))
+                    for i in range(n)]
+            got = padd(p, r, s)
+        assert [mp.mpc(x)._mpc_ for x in got] == [mp.mpc(x)._mpc_ for x in want]
+
+
+# --- what the kernel reads from mpmath -------------------------------------
+
+class TestMpmathLayout:
+    """The raw forms and the rounding that polys' exact kernel relies on.
+
+    Tested on mpmath's pure-Python backend; the gmpy2 backend stores the
+    same tuples with gmpy2 integers and is untested here.
+    """
+
+    def test_version(self):
+        assert mp.__version__.split(".")[0] == "1"
+
+    def test_raw_layouts(self):
+        with mp.workprec(53):
+            assert mp.mpf(3)._mpf_ == (0, 3, 0, 2)
+            assert mp.mpf(-0.75)._mpf_ == (1, 3, -2, 2)
+            assert mp.mpc(1, -2)._mpc_ == ((0, 1, 0, 1), (1, 1, 1, 1))
+            assert mp.mp._prec_rounding == [53, "n"]
+            z = mp.mp.make_mpc(((0, 1, 0, 1), (1, 1, 1, 1)))
+            assert z == mp.mpc(1, -2) and mp.mp.make_mpf((0, 3, 0, 2)) == 3
+        with mp.workprec(192):
+            assert mp.mp._prec_rounding == [192, "n"]
+
+    def test_special_values(self):
+        # zero is (0, 0, 0, 0); inf, -inf and nan have man 0 and bc < 0
+        assert mp.mpf(0)._mpf_ == fzero == (0, 0, 0, 0)
+        assert mp.inf._mpf_ == (0, 0, -456, -2)
+        assert (-mp.inf)._mpf_ == (1, 0, -789, -3)
+        assert mp.nan._mpf_ == (0, 0, -123, -1)
+
+    def test_from_man_exp_rounds_to_nearest_even(self):
+        assert from_man_exp(0b1011, 0, 3, "n") == (0, 3, 2, 2)    # tie, up to even
+        assert from_man_exp(0b1001, 0, 3, "n") == (0, 1, 3, 1)    # tie, down to even
+        assert from_man_exp(0b10011, 0, 3, "n") == (0, 5, 2, 3)   # above the tie
+        assert from_man_exp(-0b1011, 5, 3, "n") == (1, 3, 7, 2)
+        assert from_man_exp(0b1100, 0) == (0, 3, 2, 2)            # exact, trailing zeros stripped
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-2 ** 900, 2 ** 900), st.integers(-2000, 2000),
+           st.sampled_from([1, 2, 3, 53, 192, 700]), st.sampled_from("nfcdu"))
+    def test_kernel_rounding_is_from_man_exp(self, man, exp, prec, rnd):
+        # mpf arithmetic, fdot and the kernel read the mode from _prec_rounding
+        with mp.workprec(prec):
+            mp.mp._prec_rounding[1] = rnd
+            try:
+                assert polys._round(man, exp) == from_man_exp(man, exp, prec, rnd)
+            finally:
+                mp.mp._prec_rounding[1] = "n"
+
+
+# --- the weights chain runs on the kernel ----------------------------------
+
+def test_weights_chain_calls_no_fdot(monkeypatch):
+    """moments K=14 -> Szego N=12 -> Toeplitz n=1..12 -> A_1..A_10 -> three
+    step routes, and lstsq, with mp.fdot refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.fdot reached")
+    monkeypatch.setattr(mp, "fdot", refuse)
+    monkeypatch.setattr(type(mp.mp), "fdot", refuse)
+    with mp.workprec(192):
+        p = qseries.QWeightParams(a=mp.mpc("-0.41", "0.27"), b=mp.mpc("0.12", "-0.58"),
+                                  q=mp.mpf("0.33"))
+        table = qseries.moments(p, K=14)
+        vt = opuc.verblunsky_from_moments(table, N=12)
+        for n in range(1, 13):
+            assert abs(opuc.verblunsky_toeplitz(table, n) - vt.alpha[n]) < 1e-50
+        fits = {n: laxpair.fit_spectral_matrix(p, vt, n) for n in range(1, 11)}
+        for n in range(1, 9):
+            sp = painleve.params_from_weight(p, n)
+            direct = painleve.extract_coords(fits[n + 1].matrix, sp.step())
+            stepped, _ = painleve.phi_step(painleve.extract_coords(fits[n].matrix, sp), sp)
+            Am, _ = painleve.matrix_step(fits[n].matrix, sp)
+            for got in (stepped, painleve.extract_coords(Am, sp.step())):
+                assert abs(got.y - direct.y) <= 1e-40 * abs(direct.y)
+                assert abs(got.xi - direct.xi) <= 1e-40 * abs(direct.xi)
+        x = lstsq([[1, 0], [1, 1], [1, 2]], [mp.mpc(1), mp.mpc(2), mp.mpc(3)])
+        assert abs(x[0] - 1) < 1e-50 and abs(x[1] - 1) < 1e-50
+    with pytest.raises(AssertionError):
+        mp.fdot([1], [1])
+    for path in Path(qpvi.__file__).parent.glob("*.py"):
+        assert "fdot(" not in path.read_text(), path.name
