@@ -16,8 +16,11 @@ in xi, and xi' a ratio of four linear forms in xi.  `phi_orbit` runs k
 steps: the parameter-only coefficients of S, T and xi' are computed once
 and advanced by a power of q per step, so an orbit neither re-derives nor
 re-validates the parameters at every step; `phi_step` is the orbit of one
-step.  Parameters are validated where they are built: `SurfaceParams`
-checks the constraint, and `phi_orbit` returns its parameters through that
+step.  The orbit computes on `polys.GaussFloat` (Python integers with a
+binary exponent, 10 guard bits) and rounds each new point once to the
+working precision; only the (kappa1, theta1) flow stays in mpmath.
+Parameters are validated where they are built: `SurfaceParams` checks the
+constraint, and `phi_orbit` returns its parameters through that
 constructor, so every orbit is checked at both ends.  The same step is
 realized on matrices by a polynomial gauge transform
 A -> B(qz) A(z) adj(B(z)) / (z Delta) in `matrix_step`, so the three
@@ -34,7 +37,8 @@ import mpmath as mp
 from .errors import (ConsistencyError, ConstraintError, DegenerateError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
-from .polys import json_complex, pdeg, peval, pmax, pscale, ptrim, mat_mul, mat_q
+from .polys import (gauss_floats, json_complex, pdeg, peval, pmax, pscale, ptrim,
+                    mat_mul, mat_q)
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
@@ -192,12 +196,10 @@ def extract_coords(A, sp, tol=None):
     return SurfaceCoords(y=y, xi=xi)
 
 
-def _st_coefficients(sp):
+def _st_coefficients(k1, k2, t1, t2, c, q):
     # the parameter-only products of S and T, in the order `_st_terms` reads
     # them; one step multiplies them by q^2, q^2, 1, q, q, 1, q, q, q, q
-    k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
-    c1, c2, c3, c4 = sp.c
-    q = sp.q
+    c1, c2, c3, c4 = c
     m = q * k1 * k2
     s1 = c1 + c2 + c3 + c4
     s3 = c1 * c2 * (c3 + c4) + (c1 + c2) * c3 * c4
@@ -225,69 +227,96 @@ def _indeterminate(what, sp, k1, t1, y, xi):
     return IndeterminacyError(what + _nearest_base_point(here, y, xi))
 
 
+def _max_norm(xs):
+    # max |x|^2 over GaussFloats, exactly, as (man, exp)
+    norms = [x.norm() for x in xs]
+    e = min(ex for _, ex in norms)
+    return max(n << (ex - e) for n, ex in norms), e
+
+
+def _below(n, m, bits):
+    # n < 2^-bits m, for exact nonnegative (man, exp) pairs
+    d = n[1] + bits - m[1]
+    return n[0] << d < m[0] if d >= 0 else n[0] < m[0] << -d
+
+
 def phi_orbit(coords, sp, k):
     """k Painleve steps: returns (coords after k steps, their params).
 
     y' = S/(yT) with S, T the quadratics in xi of `_st_terms`, and
     xi' = (c1 c2 / (q kappa1 theta1 xi)) f1 f2 / (g1 g2) with f1, f2, g1,
-    g2 linear in xi.  The parameter-only coefficients are computed once;
-    since a step multiplies kappa1 and theta1 by q, each then advances by
-    one multiplication by q, q^2, 1/q or 1/q^2.  The returned parameters
-    go through the `SurfaceParams` constructor, so the constraint is
-    checked at both ends of the orbit; in between the flow scales both of
-    its sides by q.  Near-vanishing denominators are rejected relative to
-    the term magnitudes, so that catastrophic cancellation is reported
-    instead of silently amplified; the error names the base point nearest
-    to the failing step, under that step's parameters.
+    g2 linear in xi.  The arithmetic is `polys.GaussFloat` at the working
+    precision plus 10 guard bits.  The parameters are converted once and
+    the parameter-only coefficients computed once; since a step multiplies
+    kappa1 and theta1 by q, each then advances by one multiplication by q,
+    q^2, 1/q or 1/q^2.  Each step converts the point exactly and rounds the
+    new point once, at the working precision and rounding mode, so the
+    orbit carries the point between steps as k chained `phi_step` calls
+    do; the map grows errors by a factor of a few per step, and a point
+    kept at the guard precision would drift away from those calls.
+    kappa1 and theta1 advance as mpc by the products `SurfaceParams.step`
+    forms, so the chained calls return equal parameters.  The returned
+    parameters go through the `SurfaceParams` constructor, so the
+    constraint is checked at both ends of the orbit; in between the flow
+    scales both of its sides by q.  Near-vanishing denominators are
+    rejected relative to the term magnitudes, compared through exact
+    squared norms, so that catastrophic cancellation is reported instead
+    of silently amplified; the error names the base point nearest to the
+    failing step, under that step's parameters.
     """
     if k < 0:
         raise DomainError("need k >= 0 steps")
     y, xi = coords.y, coords.xi
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
-    c1, c2, c3, c4 = c = sp.c
     q = sp.q
-    tiny = _tiny()
-    cf = _st_coefficients(sp)
-    q2 = q * q
-    iq = 1 / q
+    bits = 2 * (mp.mp.prec // 2)  # |x| < 2^-(prec//2) |s| as |x|^2 < 2^-bits |s|^2
+    gk1, gk2, gt1, gt2, c1, c2, c3, c4, gq, one = gauss_floats(
+        [k1, k2, t1, t2, *sp.c, q, 1])
+    c = (c1, c2, c3, c4)
+    cf = _st_coefficients(gk1, gk2, gt1, gt2, c, gq)
+    q2 = gq * gq
+    iq = one / gq
     iq2 = iq * iq
-    w = q / k2
+    w = gq / gk2
     aw = abs(w)
-    r1 = q * t1 / (c1 * k2)
-    r2 = q * t1 / (c2 * k2)
-    r3 = t2 / (q * c3 * k1)
-    r4 = t2 / (q * c4 * k1)
-    pref = c1 * c2 / (q * k1 * t1)
+    r1 = gq * gt1 / (c1 * gk2)
+    r2 = gq * gt1 / (c2 * gk2)
+    r3 = gt2 / (gq * c3 * gk1)
+    r4 = gt2 / (gq * c4 * gk1)
+    pref = c1 * c2 / (gq * gk1 * gt1)
 
     for j in range(k):
         if j:
             sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
-            cf = (sa * q2, p1 * q2, p2, sb * q, sc * q, sd,
-                  ta * q, tb * q, tc * q, td * q)
-            r1, r2, r3, r4 = r1 * q, r2 * q, r3 * iq, r4 * iq
+            cf = (sa * q2, p1 * q2, p2, sb * gq, sc * gq, sd,
+                  ta * gq, tb * gq, tc * gq, td * gq)
+            r1, r2, r3, r4 = r1 * gq, r2 * gq, r3 * iq, r4 * iq
             pref = pref * iq2
-        Sterms, Tterms = _st_terms(cf, c, y, xi)
-        yT = y * mp.fsum(Tterms)
-        ay = abs(y)
-        scale = ay * max(abs(t) for t in Tterms)
-        if scale == 0 or abs(yT) < tiny * scale:
+        gy, gxi = gauss_floats([y, xi])
+        Sterms, Tterms = _st_terms(cf, c, gy, gxi)
+        T0, T1, T2 = Tterms
+        yT = gy * (T0 + T1 + T2)
+        ny, nt = gy.norm(), _max_norm(Tterms)
+        scale = (ny[0] * nt[0], ny[1] + nt[1])
+        if not scale[0] or _below(yT.norm(), scale, bits):
             raise _indeterminate("y T cancels to working precision near ",
                                 sp, k1, t1, y, xi)
-        if xi == 0 or t1 == 0:
+        if not gxi or t1 == 0:
             raise _indeterminate("xi = 0; step hit ", sp, k1, t1, y, xi)
-        g1 = xi * (y - c4) - w * (y - r3)
-        g2 = xi * (y - c3) - w * (y - r4)
-        gscale = (abs(xi) + aw) * (1 + ay)
-        if abs(g1) < tiny * gscale or abs(g2) < tiny * gscale:
+        g1 = gxi * (gy - c4) - w * (gy - r3)
+        g2 = gxi * (gy - c3) - w * (gy - r4)
+        gscale = ((abs(gxi) + aw) * (one + abs(gy))).norm()
+        if _below(g1.norm(), gscale, bits) or _below(g2.norm(), gscale, bits):
             raise _indeterminate("xi' denominator factor vanishes; step hit ",
                                 sp, k1, t1, y, xi)
-        f1 = xi * (y - r1) - w * (y - c2)
-        f2 = xi * (y - r2) - w * (y - c1)
-        y, xi = (mp.fsum(Sterms) / yT,
-                 pref * (f1 * f2) / (xi * (g1 * g2)))
+        f1 = gxi * (gy - r1) - w * (gy - c2)
+        f2 = gxi * (gy - r2) - w * (gy - c1)
+        S0, S1, S2 = Sterms
+        y = ((S0 + S1 + S2) / yT).mpc()
+        xi = (pref * (f1 * f2) / (gxi * (g1 * g2))).mpc()
         k1, t1 = q * k1, q * t1
     return (SurfaceCoords(y=y, xi=xi),
-            SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=c, q=q))
+            SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=sp.c, q=q))
 
 
 def phi_step(coords, sp):
@@ -342,7 +371,7 @@ def factorization_residuals(coords, sp):
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
     c1, c2, c3, c4 = sp.c
     q = sp.q
-    Sterms, Tterms = _st_terms(_st_coefficients(sp), sp.c, y, xi)
+    Sterms, Tterms = _st_terms(_st_coefficients(k1, k2, t1, t2, sp.c, q), sp.c, y, xi)
     S = mp.fsum(Sterms)
     T = mp.fsum(Tterms)
     scale = max(max(abs(t) for t in Sterms),

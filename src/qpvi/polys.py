@@ -18,6 +18,13 @@ one square root) and `autocorr`.  The kernel reads the mpmath 1.x raw
 layouts ``x._mpf_ = (sign, man, exp, bc)`` and ``x._mpc_ = (re, im)``;
 an inf or nan entry raises ValueError.
 
+Long chains of arithmetic on a few values, such as a Painleve orbit, run
+on `GaussFloat` beside the kernel: the same Gaussian integers with a binary
+exponent, but cut back by a plain shift after each + - * / to the working
+precision plus 10 guard bits, instead of mpmath's per-operation
+normalization.  `gauss_floats` converts through the kernel's conversion,
+and `GaussFloat.mpc` rounds back with the kernel's rounding.
+
 The two dense solvers work on plain lists too: `lstsq` (Householder QR,
 for the overdetermined fits) and `hpd_solve` (LDL^H, for Hermitian
 positive definite systems such as Toeplitz moment matrices).  Both carry
@@ -25,6 +32,7 @@ positive definite systems such as Toeplitz moment matrices).  Both carry
 rounded to working precision.
 """
 
+from math import isqrt
 from operator import add, mul
 
 import mpmath as mp
@@ -35,7 +43,7 @@ from .errors import DegreeError
 __all__ = [
     "padd", "pscale", "pmul", "pmulz", "pq", "peval", "pstar", "pmax",
     "pdeg", "ptrim", "mat_mul", "mat_det", "mat_q", "mat_max", "json_complex",
-    "dot", "autocorr", "lstsq", "hpd_solve",
+    "dot", "autocorr", "lstsq", "hpd_solve", "GaussFloat", "gauss_floats",
 ]
 
 _MPF, _MPC = mp.mpf, mp.mpc
@@ -107,6 +115,98 @@ def _isum(x, y):
     return sum(map(mul, x, y))
 
 
+class GaussFloat:
+    """A complex number (re + i im) 2^e with Python-integer re and im.
+
+    The number type of long chains of + - * / on a few values, such as a
+    Painleve orbit.  Each operation is exact integer arithmetic on the
+    Gaussian integers, then one right shift (a floor) cuts the larger of
+    |re|, |im| to p bits: the result is within one unit of its last bit,
+    2^e, of the exact one.  Operands carry the same p; the result takes the
+    left operand's.  `gauss_floats` converts mpf/mpc values exactly, and
+    `mpc` rounds back once at the working precision and rounding mode.
+    `abs` is the magnitude from the exact squared norm by `math.isqrt`, a
+    real GaussFloat; `norm` is that squared norm as an exact (man, exp).
+    """
+
+    __slots__ = ("re", "im", "e", "p")
+
+    def __init__(self, re, im, e, p):
+        self.re, self.im, self.e, self.p = re, im, e, p
+
+    def __add__(self, other):
+        d = self.e - other.e
+        if d >= 0:
+            return _cut((self.re << d) + other.re, (self.im << d) + other.im,
+                        other.e, self.p)
+        return _cut(self.re + (other.re << -d), self.im + (other.im << -d),
+                    self.e, self.p)
+
+    def __sub__(self, other):
+        d = self.e - other.e
+        if d >= 0:
+            return _cut((self.re << d) - other.re, (self.im << d) - other.im,
+                        other.e, self.p)
+        return _cut(self.re - (other.re << -d), self.im - (other.im << -d),
+                    self.e, self.p)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _cut(a * c - b * d, a * d + b * c, self.e + other.e, self.p)
+
+    def __rmul__(self, n):
+        # n an int, as in 2 x
+        return _cut(n * self.re, n * self.im, self.e, self.p)
+
+    def __neg__(self):
+        return GaussFloat(-self.re, -self.im, self.e, self.p)
+
+    def __truediv__(self, other):
+        # x conj(z) / |z|^2, the numerator shifted so the quotient keeps p bits
+        a, b, c, d = self.re, self.im, other.re, other.im
+        den = c * c + d * d
+        if not den:
+            raise ZeroDivisionError("GaussFloat division by zero")
+        re, im = a * c + b * d, b * c - a * d
+        s = max(self.p + den.bit_length() - (abs(re) | abs(im)).bit_length(), 0)
+        return _cut((re << s) // den, (im << s) // den, self.e - other.e - s, self.p)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __abs__(self):
+        return _cut(isqrt(self.re * self.re + self.im * self.im), 0, self.e, self.p)
+
+    def norm(self):
+        """|x|^2 exactly, as (man, exp): man 2^exp."""
+        return self.re * self.re + self.im * self.im, 2 * self.e
+
+    def mpc(self):
+        """This value as an mpc, each part rounded once (`_round`)."""
+        return _make_mpc((_round(self.re, self.e), _round(self.im, self.e)))
+
+
+def _cut(re, im, e, p):
+    n = (abs(re) | abs(im)).bit_length() - p
+    if n > 0:
+        return GaussFloat(re >> n, im >> n, e + n, p)
+    return GaussFloat(re, im, e, p)
+
+
+def gauss_floats(xs):
+    """Each of xs (mpf, mpc or numbers) as an exact GaussFloat.
+
+    Operations on the results keep mp.prec + 10 bits, the guard of the
+    dense solvers below; inf and nan raise ValueError, as in `_gauss`.
+    """
+    p = mp.mp.prec + 10
+    out = []
+    for x in xs:
+        (re,), (im,), e, _ = _gauss([x])
+        out.append(GaussFloat(re, im, e, p))
+    return out
+
+
 def dot(A, B, conjugate=False):
     """sum_k A_k B_k, or sum_k A_k conj(B_k): exact, then rounded once.
 
@@ -116,8 +216,13 @@ def dot(A, B, conjugate=False):
     or the sum itself when a product lies that far above it; this kernel
     keeps every bit.  A and B have equal length.
     """
-    ar, ai, ea, ca = _gauss(A)
-    br, bi, eb, cb = _gauss(B)
+    return _gdot(_gauss(A), _gauss(B), conjugate)
+
+
+def _gdot(A, B, conjugate=False):
+    # `dot` of two vectors already converted by `_gauss`
+    ar, ai, ea, ca = A
+    br, bi, eb, cb = B
     e = ea + eb
     if not (ca or cb):
         return _make_mpf(_round(_isum(ar, br), e))
@@ -310,14 +415,15 @@ def hpd_solve(M, rhs):
         L = [[] for _ in range(n)]  # L[i] holds L_i0 .. L_i(i-1)
         d = []
         for j in range(n):
-            w = [mp.conj(L[j][k]) * d[k] for k in range(j)]
+            # the multipliers of column j, converted once for all its rows
+            w = _gauss([mp.conj(L[j][k]) * d[k] for k in range(j)])
             mjj = mp.re(M[j][j])
-            dj = mjj - mp.re(dot(L[j], w))
+            dj = mjj - mp.re(_gdot(_gauss(L[j]), w))
             if not dj > tol * mjj:
                 raise ZeroDivisionError(f"LDL^H pivot {j} is not positive")
             d.append(dj)
             for i in range(j + 1, n):
-                L[i].append((M[i][j] - dot(L[i], w)) / dj)
+                L[i].append((M[i][j] - _gdot(_gauss(L[i]), w)) / dj)
         z = []
         for i in range(n):
             z.append(rhs[i] - dot(L[i], z))

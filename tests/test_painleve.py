@@ -103,6 +103,34 @@ def step_back(pt):
     return pt
 
 
+def preimage(sp_j, y, xi, j):
+    """(coords, params) whose orbit reaches (y, xi) under sp_j after j steps.
+
+    The point is stepped back through the reversed Weyl word; that word
+    lands on a copy of the surface scaled by y, c -> lam (y, c),
+    xi -> lam^2 xi, which is undone.
+    """
+    pt = weyl.bpoint_from_surface(sp_j, painleve.SurfaceCoords(y=y, xi=xi))
+    for _ in range(j):
+        pt = step_back(pt)
+    lam = pt.b[0] / sp_j.c[0]
+    q = sp_j.q
+    sp = painleve.SurfaceParams(k1=sp_j.k1 / q ** j, k2=sp_j.k2, t1=sp_j.t1 / q ** j,
+                                t2=sp_j.t2, c=sp_j.c, q=q)
+    return painleve.SurfaceCoords(y=pt.g / lam, xi=pt.f / lam ** 2), sp
+
+
+def guard_params():
+    """Parameters of step 2 for the mid-orbit guard tests (q = 1/2)."""
+    q = mp.mpf("0.5")
+    c = (mp.mpc("0.7", "0.2"), mp.mpc("-0.4", "0.9"),
+         mp.mpc("1.3", "-0.3"), mp.mpc("0.6", "0.5"))
+    k2, t1 = mp.mpc("0.8", "-0.4"), mp.mpc("0.275", "0.075")
+    t2 = mp.mpf("1.1") * t1
+    k1 = t1 * t2 / (k2 * c[0] * c[1] * c[2] * c[3])
+    return painleve.SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=c, q=q)
+
+
 class TestSurfaceParams:
     def test_constraint_enforced(self):
         with mp.workprec(128):
@@ -244,6 +272,22 @@ class TestOrbit:
             assert rel(got.xi, want.xi) <= 2 ** -112 / eps
             assert sp2 == sp3
 
+    @pytest.mark.parametrize("prec", [128, 192])
+    def test_study_orbit_matches_384_bit_run(self, prec):
+        # the eps = 0.0025 orbit of the continuum study, from the same
+        # decimal inputs at prec and at 384 bits
+        def endpoint(bits):
+            with mp.workprec(bits):
+                lp, w = continuum.reference_limit()
+                eps = mp.mpf("0.0025")
+                sp = continuum.discrete_step_params(lp, eps, w["t0"])
+                co = painleve.SurfaceCoords(y=1 + eps * w["u0"], xi=w["v0"])
+                return painleve.phi_orbit(co, sp, 277)[0]
+        got, want = endpoint(prec), endpoint(384)
+        with mp.workprec(384):
+            assert rel(got.y, want.y) <= 2 ** -(prec - 16) / mp.mpf("0.0025")
+            assert rel(got.xi, want.xi) <= 2 ** -(prec - 16) / mp.mpf("0.0025")
+
     def test_zero_and_negative_length(self, ref_params, ctx, prec192):
         sp, co = coords_at(ref_params, ctx, 2)
         assert painleve.phi_orbit(co, sp, 0) == (co, sp)
@@ -253,27 +297,15 @@ class TestOrbit:
     def test_guard_names_base_point_of_failing_step(self, prec192):
         # parameters of step j, chosen so that c1 c2/theta2 lies 10 % from
         # c1 c2/theta1 at step j but not at step 0
-        q, j = mp.mpf("0.5"), 2
-        c = (mp.mpc("0.7", "0.2"), mp.mpc("-0.4", "0.9"),
-             mp.mpc("1.3", "-0.3"), mp.mpc("0.6", "0.5"))
-        k2, t1 = mp.mpc("0.8", "-0.4"), mp.mpc("0.275", "0.075")
-        t2 = mp.mpf("1.1") * t1
-        k1 = t1 * t2 / (k2 * c[0] * c[1] * c[2] * c[3])
-        sp_j = painleve.SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=c, q=q)
-        sp = painleve.SurfaceParams(k1=k1 / q ** j, k2=k2, t1=t1 / q ** j, t2=t2,
-                                    c=c, q=q)
+        j = 2
+        sp_j = guard_params()
+        c, t1 = sp_j.c, sp_j.t1
         # a point of T = 0 near the base point (0, c1 c2/theta1) of step j
         y = mp.mpc("0.015625", "0.0078125")
         _, T = oracle_st_terms(painleve.SurfaceCoords(y=y, xi=mp.mpc(1)), sp_j)
         xi = min(mp.polyroots(T), key=lambda r: abs(r - c[0] * c[1] / t1))
-        # its preimage j steps back, through the reversed Weyl word; that
-        # word lands on a copy of the surface scaled by y, c -> lam (y, c),
-        # xi -> lam^2 xi, which is undone
-        pt = weyl.bpoint_from_surface(sp_j, painleve.SurfaceCoords(y=y, xi=xi))
-        for _ in range(j):
-            pt = step_back(pt)
-        lam = pt.b[0] / c[0]
-        co = painleve.SurfaceCoords(y=pt.g / lam, xi=pt.f / lam ** 2)
+        # its preimage j steps back
+        co, sp = preimage(sp_j, y, xi, j)
         reached, _ = painleve.phi_orbit(co, sp, j)
         assert rel(reached.y, y) < 1e-50 and rel(reached.xi, xi) < 1e-50
         label = "(y, xi) = (0, c1 c2/theta1)"
@@ -282,6 +314,63 @@ class TestOrbit:
         with pytest.raises(IndeterminacyError) as err:
             painleve.phi_orbit(co, sp, j + 2)
         assert str(err.value) == "y T cancels to working precision near " + label
+
+    def test_xi_zero_guard_mid_orbit(self):
+        # the line f1 = 0, xi (y - q theta1/(c1 kappa2)) = (q/kappa2)(y - c2),
+        # is blown down to (c1, 0); with dyadic entries f1 is exactly 0, so
+        # step 0 lands on xi = 0, while c4 = 4/7 keeps y off c1 by a
+        # rounding, so that T does not vanish there
+        with mp.workprec(128):
+            h = mp.mpf("0.5")
+            sp = painleve.SurfaceParams(k1=h, k2=1, t1=1, t2=h,
+                                        c=(1, mp.mpf("0.25"), 7, mp.mpf(4) / 7), q=h)
+            co = painleve.SurfaceCoords(y=mp.mpc("0.75"), xi=mp.mpc(1))
+            co1, sp1 = painleve.phi_step(co, sp)
+            assert co1.xi == 0 and co1.y != 1
+            with pytest.raises(IndeterminacyError) as err:
+                painleve.phi_orbit(co, sp, 2)
+            label = painleve._nearest_base_point(sp1, co1.y, co1.xi)
+            assert label == "(y, xi) = (c1, 0)"
+            assert str(err.value) == "xi = 0; step hit " + label
+
+    def test_denominator_guard_mid_orbit(self, prec192):
+        # a point of g1 = xi (y - c4) - (q/kappa2)(y - r3) = 0 at step j,
+        # r3 = theta2/(q c3 kappa1), reached from j steps back
+        j = 2
+        sp_j = guard_params()
+        c3, c4 = sp_j.c[2], sp_j.c[3]
+        w, r3 = sp_j.q / sp_j.k2, sp_j.t2 / (sp_j.q * c3 * sp_j.k1)
+        y = mp.mpc("0.3", "0.4")
+        xi = w * (y - r3) / (y - c4)
+        co, sp = preimage(sp_j, y, xi, j)
+        reached, _ = painleve.phi_orbit(co, sp, j)
+        assert rel(reached.y, y) < 1e-50 and rel(reached.xi, xi) < 1e-50
+        with pytest.raises(IndeterminacyError) as err:
+            painleve.phi_orbit(co, sp, j + 1)
+        label = painleve._nearest_base_point(sp_j, y, xi)
+        assert str(err.value) == "xi' denominator factor vanishes; step hit " + label
+
+    def test_orbit_multiplies_no_mpc_per_step_but_the_flow(self, monkeypatch):
+        """A 277-step orbit forms about 2 mpc products per step: the
+        (kappa1, theta1) flow, as `SurfaceParams.step` forms it."""
+        count = [0]
+        mpc = type(mp.mpc(1))
+        mul, rmul = mpc.__mul__, mpc.__rmul__
+
+        def counted(f):
+            def g(a, b):
+                count[0] += 1
+                return f(a, b)
+            return g
+        lp, w = continuum.reference_limit()
+        with mp.workprec(128):
+            eps = mp.mpf("0.0025")
+            sp = continuum.discrete_step_params(lp, eps, w["t0"])
+            co = painleve.SurfaceCoords(y=1 + eps * w["u0"], xi=w["v0"])
+            monkeypatch.setattr(mpc, "__mul__", counted(mul))
+            monkeypatch.setattr(mpc, "__rmul__", counted(rmul))
+            painleve.phi_orbit(co, sp, 277)
+        assert count[0] <= 2 * 277 + 16
 
     def test_off_constraint_params_rejected(self, ref_params, ctx, prec192):
         sp, co = coords_at(ref_params, ctx, 3)
@@ -302,8 +391,8 @@ class TestFactorizations:
 
     def test_matches_oracle(self, prec192):
         for sp, co in generic_points(50):
-            S, T = painleve._st_terms(painleve._st_coefficients(sp), sp.c,
-                                      co.y, co.xi)
+            cf = painleve._st_coefficients(sp.k1, sp.k2, sp.t1, sp.t2, sp.c, sp.q)
+            S, T = painleve._st_terms(cf, sp.c, co.y, co.xi)
             S0, T0 = oracle_st_terms(co, sp)
             assert rel(mp.fsum(S), mp.fsum(S0)) <= 1e-50
             assert rel(mp.fsum(T), mp.fsum(T0)) <= 1e-50

@@ -67,6 +67,32 @@ def _toeplitz(table, n):
     return [[table.cmom(k - j) for j in range(n)] for k in range(n)]
 
 
+def _old_hpd_solve(M, rhs):
+    """`hpd_solve` as it was, converting column j's multipliers once per row."""
+    n = len(M)
+    tol = mp.eps
+    with mp.extraprec(10):
+        L = [[] for _ in range(n)]
+        d = []
+        for j in range(n):
+            w = [mp.conj(L[j][k]) * d[k] for k in range(j)]
+            mjj = mp.re(M[j][j])
+            dj = mjj - mp.re(dot(L[j], w))
+            if not dj > tol * mjj:
+                raise ZeroDivisionError(f"LDL^H pivot {j} is not positive")
+            d.append(dj)
+            for i in range(j + 1, n):
+                L[i].append((M[i][j] - dot(L[i], w)) / dj)
+        z = []
+        for i in range(n):
+            z.append(rhs[i] - dot(L[i], z))
+        x = [mp.mpc(0)] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = z[i] / d[i] - dot(x[i + 1:], [L[k][i] for k in range(i + 1, n)],
+                                     conjugate=True)
+    return [+xi for xi in x]
+
+
 class TestHpdSolve:
     @pytest.mark.parametrize("a,b", WEIGHTS)
     def test_matches_lu_solve_on_toeplitz(self, a, b, prec192):
@@ -78,6 +104,16 @@ class TestHpdSolve:
             want = mp.lu_solve(mp.matrix(M), mp.matrix(rhs))
             got = hpd_solve(M, rhs)
             assert max(abs(got[j] - want[j]) for j in range(n)) <= 1e-50
+
+    @pytest.mark.parametrize("a,b", WEIGHTS)
+    def test_bit_identical_to_per_row_conversion(self, a, b, prec192):
+        p = qseries.QWeightParams(a=mp.mpc(*a), b=mp.mpc(*b), q=mp.mpf("0.5"))
+        table = qseries.moments(p, K=14)
+        for n in (1, 6, 14):
+            M = _toeplitz(table, n)
+            rhs = [table.cmom(k - n) for k in range(n)]
+            assert ([x._mpc_ for x in hpd_solve(M, rhs)]
+                    == [x._mpc_ for x in _old_hpd_solve(M, rhs)])
 
     def test_singular(self, prec192):
         M = [[mp.mpc(1), mp.mpc(1)], [mp.mpc(1), mp.mpc(1)]]
@@ -242,6 +278,108 @@ class TestPolyKernels:
                     for i in range(n)]
             got = padd(p, r, s)
         assert [mp.mpc(x)._mpc_ for x in got] == [mp.mpc(x)._mpc_ for x in want]
+
+
+# --- GaussFloat: the number type of the Painleve orbit ----------------------
+
+# (working precision, exponent spread); operands carry prec + 10 bits
+GAUSS_PRECS = [(53, 40), (128, 100), (192, 150), (1000, 400)]
+
+
+@st.composite
+def gauss_cases(draw):
+    prec, spread = draw(st.sampled_from(GAUSS_PRECS))
+    x, y = draw(vectors(2, prec, spread))
+    return prec, x, y, draw(st.sampled_from("+-*/"))
+
+
+def _apply(op, x, y):
+    return {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y,
+            "/": lambda: x / y}[op]()
+
+
+def _value(g):
+    """A GaussFloat as an exact mpc, at any working precision."""
+    return mp.mp.make_mpc((from_man_exp(g.re, g.e), from_man_exp(g.im, g.e)))
+
+
+class TestGaussFloat:
+    @settings(max_examples=400, deadline=None)
+    @given(gauss_cases())
+    def test_within_one_ulp_of_mpmath(self, case):
+        # the exact value by mpmath at a precision that holds it (+ - *) or
+        # far past the guard precision (/), against one unit of the p-th bit
+        prec, x, y, op = case
+        with mp.workprec(prec):
+            gx, gy = polys.gauss_floats([x, y])
+        assert gx.p == gy.p == prec + 10
+        if op == "/" and y == 0:
+            with pytest.raises(ZeroDivisionError):
+                gx / gy
+            return
+        got = _apply(op, gx, gy)
+        assert got.p == prec + 10
+        # p bits, or p + 1 where the floor carries a negative part to -2^p
+        assert max(abs(got.re), abs(got.im)).bit_length() <= got.p + 1
+        with mp.workprec(4 * prec + 8 * 400):
+            want = _apply(op, mp.mpc(x), mp.mpc(y))
+            err = max(abs(_value(got).real - want.real), abs(_value(got).imag - want.imag))
+            assert err < mp.ldexp(1, got.e)
+            if want == 0:
+                assert not got
+
+    def test_zeros(self):
+        with mp.workprec(128):
+            x, zero = polys.gauss_floats([mp.mpc(1, 2) / 3, 0])
+        assert not zero and x and not (x - x) and not (zero * x) and not (zero / x)
+        assert _value(zero + x) == _value(x) == _value(x - zero)
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError):
+            polys.gauss_floats([1, bad])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2 ** 300, 2 ** 300), st.integers(-2 ** 300, 2 ** 300),
+           st.integers(-600, 600), st.sampled_from([53, 128, 192, 1000]),
+           st.sampled_from("nfcdu"))
+    def test_rounds_back_as_round(self, re, im, e, prec, rnd):
+        # the one rounding of a result is `_round` of each part, which is
+        # from_man_exp in every mode
+        with mp.workprec(prec):
+            mp.mp._prec_rounding[1] = rnd
+            try:
+                got = polys.GaussFloat(re, im, e, prec + 10).mpc()
+                assert got._mpc_ == (polys._round(re, e), polys._round(im, e))
+                assert got._mpc_ == (from_man_exp(re, e, prec, rnd),
+                                     from_man_exp(im, e, prec, rnd))
+            finally:
+                mp.mp._prec_rounding[1] = "n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(GAUSS_PRECS).flatmap(
+        lambda ps: st.tuples(st.just(ps[0]), vectors(1, ps[0], ps[1]))))
+    def test_converts_exactly(self, case):
+        prec, (x,) = case
+        with mp.workprec(prec):
+            (g,) = polys.gauss_floats([x])
+            assert g.mpc() == x
+        assert _value(g) == x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(GAUSS_PRECS).flatmap(
+        lambda ps: st.tuples(st.just(ps[0]), vectors(1, ps[0], ps[1]))))
+    def test_abs_and_norm(self, case):
+        prec, (x,) = case
+        with mp.workprec(prec):
+            (g,) = polys.gauss_floats([x])
+        man, exp = g.norm()
+        with mp.workprec(4 * prec + 8 * 400):
+            assert mp.ldexp(man, exp) == mp.re(x) ** 2 + mp.im(x) ** 2
+            a = abs(g)
+            assert a.im == 0 and abs(_value(a).real - abs(mp.mpc(x))) < mp.ldexp(1, a.e)
 
 
 # --- what the kernel reads from mpmath -------------------------------------
