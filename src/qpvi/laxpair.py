@@ -25,8 +25,9 @@ and, with V_1, Q_1, Qs_1 the z^1 coefficients of V, Q, Qs,
          + b q^{n+1} z^2,
     Ps = conj(a) + (V_1 + (q - 1) conj(a) conj(s_n) - Qs_1 alpha_n) z + a q z^2.
 
-`fit_spectral_matrix` builds A_n from these forms and certifies it on
-every call by the coefficient residual of both phi rows.  The least-squares
+`fit_spectral_matrix` builds A_n from these forms on `polys.GaussFloat`
+and certifies it on every call by the coefficient residual of both phi
+rows, formed exactly (`polys.mat_qdiff_residual`).  The least-squares
 fit of the five unknown coefficients of each row (`lstsq_spectral_matrix`,
 `polys.lstsq`) is kept as their independent oracle for the checks and
 tests.  Its n = 1 system is rank-deficient on coefficients alone and is
@@ -55,8 +56,8 @@ import mpmath as mp
 
 from .errors import DegreeError, FitError
 from .opuc import epsilon_eval, epsilon_star_eval
-from .polys import (json_complex, lstsq, mat_det, mat_max, mat_mul, mat_q, padd,
-                    peval, pmax, pmul, pq, pscale)
+from .polys import (gauss_floats, json_complex, lstsq, mat_det, mat_max, mat_mul, mat_q,
+                    mat_qdiff_residual, padd, peval, pmax, pmul, pq, pscale)
 from .qseries import vw_polys
 
 __all__ = [
@@ -92,22 +93,29 @@ class SpectralFit:
                 "residual": float(self.residual)}
 
 
-def _alpha_ratio(vt, n):
-    return vt.alpha[n] / vt.alpha_nonzero(n + 1)
+def _thetas(p, vt, n):
+    """(Theta_n, Theta*_n, (a, b, q, q^n, alpha_n, alpha_{n+1})) on GaussFloat."""
+    a, b, q, an, a1 = gauss_floats([p.a, p.b, p.q, vt.alpha[n], vt.alpha_nonzero(n + 1)])
+    qn = q ** n
+    bq1 = b * qn * q
+    r = an / a1
+    theta = [(b.conj() * qn - a.conj()) * r, a - bq1]
+    theta_star = [bq1.conj() - a.conj(), (a * q - bq1) * r.conj()]
+    return theta, theta_star, (a, b, q, qn, an, a1)
+
+
+def _mpcs(xs):
+    return [x.mpc() for x in xs]
 
 
 def theta_closed(p, vt, n):
     """Closed form of Theta_n."""
-    lam = p.a - p.b * p.q ** (n + 1)
-    mu = (-mp.conj(p.a) + mp.conj(p.b) * p.q ** n) * _alpha_ratio(vt, n)
-    return [mu, lam]
+    return _mpcs(_thetas(p, vt, n)[0])
 
 
 def theta_star_closed(p, vt, n):
     """Closed form of Theta*_n."""
-    lam = (p.a * p.q - p.b * p.q ** (n + 1)) * mp.conj(_alpha_ratio(vt, n))
-    mu = mp.conj(p.b) * p.q ** (n + 1) - mp.conj(p.a)
-    return [mu, lam]
+    return _mpcs(_thetas(p, vt, n)[1])
 
 
 def _check_order(vt, n):
@@ -116,19 +124,12 @@ def _check_order(vt, n):
     return vt.alpha_nonzero(n + 1)
 
 
-def _certify(p, vt, n, P, Q, Ps, Qs, theta, theta_star, tol):
+def _certify(p, V, vt, n, P, Q, Ps, Qs, theta, theta_star, tol):
     """SpectralFit of A_n = [[P, Q], [Qs, Ps]] after the coefficient residual
     of both phi rows; FitError if it exceeds `tol` (default 2^-(prec/3))."""
     if tol is None:
         tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
-    V, _ = vw_polys(p)
-    ph = list(vt.phi[n])
-    st = vt.phi_star(n)
-    lhs1 = pmul(V, pq(ph, p.q))
-    lhs2 = pmul(V, pq(st, p.q))
-    r1 = pmax(padd(lhs1, padd(pmul(P, ph), pmul(Q, st)), -1)) / (1 + pmax(lhs1))
-    r2 = pmax(padd(lhs2, padd(pmul(Ps, st), pmul(Qs, ph)), -1)) / (1 + pmax(lhs2))
-    resid = max(r1, r2)
+    resid = mat_qdiff_residual(V, p.q, [P, Q, Qs, Ps], vt.phi[n], vt.phi_star(n))
     if resid > tol:
         raise FitError(f"A_{n} fit residual {mp.nstr(resid, 5)} exceeds {mp.nstr(tol, 5)}")
     return SpectralFit(n=n, e11=tuple(P), e12=tuple(Q), e21=tuple(Qs),
@@ -139,26 +140,22 @@ def _certify(p, vt, n, P, Q, Ps, Qs, theta, theta_star, tol):
 def fit_spectral_matrix(p, vt, n, tol=None):
     """A_n in closed form from alpha_n, alpha_{n+1}, phi_n and the weight.
 
-    Returns a SpectralFit; raises FitError if either phi row misses its
-    identity by more than `tol` relative to the coefficient scale.  That
-    residual certifies the closed form on every call.
+    The coefficients are formed on GaussFloat from the converted inputs
+    and rounded once each.  Returns a SpectralFit; raises FitError if
+    either phi row misses its identity by more than `tol` relative to the
+    coefficient scale.  That residual certifies the closed form on every
+    call.
     """
-    a1 = _check_order(vt, n)
-    q, qn = p.q, p.q ** n
-    theta = theta_closed(p, vt, n)
-    theta_star = theta_star_closed(p, vt, n)
-    Q = pscale(theta, -a1)
-    Qs = [mp.mpc(0)] + pscale(theta_star, -mp.conj(a1))
-    V1 = vw_polys(p)[0][1]
-    s = vt.phi[n][n - 1]
-    an = vt.alpha[n]
-    P = [mp.conj(p.b) * qn,
-         V1 * qn + p.b * qn * (1 - q) * s - Q[1] * mp.conj(an),
-         p.b * qn * q]
-    Ps = [mp.conj(p.a),
-          V1 + (q - 1) * mp.conj(p.a) * mp.conj(s) - Qs[1] * an,
-          p.a * q]
-    return _certify(p, vt, n, P, Q, Ps, Qs, theta, theta_star, tol)
+    _check_order(vt, n)
+    V = vw_polys(p)[0]
+    theta, theta_star, (a, b, q, qn, an, a1) = _thetas(p, vt, n)
+    s, V1, one = gauss_floats([vt.phi[n][n - 1], V[1], 1])
+    Q = [-a1 * x for x in theta]
+    Qs = [-a1.conj() * x for x in theta_star]  # Qs / z
+    P = [b.conj() * qn, V1 * qn + b * qn * (one - q) * s - Q[1] * an.conj(), b * qn * q]
+    Ps = [a.conj(), V1 + (q - one) * a.conj() * s.conj() - Qs[0] * an, a * q]
+    return _certify(p, V, vt, n, _mpcs(P), _mpcs(Q), _mpcs(Ps), [mp.mpc(0)] + _mpcs(Qs),
+                    _mpcs(theta), _mpcs(theta_star), tol)
 
 
 def _coeff_rows(target, lhs, first, second, first_degs, second_degs):
@@ -220,7 +217,7 @@ def lstsq_spectral_matrix(p, vt, n, tol=None):
     sol2 = lstsq(rows2, rhs2)
     Q = sol1[3:]
     Qs = [mp.mpc(0)] + sol2[3:]
-    return _certify(p, vt, n, sol1[:3], Q, sol2[:3], Qs,
+    return _certify(p, V, vt, n, sol1[:3], Q, sol2[:3], Qs,
                     pscale(Q, -1 / a1), pscale(Qs[1:], -1 / mp.conj(a1)), tol)
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DegenerateError, DomainError, SingularMeasureError
-from .polys import (dot, hpd_solve, json_complex, padd, peval, pmax, pmul, pmulz, pscale,
-                    pstar)
+from .polys import (below, dot, gauss_dot, gauss_floats, hpd_solve, json_complex,
+                    padd, peval, pmax, pmul, pstar)
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
 from .qseries import caratheodory, caratheodory_quad  # noqa: F401
@@ -95,28 +95,36 @@ class VerblunskyTable:
 
 
 def verblunsky_from_moments(table, N):
-    """Run the Szego recursion to order N from a moment table."""
+    """Run the Szego recursion to order N from a moment table.
+
+    phi_n, psi_n, alpha_n and sigma_n are carried on `polys.GaussFloat`
+    and rounded once each into the table; <z phi_n, 1> is an exact sum
+    against the moments, cut once.
+    """
     if N < 0 or table.K < N + 1:
         raise DomainError(f"need K >= N + 1 moments, got K = {table.K}, N = {N}")
-    phi = [[mp.mpc(1)]]
-    psi = [[mp.mpc(1)]]
-    alpha = [mp.mpc(1)]
-    sigma = [mp.mpf(1)]
+    floor = (1, -2 * (mp.mp.prec // 2))  # |alpha|^2 must stay 2^-(prec//2) below 1
+    cs = [table.cmom(-j) for j in range(N + 1)]
+    one, zero = gauss_floats([1, 0])
+    phi, psi, alpha, sigma = [[one]], [[one]], [one], [one]
     for n in range(N):
-        zphi = pmulz(phi[n])
-        a_next = -inner_poly(table, zphi, [mp.mpc(1)]) / sigma[n]
-        gap = 1 - abs(a_next) ** 2
-        if gap <= mp.mpf(2) ** (-(mp.mp.prec // 2)):
+        zphi = [zero] + phi[n]
+        a = -gauss_dot(zphi, cs[:n + 2]) / sigma[n]
+        gap = one - a * a.conj()
+        if gap.re <= 0 or not below(floor, gap.norm()):
             raise SingularMeasureError(
                 f"|alpha_{n + 1}| reached 1; measure is numerically singular")
-        alpha.append(a_next)
+        alpha.append(a)
         sigma.append(gap * sigma[n])
-        phi.append(padd(zphi, pscale(pstar(phi[n], n), a_next)))
-        psi.append(padd(pmulz(psi[n]), pscale(pstar(psi[n], n), -a_next)))
+        # p_{n+1} = z p_n + s a p*_n: the top coefficient is z p_n's alone
+        for p, s in ((phi, a), (psi, -a)):
+            zp = [zero] + p[n]
+            p.append([x + s * y.conj() for x, y in zip(zp, reversed(p[n]))] + [zp[-1]])
     return VerblunskyTable(moments=table, N=N,
-                           alpha=tuple(alpha), sigma=tuple(sigma),
-                           phi=tuple(tuple(p) for p in phi),
-                           psi=tuple(tuple(p) for p in psi))
+                           alpha=tuple(x.mpc() for x in alpha),
+                           sigma=tuple(x.mpc().real for x in sigma),
+                           phi=tuple(tuple(x.mpc() for x in p) for p in phi),
+                           psi=tuple(tuple(x.mpc() for x in p) for p in psi))
 
 
 def verblunsky_toeplitz(table, n):

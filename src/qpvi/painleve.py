@@ -18,10 +18,12 @@ and advanced by a power of q per step, so an orbit neither re-derives nor
 re-validates the parameters at every step; `phi_step` is the orbit of one
 step.  The orbit computes on `polys.GaussFloat` (Python integers with a
 binary exponent, 10 guard bits) and rounds each new point once to the
-working precision; only the (kappa1, theta1) flow stays in mpmath.
-Parameters are validated where they are built: `SurfaceParams` checks the
-constraint, and `phi_orbit` returns its parameters through that
-constructor, so every orbit is checked at both ends.  The same step is
+working precision; only the (kappa1, theta1) flow stays in mpmath, so that
+an orbit returns the parameters chained steps do.  `extract_coords` and
+`matrix_step` run on GaussFloat too.  Parameters are validated where they
+are built: `SurfaceParams` checks the constraint on exact products, and
+`phi_orbit` returns its parameters through that constructor, so every
+orbit is checked at both ends.  The same step is
 realized on matrices by a polynomial gauge transform
 A -> B(qz) A(z) adj(B(z)) / (z Delta) in `matrix_step`, so the three
 routes (recompute at n+1, phi_step, matrix_step) must agree.
@@ -30,6 +32,7 @@ The map blows down exactly eight parameter-dependent points; steps landing
 on them raise IndeterminacyError naming the nearest one.
 """
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -37,8 +40,7 @@ import mpmath as mp
 from .errors import (ConsistencyError, ConstraintError, DegenerateError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
-from .polys import (gauss_floats, json_complex, pdeg, peval, pmax, pscale, ptrim,
-                    mat_mul, mat_q)
+from .polys import below, gauss_floats, json_complex, largest
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
@@ -73,15 +75,23 @@ class SurfaceParams:
             raise ConstraintError("q must be nonzero")
         if len(self.c) != 4:
             raise ConstraintError("need exactly four c parameters")
-        res = self.constraint_residual()
-        if res > _tiny():
+        d, m = self._constraint_norms()
+        if below(m, d, -2 * (mp.mp.prec // 2)):  # residual above 2^-(prec//2)
             raise ConstraintError(
-                f"kappa1 kappa2 c1 c2 c3 c4 = theta1 theta2 violated by {mp.nstr(res, 5)}")
+                "kappa1 kappa2 c1 c2 c3 c4 = theta1 theta2 violated by "
+                f"{mp.nstr(self.constraint_residual(), 5)}")
+
+    def _constraint_norms(self):
+        # |lhs - rhs|^2 and max(|lhs|, |rhs|)^2 exactly, as (man, exp)
+        k1, k2, c1, c2, c3, c4, t1, t2 = gauss_floats(
+            [self.k1, self.k2, *self.c, self.t1, self.t2], p=math.inf)
+        lhs, rhs = k1 * k2 * c1 * c2 * c3 * c4, t1 * t2
+        return (lhs - rhs).norm(), largest([lhs, rhs]).norm()
 
     def constraint_residual(self):
-        lhs = self.k1 * self.k2 * self.c[0] * self.c[1] * self.c[2] * self.c[3]
-        rhs = self.t1 * self.t2
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        """|lhs - rhs| / max(|lhs|, |rhs|) of the constraint, from exact norms."""
+        (d, e), (m, f) = self._constraint_norms()
+        return mp.sqrt(mp.ldexp(mp.mpf(d), e) / mp.ldexp(mp.mpf(m), f)) if m else mp.mpf(0)
 
     def step(self):
         """Parameter flow of one Painleve step: (kappa1, theta1) -> q (kappa1, theta1)."""
@@ -163,37 +173,54 @@ def _nearest_base_point(sp, y, xi):
     return best[0]
 
 
+def _trimmed(p, bits):
+    # p without its trailing coefficients of magnitude <= 2^-(bits/2) max |p_k|
+    top = largest(p).norm() if p else None
+    while p and not below(top, p[-1].norm(), -bits):
+        p = p[:-1]
+    return p
+
+
+def _horner(p, z):
+    out = p[-1]
+    for x in p[-2::-1]:
+        out = out * z + x
+    return out
+
+
 def extract_coords(A, sp, tol=None):
     """(y, xi) of a spectral matrix, certified by the second xi expression.
 
     A is a 2x2 polynomial matrix [e11, e12, e21, e22]; y and both xi
     expressions are invariant under diagonal conjugation, so no gauge
-    normalization is needed here.
+    normalization is needed here.  Everything is evaluated on GaussFloat
+    by Horner's rule, and y and xi are rounded once each.
     """
     if tol is None:
         tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
-    e11, e12, e21, e22 = A
+    bits = 2 * (mp.mp.prec // 2)  # |x| <= 2^-(prec//2) |s| as |x|^2 <= 2^-bits |s|^2
+    e11, e12, _, e22 = [gauss_floats(e) for e in A]
+    k1, k2, c1, c2, c3, c4, one, gtol = gauss_floats([sp.k1, sp.k2, *sp.c, 1, tol])
     # thresholds relative to each entry's own scale: for small |a| the
     # off-diagonal entries carry a factor alpha_{n+1} far below 1
-    e12 = ptrim(list(e12), _tiny() * pmax(e12))
-    if pdeg(e12) != 1:
-        raise GaugeError(f"e12 must have exact degree 1, got degree {pdeg(e12)}")
+    e12 = _trimmed(e12, bits)
+    if len(e12) != 2:
+        raise GaugeError(f"e12 must have exact degree 1, got degree {len(e12) - 1}")
     y = -e12[0] / e12[1]
-    c1, c2, c3, c4 = sp.c
-    e11y = peval(e11, y)
-    if abs(e11y) <= _tiny() * pmax(e11):
+    e11y = _horner(e11, y)
+    if not below(largest(e11).norm(), e11y.norm(), -bits):
         raise IndeterminacyError(
-            "e11(y) vanishes; matrix sits at " + _nearest_base_point(sp, y, mp.inf))
+            "e11(y) vanishes; matrix sits at " + _nearest_base_point(sp, y.mpc(), mp.inf))
     xi = (y - c1) * (y - c2) / e11y
-    den = sp.k1 * sp.k2 * (y - c3) * (y - c4)
-    if abs(den) < _tiny():
+    den = k1 * k2 * (y - c3) * (y - c4)
+    if below(den.norm(), (1, 0), bits):
         raise IndeterminacyError(
-            "xi cross-check degenerates at " + _nearest_base_point(sp, y, xi))
-    xi2 = peval(e22, y) / den
-    if abs(xi - xi2) > tol * max(abs(xi), abs(xi2), mp.mpf(1)):
+            "xi cross-check degenerates at " + _nearest_base_point(sp, y.mpc(), xi.mpc()))
+    xi2 = _horner(e22, y) / den
+    if below((gtol * largest([xi, xi2, one])).norm(), (xi - xi2).norm()):
         raise ConsistencyError(
-            f"xi expressions disagree: {mp.nstr(xi, 8)} vs {mp.nstr(xi2, 8)}")
-    return SurfaceCoords(y=y, xi=xi)
+            f"xi expressions disagree: {mp.nstr(xi.mpc(), 8)} vs {mp.nstr(xi2.mpc(), 8)}")
+    return SurfaceCoords(y=y.mpc(), xi=xi.mpc())
 
 
 def _st_coefficients(k1, k2, t1, t2, c, q):
@@ -225,19 +252,6 @@ def _indeterminate(what, sp, k1, t1, y, xi):
     # the error of a step from (y, xi) under sp with (kappa1, theta1) moved on
     here = SurfaceParams(k1=k1, k2=sp.k2, t1=t1, t2=sp.t2, c=sp.c, q=sp.q)
     return IndeterminacyError(what + _nearest_base_point(here, y, xi))
-
-
-def _max_norm(xs):
-    # max |x|^2 over GaussFloats, exactly, as (man, exp)
-    norms = [x.norm() for x in xs]
-    e = min(ex for _, ex in norms)
-    return max(n << (ex - e) for n, ex in norms), e
-
-
-def _below(n, m, bits):
-    # n < 2^-bits m, for exact nonnegative (man, exp) pairs
-    d = n[1] + bits - m[1]
-    return n[0] << d < m[0] if d >= 0 else n[0] < m[0] << -d
 
 
 def phi_orbit(coords, sp, k):
@@ -296,9 +310,9 @@ def phi_orbit(coords, sp, k):
         Sterms, Tterms = _st_terms(cf, c, gy, gxi)
         T0, T1, T2 = Tterms
         yT = gy * (T0 + T1 + T2)
-        ny, nt = gy.norm(), _max_norm(Tterms)
+        ny, nt = gy.norm(), largest(Tterms).norm()
         scale = (ny[0] * nt[0], ny[1] + nt[1])
-        if not scale[0] or _below(yT.norm(), scale, bits):
+        if not scale[0] or below(yT.norm(), scale, bits):
             raise _indeterminate("y T cancels to working precision near ",
                                 sp, k1, t1, y, xi)
         if not gxi or t1 == 0:
@@ -306,7 +320,7 @@ def phi_orbit(coords, sp, k):
         g1 = gxi * (gy - c4) - w * (gy - r3)
         g2 = gxi * (gy - c3) - w * (gy - r4)
         gscale = ((abs(gxi) + aw) * (one + abs(gy))).norm()
-        if _below(g1.norm(), gscale, bits) or _below(g2.norm(), gscale, bits):
+        if below(g1.norm(), gscale, bits) or below(g2.norm(), gscale, bits):
             raise _indeterminate("xi' denominator factor vanishes; step hit ",
                                 sp, k1, t1, y, xi)
         f1 = gxi * (gy - r1) - w * (gy - c2)
@@ -324,40 +338,58 @@ def phi_step(coords, sp):
     return phi_orbit(coords, sp, 1)
 
 
+def _lin(u, P, v, R):
+    # u P(z) + v z R(z) for GaussFloat coefficient lists, P nonempty
+    out = [u * x for x in P]
+    for k, x in enumerate(R, 1):
+        if k < len(out):
+            out[k] = out[k] + v * x
+        else:
+            out.append(v * x)
+    return out
+
+
 def matrix_step(A, sp, tol=None):
     """One Painleve step on the matrix itself: A -> B(qz) A(z) adj B(z) / (z Delta).
 
     A must carry degree-1 e12 and e21 = z (gamma z + beta); it is first
     diagonally conjugated so e12 is monic, then B is assembled from beta.
     Every entry of the product must be divisible by z, which is checked.
+    The normalization, Delta and both products run on GaussFloat, and
+    each entry is rounded once.
     """
     if tol is None:
         tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
-    q, k1, k2, t1, t2 = sp.q, sp.k1, sp.k2, sp.t1, sp.t2
-    e11, e12, e21, e22 = [list(e) for e in A]
-    e12 = ptrim(e12, _tiny() * pmax(e12))
-    if pdeg(e12) != 1 or abs(e12[1]) < _tiny() * pmax(e12):
+    bits = 2 * (mp.mp.prec // 2)  # |x| < 2^-(prec//2) |s| as |x|^2 < 2^-bits |s|^2
+    q, k1, k2, t1, t2, zero, one, gtol = gauss_floats(
+        [sp.q, sp.k1, sp.k2, sp.t1, sp.t2, 0, 1, tol])
+    e11, e12, e21, e22 = [gauss_floats(e) for e in A]
+    e12 = _trimmed(e12, bits)
+    if len(e12) != 2:
         raise GaugeError("e12 must have exact degree 1 to normalize the gauge")
     lc = e12[1]
-    e12n = pscale(e12, 1 / lc)
-    e21n = pscale(e21, lc)
-    if e21n and abs(e21n[0]) > _tiny() * (pmax(e21n) + 1):
+    e12n = [x / lc for x in e12]
+    e21n = [x * lc for x in e21]
+    if e21n and below((abs(largest(e21n)) + one).norm(), e21n[0].norm(), -bits):
         raise GaugeError("e21 must vanish at z = 0")
-    beta = e21n[1] if len(e21n) > 1 else mp.mpc(0)
+    beta = e21n[1] if len(e21n) > 1 else zero
 
-    delta = (q * k1 - k2) * (q * t1 - t2) + q * beta
-    dscale = max(abs((q * k1 - k2) * (q * t1 - t2)), abs(q * beta), mp.mpf(1))
-    if abs(delta) < _tiny() * dscale:
+    c, d = q * k1 - k2, q * t1 - t2
+    cd, qb = c * d, q * beta
+    delta = cd + qb
+    if below(delta.norm(), largest([cd, qb, one]).norm(), bits):
         raise SingularGaugeError("gauge matrix B is singular: Delta ~ 0")
-    B = [[mp.mpc(0), q * k1 - k2], [q], [mp.mpc(0), -beta], [q * t1 - t2]]
-    adjB = [[q * t1 - t2], [-q], [mp.mpc(0), beta], [mp.mpc(0), q * k1 - k2]]
-    M = mat_mul(mat_mul(mat_q(B, q), [e11, e12n, e21n, e22]), adjB)
+    # B(qz) = [[c q z, q], [-beta q z, d]] and adj B = [[d, -q], [beta z, c z]]
+    X = [_lin(q, e21n, c * q, e11), _lin(q, e22, c * q, e12n),
+         _lin(d, e21n, -beta * q, e11), _lin(d, e22, -beta * q, e12n)]
+    M = [_lin(d, X[0], beta, X[1]), _lin(-q, X[0], c, X[1]),
+         _lin(d, X[2], beta, X[3]), _lin(-q, X[2], c, X[3])]
     out = []
     for e in M:
-        if e and abs(e[0]) > tol * (pmax(e) + 1):
+        if e and below((gtol * (abs(largest(e)) + one)).norm(), e[0].norm()):
             raise ConsistencyError(
                 "conjugated matrix is not divisible by z; gauge data inconsistent")
-        out.append(pscale(e[1:], 1 / delta))
+        out.append([(x / delta).mpc() for x in e[1:]])
     return out, sp.step()
 
 

@@ -13,17 +13,23 @@ Gaussian integers at a common binary exponent; products and sums of those
 are exact Python integer arithmetic, and each result is rounded once
 (`libmp.from_man_exp`) at the working precision and rounding mode.  On it
 rest `dot` (the rounding of `mp.fdot`, without fdot's per-term object
-handling), `pmul` (exact convolution), `pmax` (exact squared magnitudes,
-one square root) and `autocorr`.  The kernel reads the mpmath 1.x raw
-layouts ``x._mpf_ = (sign, man, exp, bc)`` and ``x._mpc_ = (re, im)``;
-an inf or nan entry raises ValueError.
+handling), `pmul` (exact convolution), `pq` (x_k q^k with exact powers of
+q's mantissa), `pmax` (exact squared magnitudes, one square root),
+`autocorr` and `mat_qdiff_residual` (the coefficient residual of a
+2x2 q-difference system, formed exactly).  The kernel reads the mpmath
+1.x raw layouts ``x._mpf_ = (sign, man, exp, bc)`` and
+``x._mpc_ = (re, im)``; an inf or nan entry raises ValueError.
 
-Long chains of arithmetic on a few values, such as a Painleve orbit, run
-on `GaussFloat` beside the kernel: the same Gaussian integers with a binary
-exponent, but cut back by a plain shift after each + - * / to the working
-precision plus 10 guard bits, instead of mpmath's per-operation
-normalization.  `gauss_floats` converts through the kernel's conversion,
-and `GaussFloat.mpc` rounds back with the kernel's rounding.
+Chains of arithmetic on a few values run on `GaussFloat` beside the
+kernel: the same Gaussian integers with a binary exponent, but cut back by
+a plain shift after each + - * / to the working precision plus 10 guard
+bits, instead of mpmath's per-operation normalization.  Beside the sums
+of products and the Toeplitz oracle, the weights chain runs on it: the
+Szego series and q-Pochhammer products (`qseries`), the Szego recursion
+(`opuc`), the closed A_n (`laxpair`), and `extract_coords`, `matrix_step`
+and the orbit (`painleve`).  Each of those converts its mpf/mpc inputs
+once with `gauss_floats` and rounds each output once with
+`GaussFloat.mpc`; its guards compare exact squared norms with `below`.
 
 The two dense solvers work on plain lists too: `lstsq` (Householder QR,
 for the overdetermined fits) and `hpd_solve` (LDL^H, for Hermitian
@@ -41,9 +47,9 @@ from mpmath.libmp import from_man_exp, fzero, mpf_sqrt
 from .errors import DegreeError
 
 __all__ = [
-    "padd", "pscale", "pmul", "pmulz", "pq", "peval", "pstar", "pmax",
-    "pdeg", "ptrim", "mat_mul", "mat_det", "mat_q", "mat_max", "json_complex",
-    "dot", "autocorr", "lstsq", "hpd_solve", "GaussFloat", "gauss_floats",
+    "padd", "pscale", "pmul", "pq", "peval", "pstar", "pmax", "mat_mul", "mat_det",
+    "mat_q", "mat_max", "mat_qdiff_residual", "json_complex", "dot", "autocorr",
+    "lstsq", "hpd_solve", "GaussFloat", "gauss_floats", "gauss_dot", "below", "largest",
 ]
 
 _MPF, _MPC = mp.mpf, mp.mpc
@@ -126,7 +132,9 @@ class GaussFloat:
     left operand's.  `gauss_floats` converts mpf/mpc values exactly, and
     `mpc` rounds back once at the working precision and rounding mode.
     `abs` is the magnitude from the exact squared norm by `math.isqrt`, a
-    real GaussFloat; `norm` is that squared norm as an exact (man, exp).
+    real GaussFloat; `norm` is that squared norm as an exact (man, exp),
+    which `below` and `largest` compare.  p = math.inf cuts nothing, so
+    + - * and `**` are exact.
     """
 
     __slots__ = ("re", "im", "e", "p")
@@ -161,6 +169,16 @@ class GaussFloat:
     def __neg__(self):
         return GaussFloat(-self.re, -self.im, self.e, self.p)
 
+    def __pow__(self, k):
+        # the exact k-th power (k >= 0), then one cut
+        re, im = 1, 0
+        for _ in range(k):
+            re, im = re * self.re - im * self.im, re * self.im + im * self.re
+        return _cut(re, im, self.e * k, self.p)
+
+    def conj(self):
+        return GaussFloat(self.re, -self.im, self.e, self.p)
+
     def __truediv__(self, other):
         # x conj(z) / |z|^2, the numerator shifted so the quotient keeps p bits
         a, b, c, d = self.re, self.im, other.re, other.im
@@ -190,21 +208,57 @@ def _cut(re, im, e, p):
     n = (abs(re) | abs(im)).bit_length() - p
     if n > 0:
         return GaussFloat(re >> n, im >> n, e + n, p)
-    return GaussFloat(re, im, e, p)
+    if re or im:
+        return GaussFloat(re, im, e, p)
+    return GaussFloat(0, 0, 0, p)  # else a zero's exponent drifts with each * and /
 
 
-def gauss_floats(xs):
+def gauss_floats(xs, p=None):
     """Each of xs (mpf, mpc or numbers) as an exact GaussFloat.
 
-    Operations on the results keep mp.prec + 10 bits, the guard of the
-    dense solvers below; inf and nan raise ValueError, as in `_gauss`.
+    Operations on the results keep p bits, by default mp.prec + 10, the
+    guard of the dense solvers below.  Each value converts as `_gauss`
+    converts a one-entry vector; inf and nan raise ValueError.
     """
-    p = mp.mp.prec + 10
+    if p is None:
+        p = mp.mp.prec + 10
     out = []
     for x in xs:
-        (re,), (im,), e, _ = _gauss([x])
-        out.append(GaussFloat(re, im, e, p))
+        if type(x) is not _MPC and type(x) is not _MPF:
+            x = mp.mpmathify(x)
+        (s, m, e, bc), (t, n, f, bd) = x._mpc_ if type(x) is _MPC else (x._mpf_, fzero)
+        if bc < 0 or bd < 0:
+            raise ValueError("inf or nan entry in an exact conversion")
+        g = min(e, f)
+        out.append(GaussFloat((-m if s else m) << (e - g), (-n if t else n) << (f - g), g, p))
     return out
+
+
+def below(n, m, bits=0):
+    """n < 2^-bits m, for exact nonnegative (man, exp) pairs such as norms."""
+    d = n[1] + bits - m[1]
+    return n[0] << d < m[0] if d >= 0 else n[0] < m[0] << -d
+
+
+def largest(xs):
+    """The GaussFloat of greatest magnitude among xs (the first of equals)."""
+    best, top = xs[0], xs[0].norm()
+    for x in xs[1:]:
+        n = x.norm()
+        if below(top, n):
+            best, top = x, n
+    return best
+
+
+def gauss_dot(xs, B):
+    """sum_k xs_k B_k for GaussFloats xs and mpf/mpc B of equal length:
+    exact, then one cut to the precision of xs."""
+    e = min(x.e for x in xs)
+    re = [x.re << (x.e - e) for x in xs]
+    im = [x.im << (x.e - e) for x in xs]
+    br, bi, eb, _ = _gauss(B)
+    return _cut(_isum(re, br) - _isum(im, bi), _isum(re, bi) + _isum(im, br),
+                e + eb, xs[0].p)
 
 
 def dot(A, B, conjugate=False):
@@ -269,33 +323,80 @@ def pscale(p, s):
     return [s * x for x in p]
 
 
+def _exact(p):
+    # p as an exact polynomial (re, im, e): p_k = (re_k + i im_k) 2^e
+    return _gauss(p)[:3]
+
+
+def _xmul(X, Y):
+    # the exact product of two exact polynomials
+    (xr, xi, ex), (yr, yi, ey) = X, Y
+    yr, yi = yr[::-1], yi[::-1]
+    n, m = len(xr), len(yr)
+    re, im = [], []
+    for k in range(n + m - 1):
+        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
+        # x_j y_{k-j} for j = lo..hi-1; y_{k-j} sits at m-1-k+j reversed
+        a, b = xr[lo:hi], xi[lo:hi]
+        c, d = yr[m - 1 - k + lo:m - 1 - k + hi], yi[m - 1 - k + lo:m - 1 - k + hi]
+        re.append(_isum(a, c) - _isum(b, d))
+        im.append(_isum(a, d) + _isum(b, c))
+    return re, im, ex + ey
+
+
+def _xadd(X, Y, s=1):
+    # X + s Y exactly, s = +-1, aligned by degree and exponent
+    (xr, xi, ex), (yr, yi, ey) = X, Y
+    e = min(ex, ey)
+    dx, dy = ex - e, ey - e
+    re = [v << dx for v in xr] + [0] * (len(yr) - len(xr))
+    im = [v << dx for v in xi] + [0] * (len(yr) - len(xr))
+    for k, (u, v) in enumerate(zip(yr, yi)):
+        re[k] += s * (u << dy)
+        im[k] += s * (v << dy)
+    return re, im, e
+
+
+def _xpq(X, q):
+    # X(qz) exactly: x_k q^k with q^k an exact power of q's mantissa
+    xr, xi, ex = X
+    (qr,), (qi,), eq, _ = _gauss([q])
+    top = min(0, (len(xr) - 1) * eq)  # x_k q^k sits at exponent ex + k eq
+    re, im, pr, pi = [], [], 1, 0
+    for k, (a, b) in enumerate(zip(xr, xi)):
+        d = k * eq - top
+        re.append((a * pr - b * pi) << d)
+        im.append((a * pi + b * pr) << d)
+        pr, pi = pr * qr - pi * qi, pr * qi + pi * qr
+    return re, im, ex + top
+
+
+def _xmax(X):
+    # max_k |X_k| from the exact squared magnitudes, one correctly rounded sqrt
+    re, im, e = X
+    if not re:
+        return mp.mpf(0)
+    top = max(map(add, map(mul, re, re), map(mul, im, im)))
+    prec, rnd = mp.mp._prec_rounding
+    return _make_mpf(mpf_sqrt(from_man_exp(top, 2 * e), prec, rnd))
+
+
+def _rounded(X):
+    # the coefficients of an exact polynomial, each part rounded once
+    re, im, e = X
+    return [_make_mpc((_round(a, e), _round(b, e))) for a, b in zip(re, im)]
+
+
 def pmul(p, r):
     """p * r by exact convolution, each coefficient rounded once."""
     if not p or not r:
         return []
-    pr, pi, ep, _ = _gauss(p)
-    rr, ri, er, _ = _gauss(r)
-    rr, ri = rr[::-1], ri[::-1]
-    n, m, e = len(p), len(r), ep + er
-    out = []
-    for k in range(n + m - 1):
-        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
-        # p_j r_{k-j} for j = lo..hi-1; r_{k-j} sits at m-1-k+j reversed
-        a, b = pr[lo:hi], pi[lo:hi]
-        c, d = rr[m - 1 - k + lo:m - 1 - k + hi], ri[m - 1 - k + lo:m - 1 - k + hi]
-        out.append(_make_mpc((_round(_isum(a, c) - _isum(b, d), e),
-                              _round(_isum(a, d) + _isum(b, c), e))))
-    return out
-
-
-def pmulz(p, k=1):
-    """Multiply by z^k."""
-    return [mp.mpc(0)] * k + list(p) if p else []
+    return _rounded(_xmul(_exact(p), _exact(r)))
 
 
 def pq(p, q):
-    """Substitute z -> q z."""
-    return [x * q ** i for i, x in enumerate(p)]
+    """Substitute z -> q z: x_k q^k exactly, each coefficient rounded once."""
+    return _rounded(_xpq(_exact(p), q))
 
 
 def peval(p, z):
@@ -314,25 +415,7 @@ def pstar(p, n):
 
 def pmax(p):
     """max_k |p_k|: exact squared magnitudes, one correctly rounded square root."""
-    if not p:
-        return mp.mpf(0)
-    re, im, e, _ = _gauss(p)
-    top = max(map(add, map(mul, re, re), map(mul, im, im)))
-    prec, rnd = mp.mp._prec_rounding
-    return _make_mpf(mpf_sqrt(from_man_exp(top, 2 * e), prec, rnd))
-
-
-def pdeg(p, tol=0):
-    """Largest index with |coefficient| > tol, or -1 for zero."""
-    for i in range(len(p) - 1, -1, -1):
-        if abs(p[i]) > tol:
-            return i
-    return -1
-
-
-def ptrim(p, tol):
-    """Drop trailing coefficients of magnitude <= tol."""
-    return p[: pdeg(p, tol) + 1]
+    return _xmax(_exact(p))
 
 
 def mat_mul(X, Y):
@@ -354,6 +437,25 @@ def mat_q(X, q):
 
 def mat_max(X):
     return max(pmax(e) for e in X)
+
+
+def mat_qdiff_residual(V, q, A, x, y):
+    """Worst row of the coefficient residual of V(z) X(qz) = A(z) X(z).
+
+    X = (x, y) is a column of polynomials and A = [e11, e12, e21, e22]; row
+    i reads max_k |(V X_i(qz) - A_i1 x - A_i2 y)_k| / (1 + max_k |(V X_i(qz))_k|).
+    Every polynomial is formed exactly from the inputs, each converted
+    once (x_k q^k with q^k an exact power of q's mantissa), and each
+    maximum is rounded once.
+    """
+    V, x, y = _exact(V), _exact(x), _exact(y)
+    e11, e12, e21, e22 = [_exact(e) for e in A]
+    worst = 0
+    for xi, a, b in ((x, e11, e12), (y, e21, e22)):
+        lhs = _xmul(V, _xpq(xi, q))
+        rhs = _xadd(_xmul(a, x), _xmul(b, y))
+        worst = max(worst, _xmax(_xadd(lhs, rhs, -1)) / (1 + _xmax(lhs)))
+    return worst
 
 
 def json_complex(z):

@@ -20,7 +20,9 @@ whose Taylor coefficients follow from the q-binomial theorem
 
     g_0 = 1,   g_{n+1} = g_n (b - a q^n) / (1 - q^{n+1}).
 
-This series is the route the chain uses.  The trigonometric moments
+This series is the route the chain uses; its recursion, like the
+q-Pochhammer products below, runs on `polys.GaussFloat`.  The
+trigonometric moments
 c_k = int z^{-k} dmu(z), normalized so c_0 = 1, are
 
     c_k = sum_m g_{m+k} conj(g_m) / sum_m |g_m|^2,
@@ -51,7 +53,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import autocorr, dot, json_complex, lstsq, peval, pmul
+from .polys import (autocorr, below, dot, gauss_floats, json_complex, lstsq, peval,
+                    pmul)
 
 __all__ = [
     "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
@@ -84,24 +87,25 @@ class QWeightParams:
 def qpoch_inf(z, q):
     """(z; q)_inf = prod_{k>=0} (1 - z q^k).
 
-    Truncates once |z q^k| drops below tol = 2^-(prec + 8), a few bits under
-    working precision; the neglected tail multiplies the result by
-    1 + O(tol/(1-q)).
+    Truncates once |z q^k| drops to tol = 2^-(prec + 8), a few bits under
+    working precision, compared as an exact squared norm; the neglected
+    tail multiplies the result by 1 + O(tol/(1-q)).  The product runs on
+    `polys.GaussFloat` and is rounded once.
     """
     q = mp.mpf(q)
     if not 0 <= q < 1:
         raise ConvergenceError(f"q-Pochhammer product diverges for q = {mp.nstr(q, 8)}")
-    tol = mp.mpf(2) ** (-(mp.mp.prec + 8))
-    out = mp.mpc(1)
-    zz = mp.mpc(z)
+    tol2 = (1, -2 * (mp.mp.prec + 8))
+    zz, gq, one = gauss_floats([z, q, 1])
+    out = one
     it = 0
-    while abs(zz) > tol:
-        out *= 1 - zz
-        zz *= q
+    while below(tol2, zz.norm()):
+        out = out * (one - zz)
+        zz = zz * gq
         it += 1
         if it > 10 ** 6:
             raise ConvergenceError("q-Pochhammer product did not truncate")
-    return out
+    return out.mpc()
 
 
 def weight_eval(p, z):
@@ -139,30 +143,36 @@ def szego_coefficients(p):
     """(g, mass): Taylor coefficients g_0..g_L of G(z) and mass = sum |g_n|^2.
 
     The recursion stops once the bound |g_n| r_n / (1 - r_n) on the tail
-    sum_{m>n} |g_m| drops below 2^-(prec + 8).  Here
-    r_n = (|b| + |a| q^n) / (1 - q^{n+1}) bounds every later ratio
+    sum_{m>n} |g_m| drops below 2^-(prec + 8).  Here r_n = num/den with
+    num = |b| + |a| q^n and den = 1 - q^{n+1} bounds every later ratio
     |g_{m+1} / g_m| because it decreases in n, and the bound holds only
-    once r_n < 1.  As g_0 = 1 the mass is at least 1, so the tail is also
-    small relative to it.  A coefficient that vanishes exactly (b = a q^n,
-    e.g. a = b) ends the series: every later one vanishes too.
+    once num < den; it is compared as |g_n|^2 num^2 < 2^-2(prec+8)
+    (den - num)^2, on exact squared norms.  As g_0 = 1 the mass is at
+    least 1, so the tail is also small relative to it.  A coefficient that
+    vanishes exactly (b = a q^n, e.g. a = b) ends the series: every later
+    one vanishes too.  The recursion runs on `polys.GaussFloat`, and each
+    g_n is rounded once.
     """
-    tol = mp.mpf(2) ** (-(mp.mp.prec + 8))
-    absa, absb = abs(p.a), abs(p.b)
-    g = [mp.mpc(1)]
-    qn = mp.mpf(1)
+    bits = 2 * (mp.mp.prec + 8)
+    a, b, q, one = gauss_floats([p.a, p.b, p.q, 1])
+    absb = abs(b)
+    aq, absaq, q1 = a, abs(a), q  # a q^n, |a| q^n, q^{n+1}
+    g = [one]
     while True:
-        qn1 = qn * p.q
-        r = (absb + absa * qn) / (1 - qn1)
-        if r < 1 and abs(g[-1]) * r / (1 - r) < tol:
+        den = one - q1
+        num = absb + absaq
+        gap = den - num
+        if gap.re > 0 and below((g[-1] * num).norm(), gap.norm(), bits):
             break
         if len(g) >= _MAX_TERMS:
             raise ConvergenceError(
                 f"Szego series did not reach working precision in {_MAX_TERMS} terms")
-        nxt = g[-1] * (p.b - p.a * qn) / (1 - qn1)
-        if nxt == 0:
+        nxt = g[-1] * (b - aq) / den
+        if not nxt:
             break
         g.append(nxt)
-        qn = qn1
+        aq, absaq, q1 = aq * q, absaq * q, q1 * q
+    g = [x.mpc() for x in g]
     return tuple(g), dot(g, g, conjugate=True).real
 
 

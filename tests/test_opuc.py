@@ -72,6 +72,21 @@ class TestRecursion:
             with pytest.raises(SingularMeasureError):
                 opuc.verblunsky_from_moments(sing, N=2)
 
+    def test_singular_measure_threshold(self, ref_params):
+        # alpha_1 = -c_{-1}; 1 - |alpha_1|^2 at f times 2^-(prec//2)
+        with mp.workprec(128):
+            for f, singular in (("0.99", True), ("1.01", False)):
+                r = mp.mpc(mp.sqrt(1 - mp.mpf(f) * mp.mpf(2) ** -64))
+                table = qseries.MomentTable(params=ref_params, K=2, N=64,
+                                            c=(mp.mpc(0), r, mp.mpc(1), r, mp.mpc(0)))
+                if singular:
+                    with pytest.raises(SingularMeasureError) as err:
+                        opuc.verblunsky_from_moments(table, N=1)
+                    assert str(err.value) == ("|alpha_1| reached 1; measure is "
+                                              "numerically singular")
+                else:
+                    opuc.verblunsky_from_moments(table, N=1)
+
 
 class TestSecondKind:
     def test_wronskians(self, vt, prec192):

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import mpmath as mp
 import pytest
 
 from qpvi import continuum, laxpair, painleve, verify, weyl
-from qpvi.errors import ConstraintError, DomainError, IndeterminacyError
+from qpvi.errors import (ConsistencyError, ConstraintError, DomainError, GaugeError,
+                         IndeterminacyError, QpviError, SingularGaugeError)
 from qpvi.polys import mat_det, padd, pmax, pscale
 
 
@@ -34,6 +37,10 @@ def oracle_st_terms(coords, sp):
 
 
 def oracle_phi_step(coords, sp):
+    return oracle_step_coords(coords, sp), sp.step()
+
+
+def oracle_step_coords(coords, sp):
     y, xi = coords.y, coords.xi
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
     c1, c2, c3, c4 = sp.c
@@ -45,7 +52,7 @@ def oracle_phi_step(coords, sp):
     g1 = xi * (y - c4) - (q / k2) * (y - t2 / (q * c3 * k1))
     g2 = xi * (y - c3) - (q / k2) * (y - t2 / (q * c4 * k1))
     xi_new = (c1 * c2 / (q * k1 * t1 * xi)) * (f1 * f2) / (g1 * g2)
-    return painleve.SurfaceCoords(y=y_new, xi=xi_new), sp.step()
+    return painleve.SurfaceCoords(y=y_new, xi=xi_new)
 
 
 def oracle_factorization_residuals(coords, sp):
@@ -259,6 +266,20 @@ class TestOrbit:
         assert rel(got.y, want.y) <= 2 ** -176 and rel(got.xi, want.xi) <= 2 ** -176
         assert sp2 == sp3
 
+    def test_weight_orbit_matches_600_bit_reference(self, ref_params, ctx, prec192):
+        # the plain-mpmath step at 600 bits from the same 192-bit point and
+        # parameters; the map grows errors about 4.5-fold per step, and the
+        # 14-step orbit lands 2^-166.7 from the reference
+        sp, co = coords_at(ref_params, ctx, 1)
+        got, _ = painleve.phi_orbit(co, sp, 14)
+        with mp.workprec(600):
+            want, here = co, SimpleNamespace(k1=sp.k1, k2=sp.k2, t1=sp.t1, t2=sp.t2,
+                                             c=sp.c, q=sp.q)
+            for _ in range(14):
+                want = oracle_step_coords(want, here)
+                here.k1, here.t1 = here.q * here.k1, here.q * here.t1
+            assert rel(got.y, want.y) <= 2 ** -165 and rel(got.xi, want.xi) <= 2 ** -165
+
     def test_continuum_orbit_matches_chained_steps(self):
         # near the identity y - c_i is O(eps), which costs log2(1/eps) bits
         lp, w = continuum.reference_limit()
@@ -380,6 +401,86 @@ class TestOrbit:
                 painleve.phi_orbit(co, sp, k)
         with pytest.raises(ConstraintError):
             painleve.phi_step(co, sp)
+
+
+class TestGuards:
+    """The guards of `extract_coords` and `matrix_step`: error class,
+    message, and the threshold 2^-(prec//2) from either side."""
+
+    @staticmethod
+    def fit3(ref_params, ctx):
+        return painleve.params_from_weight(ref_params, 3), ctx.fits()[3].matrix
+
+    def test_e12_degree(self, ref_params, ctx, prec192):
+        sp, (e11, e12, e21, e22) = self.fit3(ref_params, ctx)
+        for f in (mp.mpf("0.99"), mp.mpf("1.01")):
+            # e12[1] at f times the trimming threshold 2^-96 max |e12_k|
+            A = [e11, [e12[0], e12[0] * f * mp.mpf(2) ** -96], e21, e22]
+            if f < 1:
+                with pytest.raises(GaugeError) as err:
+                    painleve.extract_coords(A, sp)
+                assert str(err.value) == "e12 must have exact degree 1, got degree 0"
+                with pytest.raises(GaugeError) as err:
+                    painleve.matrix_step(A, sp)
+                assert str(err.value) == "e12 must have exact degree 1 to normalize the gauge"
+            else:
+                for route in (painleve.extract_coords, painleve.matrix_step):
+                    try:
+                        route(A, sp)
+                    except QpviError as exc:
+                        assert not isinstance(exc, GaugeError)
+
+    def test_e11_vanishes_at_y(self, ref_params, ctx, prec192):
+        sp, (_, _, e21, e22) = self.fit3(ref_params, ctx)
+        y = mp.mpf("0.75")
+        for f in (mp.mpf("0.99"), mp.mpf("1.01")):
+            # e11(y) at f times 2^-96 max |e11_k|, with max |e11_k| = 1
+            A = [[-y + f * mp.mpf(2) ** -96, mp.mpc(1)], [-y, mp.mpc(1)], e21, e22]
+            with pytest.raises(QpviError) as err:
+                painleve.extract_coords(A, sp)
+            if f < 1:
+                label = painleve._nearest_base_point(sp, y, mp.inf)
+                assert str(err.value) == "e11(y) vanishes; matrix sits at " + label
+            else:
+                assert not str(err.value).startswith("e11(y) vanishes")
+
+    def test_xi_denominator_vanishes(self, ref_params, ctx, prec192):
+        sp, (e11, _, e21, e22) = self.fit3(ref_params, ctx)
+        with pytest.raises(IndeterminacyError) as err:
+            painleve.extract_coords([e11, [-sp.c[2], mp.mpc(1)], e21, e22], sp)
+        assert str(err.value).startswith("xi cross-check degenerates at (y, xi) = ")
+
+    def test_xi_expressions_disagree(self, ref_params, ctx, prec192):
+        sp, (e11, e12, e21, e22) = self.fit3(ref_params, ctx)
+        with pytest.raises(ConsistencyError) as err:
+            painleve.extract_coords([e11, e12, e21, pscale(e22, mp.mpf("1.01"))], sp)
+        assert str(err.value).startswith("xi expressions disagree: ")
+
+    def test_e21_must_vanish_at_zero(self, ref_params, ctx, prec192):
+        sp, (e11, e12, e21, e22) = self.fit3(ref_params, ctx)
+        with pytest.raises(GaugeError) as err:
+            painleve.matrix_step([e11, e12, [mp.mpc("0.5")] + list(e21[1:]), e22], sp)
+        assert str(err.value) == "e21 must vanish at z = 0"
+
+    def test_singular_gauge(self, ref_params, ctx, prec192):
+        # beta chosen so that Delta = (q k1 - k2)(q t1 - t2) + q beta = 0
+        sp, (e11, e12, e21, e22) = self.fit3(ref_params, ctx)
+        beta = -(sp.q * sp.k1 - sp.k2) * (sp.q * sp.t1 - sp.t2) / sp.q
+        A = [e11, e12, [mp.mpc(0), beta / e12[1], e21[2]], e22]
+        with pytest.raises(SingularGaugeError) as err:
+            painleve.matrix_step(A, sp)
+        assert str(err.value) == "gauge matrix B is singular: Delta ~ 0"
+
+    def test_not_divisible_by_z(self, ref_params, ctx, prec192):
+        # e21(0) = 2^-100 passes the e21 guard, but leaves z^0 terms of
+        # about 2^-100 in the product, above a tolerance of 2^-150
+        sp, (e11, e12, e21, e22) = self.fit3(ref_params, ctx)
+        A = [e11, e12, [mp.mpf(2) ** -100 / e12[1]] + list(e21[1:]), e22]
+        painleve.matrix_step(A, sp)
+        with pytest.raises(ConsistencyError) as err:
+            painleve.matrix_step(A, sp, tol=mp.mpf(2) ** -150)
+        assert str(err.value) == ("conjugated matrix is not divisible by z; "
+                                  "gauge data inconsistent")
 
 
 class TestFactorizations:

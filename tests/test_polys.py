@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import ctx_mp_python
 from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_pos, mpf_sum
 
 import qpvi
@@ -333,6 +334,9 @@ class TestGaussFloat:
             x, zero = polys.gauss_floats([mp.mpc(1, 2) / 3, 0])
         assert not zero and x and not (x - x) and not (zero * x) and not (zero / x)
         assert _value(zero + x) == _value(x) == _value(x - zero)
+        # a zero result carries exponent 0, so that a chain through zeros
+        # (the Szego recursion of a = b) keeps its integers short
+        assert (zero / x).e == (zero * x * x).e == (x - x).e == 0
         with pytest.raises(ZeroDivisionError):
             x / zero
 
@@ -463,3 +467,34 @@ def test_weights_chain_calls_no_fdot(monkeypatch):
         mp.fdot([1], [1])
     for path in Path(qpvi.__file__).parent.glob("*.py"):
         assert "fdot(" not in path.read_text(), path.name
+
+
+def test_weights_chain_multiplication_count(monkeypatch):
+    """The chain of `test_weights_chain_calls_no_fdot` at its weight forms
+    78 mpf and 64 mpc products through mpmath's operators: the Toeplitz
+    oracle's pivot tests, and the parameters of the q-PVI steps.  The mpc
+    chain formed 1,035 and 1,349."""
+    count = [0]
+
+    def counted(f):
+        def g(*args):
+            count[0] += 1
+            return f(*args)
+        return g
+    for name in ("mpf_mul", "mpc_mul"):
+        monkeypatch.setattr(ctx_mp_python, name, counted(getattr(ctx_mp_python, name)))
+    with mp.workprec(192):
+        p = qseries.QWeightParams(a=mp.mpc("-0.41", "0.27"), b=mp.mpc("0.12", "-0.58"),
+                                  q=mp.mpf("0.33"))
+        table = qseries.moments(p, K=14)
+        vt = opuc.verblunsky_from_moments(table, N=12)
+        for n in range(1, 13):
+            opuc.verblunsky_toeplitz(table, n)
+        fits = {n: laxpair.fit_spectral_matrix(p, vt, n) for n in range(1, 11)}
+        for n in range(1, 9):
+            sp = painleve.params_from_weight(p, n)
+            painleve.extract_coords(fits[n + 1].matrix, sp.step())
+            painleve.phi_step(painleve.extract_coords(fits[n].matrix, sp), sp)
+            Am, _ = painleve.matrix_step(fits[n].matrix, sp)
+            painleve.extract_coords(Am, sp.step())
+    assert 0 < count[0] <= 142
