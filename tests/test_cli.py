@@ -175,6 +175,19 @@ class TestWeylOde:
         assert lines[1] == "t,re_u,im_u,re_v,im_v"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("argv", [["--v0", "0,0", "--npoints", "3"],
+                                      ["--t1", "0.4", "--u0", "0.3,0", "--v0", "0.01,0"]],
+                             ids=["v0-zero", "movable-pole"])
+    def test_ode_numerical_failure(self, capsys, argv):
+        code = cli.main(["ode", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+
+    def test_ode_too_few_points(self, capsys):
+        code, out = run(capsys, ["ode", "--t1", "0.7", "--npoints", "1"])
+        assert code == 2 and out == ""
+
     def test_ode_env_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("QPVI_PREC", "96")
         code, out = run(capsys, ["ode", "--t1", "0.7", "--npoints", "3"])
@@ -228,6 +241,14 @@ class TestLimitCheck:
         assert code == 0
         assert json.loads(out)["config"]["prec"] == 160
         assert seen == [160, 160, 160]
+
+    def test_v0_zero_is_numerical_failure(self, capsys, monkeypatch):
+        for mod in (qpvi, painleve, continuum):
+            monkeypatch.setattr(mod, "phi_orbit", _refuse)
+        code = cli.main(["ode", "--limit-check", "--v0", "0,0"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numerical failure:")
 
     def test_window_across_singularity(self, capsys, monkeypatch):
         for mod in (qpvi, painleve, continuum):

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import mpmath as mp
 import pytest
 
 import qpvi
 from qpvi import continuum, painleve
-from qpvi.errors import ConstraintError, DomainError, SingularityError
+from qpvi.errors import ConstraintError, DomainError, SingularityError, StepFailure
 
 
 # the tolerances `limit_check` gives the DOP853 reference
@@ -23,6 +29,10 @@ def rk4_endpoint(lp, t0, t1, u0, v0, nsteps):
         v += h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
         t += h
     return u, v
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("orbit started before the window was checked")
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +74,9 @@ class TestVectorField:
         rhs = continuum._solver_rhs(lp)
         for t, u, v in POINTS:
             du, dv = continuum.ode_rhs(lp, t, u, v)
-            re_du, im_du, re_dv, im_dv = rhs(float(t), [float(u.real), float(u.imag),
-                                                       float(v.real), float(v.imag)])
-            assert abs(complex(re_du, im_du) - du) <= 1e-13 * abs(du)
-            assert abs(complex(re_dv, im_dv) - dv) <= 1e-13 * abs(dv)
+            du_c, dv_c = rhs(float(t), complex(u), complex(v))
+            assert abs(du_c - du) <= 1e-13 * abs(du)
+            assert abs(dv_c - dv) <= 1e-13 * abs(dv)
 
     def test_regularity_guards(self, ref):
         lp, _ = ref
@@ -132,6 +141,45 @@ class TestIntegration:
         with pytest.raises(DomainError):
             continuum.integrate(lp, mp.mpf("1.2"), mp.mpf("0.5"), w["u0"], w["v0"])
 
+    @pytest.mark.parametrize("npoints", [0, 1])
+    def test_npoints_validation(self, ref, npoints):
+        lp, w = ref
+        with pytest.raises(DomainError):
+            continuum.integrate(lp, w["t0"], w["t1"], w["u0"], w["v0"], npoints=npoints)
+
+    @pytest.mark.parametrize("v0", [0, mp.mpc("5e-11", "-5e-11")])
+    def test_v0_on_the_pole_rejected(self, ref, v0):
+        lp, w = ref
+        with pytest.raises(SingularityError):
+            continuum.integrate(lp, w["t0"], w["t1"], w["u0"], v0)
+
+    def test_step_failure_at_movable_pole(self, ref):
+        # u reaches a pole near t = 0.6432, where |u| ~ 1e14
+        lp, w = ref
+        with pytest.raises(StepFailure, match=r"t = 0\.643"):
+            continuum.integrate(lp, w["t0"], mp.mpf("0.4"), mp.mpc("0.3"),
+                                mp.mpc("0.01"))
+
+    @pytest.mark.parametrize("start", [{"u0": mp.mpc("nan")}, {"v0": mp.mpc(0, "inf")},
+                                       {"t0": mp.mpf("nan")}, {"t1": mp.mpf("inf")}],
+                             ids=["u0", "v0", "t0", "t1"])
+    def test_nonfinite_start_rejected(self, ref, start):
+        lp, w = ref
+        with pytest.raises(DomainError):
+            continuum.integrate(lp, **dict(w, **start))
+
+    @pytest.mark.parametrize("u0", ["1e20", "1e100", "1e200"])
+    def test_overflowing_field_is_step_failure(self, ref, u0):
+        lp, w = ref
+        with pytest.raises(StepFailure, match=r"t = 0\.8:"):
+            continuum.integrate(lp, w["t0"], w["t1"], mp.mpc(u0), w["v0"])
+
+    def test_empty_window_repeats_the_start(self, ref):
+        lp, w = ref
+        traj = continuum.integrate(lp, w["t0"], w["t0"], w["u0"], w["v0"], npoints=3)
+        assert traj.t == (0.8,) * 3
+        assert traj.u == (complex(w["u0"]),) * 3 and traj.v == (complex(w["v0"]),) * 3
+
     def test_csv_shape(self, ref):
         lp, w = ref
         traj = continuum.integrate(lp, mp.mpf("0.8"), mp.mpf("0.7"),
@@ -170,21 +218,28 @@ class TestLimit:
         assert abs(rep.errors[0] - err) <= 1e-9 * err
 
     def test_window_checked_before_orbits(self, ref, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("orbit started before the window was checked")
         for mod in (qpvi, painleve, continuum):
-            monkeypatch.setattr(mod, "phi_orbit", refuse)
+            monkeypatch.setattr(mod, "phi_orbit", _refuse)
         lp, w = ref
         with pytest.raises(AssertionError):  # a good window reaches the patch
-            continuum.limit_check(lp, window=w, eps_list=("0.01",))
+            continuum.limit_check(lp, window=w, eps_list=("0.01", "0.005"))
         # the last window ends its eps = 0.01 orbit at t0 q^40 = 0.999
         for t0, t1 in (("1.2", "0.8"), ("0.4", "0.8"), ("0.8", "-0.1"), ("1", "0.5"),
-                       ("1.49334", "1.001")):
+                       ("1.49334", "1.001"), ("nan", "0.5"), ("0.8", "nan"),
+                       ("inf", "1.5")):
             window = dict(w, t0=mp.mpf(t0), t1=mp.mpf(t1))
             with pytest.raises(DomainError):
                 continuum.limit_check(lp, window=window)
-        with pytest.raises(DomainError):
-            continuum.limit_check(lp, window=w, eps_list=("0.01", "1.5"))
+        for eps_list in (("0.01", "1.5"), ("0.01",)):
+            with pytest.raises(DomainError):
+                continuum.limit_check(lp, window=w, eps_list=eps_list)
+
+    def test_v0_zero_rejected_before_orbits(self, ref, monkeypatch):
+        for mod in (qpvi, painleve, continuum):
+            monkeypatch.setattr(mod, "phi_orbit", _refuse)
+        lp, w = ref
+        with pytest.raises(SingularityError):
+            continuum.limit_check(lp, window=dict(w, v0=mp.mpc(0)))
 
     def test_first_order_convergence(self, ref):
         rep = continuum.limit_check(eps_list=("0.01", "0.005"))
@@ -192,3 +247,75 @@ class TestLimit:
         assert rep.fitted_order > 0.7
         d = rep.to_json_dict()
         assert len(d["errors"]) == 2 and len(d["orders"]) == 1
+
+
+class TestAgainstScipy:
+    """The in-repo DOP853 against scipy's, which it reproduces step for step."""
+
+    def _scipy(self, lp, t0, t1, u0, v0, **kw):
+        integrate = pytest.importorskip("scipy.integrate")
+        rhs = continuum._solver_rhs(lp)
+
+        def fun(t, y):
+            du, dv = rhs(t, complex(y[0], y[1]), complex(y[2], y[3]))
+            return [du.real, du.imag, dv.real, dv.imag]
+        u0, v0 = complex(u0), complex(v0)
+        return integrate.solve_ivp(fun, (float(t0), float(t1)),
+                                   [u0.real, u0.imag, v0.real, v0.imag],
+                                   method="DOP853", **STUDY_TOL, **kw)
+
+    def test_limit_references(self, ref, monkeypatch):
+        # the references of `limit_check`: the same steps and the same end
+        lp, w = ref
+        solver_rhs, calls = continuum._solver_rhs, []
+
+        def counted(lp):
+            rhs = solver_rhs(lp)
+
+            def count(*args):
+                calls.append(args)
+                return rhs(*args)
+            return count
+        monkeypatch.setattr(continuum, "_solver_rhs", counted)
+        for eps in ("0.01", "0.005", "0.0025"):
+            _, t_end = continuum._orbit_length(mp.mpf(eps), w["t0"], w["t1"])
+            sol = self._scipy(lp, w["t0"], t_end, w["u0"], w["v0"])
+            calls.clear()
+            traj = continuum.integrate(lp, w["t0"], t_end, w["u0"], w["v0"],
+                                       npoints=2, **STUDY_TOL)
+            assert len(calls) == sol.nfev
+            assert abs(traj.u[-1] - complex(sol.y[0, -1], sol.y[1, -1])) < 1e-13
+            assert abs(traj.v[-1] - complex(sol.y[2, -1], sol.y[3, -1])) < 1e-13
+
+    def test_reference_trajectory(self, ref):
+        # scipy interpolates its samples; the in-repo solver steps onto them
+        np = pytest.importorskip("numpy")
+        lp, w = ref
+        traj = continuum.integrate(lp, w["t0"], w["t1"], w["u0"], w["v0"], **STUDY_TOL)
+        sol = self._scipy(lp, w["t0"], w["t1"], w["u0"], w["v0"],
+                          t_eval=np.linspace(float(w["t0"]), float(w["t1"]), 201))
+        assert len(traj.t) == len(sol.t) == 201
+        for k in range(201):
+            assert abs(traj.t[k] - sol.t[k]) <= 1e-15
+            assert abs(traj.u[k] - complex(sol.y[0, k], sol.y[1, k])) < 1e-11
+            assert abs(traj.v[k] - complex(sol.y[2, k], sol.y[3, k])) < 1e-11
+
+
+def test_numerical_stack_not_loaded():
+    # a fresh interpreter imports qpvi, integrates and runs a study on
+    # mpmath alone
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import qpvi
+        from qpvi import cli, continuum
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ode", "--t1", "0.7", "--npoints", "3"]) == 0
+        continuum.limit_check(eps_list=("0.01", "0.005"))
+        print(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
