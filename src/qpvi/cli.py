@@ -3,13 +3,14 @@
 Subcommands mirror the library layers: `moments` and `verblunsky` emit the
 weight data, `lax` the spectral matrices, `orbit` the Painleve
 orbit in (y, xi), `weyl` the lattice/composite report, `ode` the continuum
-trajectory or its convergence study, and `verify-all` the thirteen
-acceptance checks.  Exit codes: 0 success, 2 configuration error,
+trajectory, `limit-check` its convergence study, and `verify-all` the
+thirteen acceptance checks.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure (including failed checks).
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,12 +40,29 @@ def _add_weight(sp):
     sp.add_argument("--q", default=ref["q"], help="weight parameter q in (0, 1)")
 
 
-def _add_output(sp, csv=False):
+def _add_prec(sp):
     sp.add_argument("--prec", type=int, help="working precision in bits "
                     "(default: env QPVI_PREC or 192)")
+
+
+def _add_output(sp, csv=False):
     if csv:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", help="output path (default: stdout)")
+
+
+def _add_limit(sp):
+    """The window and exponents of the limit system; the defaults are the
+    reference study `continuum.REFERENCE_LIMIT`."""
+    ref = continuum.REFERENCE_LIMIT
+    for name in ("t0", "t1"):
+        sp.add_argument(f"--{name}", default=ref[name])
+    for name in ("u0", "v0"):
+        sp.add_argument(f"--{name}", default=",".join(ref[name]))
+    for name in ("K2", "Theta2"):
+        sp.add_argument(f"--{name}", default=ref[name])
+    for i, c in enumerate(ref["C"], 1):
+        sp.add_argument(f"--C{i}", default=c)
 
 
 def build_parser():
@@ -57,48 +75,51 @@ def build_parser():
     sp.add_argument("--N", type=int, default=20,
                     help="table order; the default moment range is 2N + 6")
     sp.add_argument("--K", type=int, help="moment range")
+    _add_prec(sp)
     _add_output(sp, csv=True)
 
     sp = sub.add_parser("verblunsky", help="Verblunsky coefficient table")
     _add_weight(sp)
     sp.add_argument("--N", type=int, default=20, help="table order")
+    _add_prec(sp)
     _add_output(sp, csv=True)
 
     sp = sub.add_parser("lax", help="spectral matrices A_n")
     _add_weight(sp)
     sp.add_argument("--N", type=int, default=8, help="build A_1..A_N")
+    _add_prec(sp)
     _add_output(sp)
     sp.add_argument("--tol", type=float,
                     help="residual gate of the phi rows (default: 2^-(prec/3))")
 
     sp = sub.add_parser("orbit", help="Painleve orbit in (y, xi)")
     _add_weight(sp)
+    _add_prec(sp)
     _add_output(sp)
     sp.add_argument("--n-start", type=int, default=3, help="starting order")
     sp.add_argument("--steps", type=int, default=5, help="number of steps")
 
     sp = sub.add_parser("weyl", help="lattice translation and composite report")
+    _add_prec(sp)
     _add_output(sp)
     sp.add_argument("--seed", type=int, default=0, help="seed for the sampled points")
 
-    sp = sub.add_parser("ode", help="continuum trajectory or convergence study")
+    # the trajectory is integrated in double precision and K1 drops out of
+    # the limit system, so only the study takes --prec and --K1
+    sp = sub.add_parser("ode", help="continuum trajectory in double precision")
     _add_output(sp, csv=True)
-    sp.add_argument("--limit-check", action="store_true",
-                    help="run the discrete-to-continuum convergence study")
-    # the defaults are the reference study `continuum.REFERENCE_LIMIT`
-    ref = continuum.REFERENCE_LIMIT
-    for name in ("t0", "t1"):
-        sp.add_argument(f"--{name}", default=ref[name])
-    for name in ("u0", "v0"):
-        sp.add_argument(f"--{name}", default=",".join(ref[name]))
+    _add_limit(sp)
     sp.add_argument("--npoints", type=int, default=201)
-    for name in ("K1", "K2", "Theta2"):
-        sp.add_argument(f"--{name}", default=ref[name])
-    for i, c in enumerate(ref["C"], 1):
-        sp.add_argument(f"--C{i}", default=c)
+
+    sp = sub.add_parser("limit-check", help="discrete-to-continuum convergence study")
+    _add_prec(sp)
+    _add_output(sp)
+    _add_limit(sp)
+    sp.add_argument("--K1", default=continuum.REFERENCE_LIMIT["K1"])
 
     sp = sub.add_parser("verify-all", help="run the thirteen acceptance checks")
     _add_weight(sp)
+    _add_prec(sp)
     _add_output(sp)
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     return ap
@@ -106,7 +127,13 @@ def build_parser():
 
 def _resolve(args):
     """Fold flags and environment into one config dict; check the precision."""
-    prec = args.prec or int(os.environ.get("QPVI_PREC", 192))
+    prec = getattr(args, "prec", None)
+    if prec is None:
+        env = os.environ.get("QPVI_PREC", "192")
+        try:
+            prec = int(env)
+        except ValueError:
+            raise ConfigError(f"QPVI_PREC must be a number of bits, got {env!r}") from None
     if prec < 53:
         raise ConfigError("precision below 53 bits is not supported")
     cfg = {"prec": prec}
@@ -169,6 +196,8 @@ def cmd_verblunsky(args):
 def cmd_lax(args):
     cfg = _resolve(args)
     cfg["tol"] = args.tol
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     with mp.workprec(cfg["prec"]):
         p = _weight_params(cfg)
         nmax = cfg["N"]
@@ -218,28 +247,37 @@ def cmd_weyl(args):
             "composite_samples": 20,
             "composite_max_rel_error": worst}
     _emit(args, _envelope(cfg, data))
-    return 0 if checks["all"] and worst < 1e-10 else 3
+    return 0 if checks["all"] and worst < verify.COMPOSITE_TOL else 3
+
+
+def _limit_params(args, cfg):
+    """LimitParams of the flags, recorded in cfg; K1 = 0 where there is no
+    --K1, as K1 drops out of the limit system."""
+    K1 = getattr(args, "K1", None)
+    cfg.update({"K1": K1, "K2": args.K2, "Theta2": args.Theta2,
+                "C": [args.C1, args.C2, args.C3, args.C4],
+                "t0": args.t0, "t1": args.t1, "u0": args.u0, "v0": args.v0})
+    return continuum.LimitParams.from_theta2(
+        K1=_parse_complex(K1 or "0"), K2=_parse_complex(args.K2),
+        Th2=_parse_complex(args.Theta2),
+        C=tuple(_parse_complex(getattr(args, f"C{i}")) for i in range(1, 5)))
+
+
+def cmd_limit_check(args):
+    cfg = _resolve(args)
+    with mp.workprec(cfg["prec"]):
+        lp = _limit_params(args, cfg)
+        window = {"t0": mp.mpf(args.t0), "t1": mp.mpf(args.t1),
+                  "u0": _parse_complex(args.u0), "v0": _parse_complex(args.v0)}
+        rep = continuum.limit_check(lp=lp, window=window, prec=cfg["prec"])
+        _emit(args, _envelope(cfg, rep.to_json_dict()))
+    return 0 if rep.passed else 3
 
 
 def cmd_ode(args):
-    if args.limit_check and args.format != "json":
-        raise ConfigError(f"ode --limit-check writes JSON only; "
-                          f"--format {args.format} is not supported")
     cfg = _resolve(args)
-    cfg.update({"K1": args.K1, "K2": args.K2, "Theta2": args.Theta2,
-                "C": [args.C1, args.C2, args.C3, args.C4],
-                "t0": args.t0, "t1": args.t1, "u0": args.u0, "v0": args.v0})
     with mp.workprec(cfg["prec"]):
-        lp = continuum.LimitParams.from_theta2(
-            K1=_parse_complex(args.K1), K2=_parse_complex(args.K2),
-            Th2=_parse_complex(args.Theta2),
-            C=tuple(_parse_complex(getattr(args, f"C{i}")) for i in range(1, 5)))
-        if args.limit_check:
-            window = {"t0": mp.mpf(args.t0), "t1": mp.mpf(args.t1),
-                      "u0": _parse_complex(args.u0), "v0": _parse_complex(args.v0)}
-            rep = continuum.limit_check(lp=lp, window=window, prec=cfg["prec"])
-            _emit(args, _envelope(cfg, rep.to_json_dict()))
-            return 0 if rep.passed else 3
+        lp = _limit_params(args, cfg)
         traj = continuum.integrate(lp, mp.mpf(args.t0), mp.mpf(args.t1),
                                    _parse_complex(args.u0), _parse_complex(args.v0),
                                    npoints=args.npoints)
@@ -268,7 +306,7 @@ def cmd_verify_all(args):
 COMMANDS = {
     "moments": cmd_moments, "verblunsky": cmd_verblunsky, "lax": cmd_lax,
     "orbit": cmd_orbit, "weyl": cmd_weyl, "ode": cmd_ode,
-    "verify-all": cmd_verify_all,
+    "limit-check": cmd_limit_check, "verify-all": cmd_verify_all,
 }
 
 

@@ -27,7 +27,7 @@ orbits, 484 steps at 128 bits, take about 50 ms on a 2-core VM with
 pure-Python mpmath, against about 170 ms in mpmath arithmetic.  `limit_check` measures the endpoint gap between the discrete orbit
 and a high-order integration of this system for a decreasing sequence of
 eps and fits the convergence order, which is 1 in eps; `LimitReport.passed`
-is the one gate on that study, for check 13 and `qpvi ode --limit-check`
+is the one gate on that study, for check 13 and `qpvi limit-check`
 alike.  The reference endpoint comes from `integrate` at rtol = 1e-13,
 atol = 1e-15: about 1e-14 accurate, against gaps of at least 6.7e-3.
 
@@ -56,6 +56,7 @@ import mpmath as mp
 
 from .errors import ConstraintError, DomainError, SingularityError, StepFailure
 from .painleve import SurfaceCoords, SurfaceParams, phi_orbit, phi_step
+from .polys import zero_bits
 
 __all__ = [
     "LimitParams", "REFERENCE_LIMIT", "reference_limit", "ode_rhs", "discrete_step_params",
@@ -81,7 +82,8 @@ class LimitParams:
         if len(self.C) != 4:
             raise ConstraintError("need exactly four C exponents")
         gap = abs(self.K1 + self.K2 + mp.fsum(self.C) - self.Th1 - self.Th2)
-        if gap > mp.mpf(2) ** (-(mp.mp.prec // 2)) * (1 + abs(self.Th1) + abs(self.Th2)):
+        # written so that a nan gap (a nan exponent) fails too
+        if not gap <= mp.ldexp(1 + abs(self.Th1) + abs(self.Th2), -zero_bits()):
             raise ConstraintError(
                 f"linear constraint K1+K2+sum C = Th1+Th2 violated by {mp.nstr(gap, 5)}")
 

@@ -57,12 +57,11 @@ import mpmath as mp
 from .errors import DegreeError, FitError
 from .opuc import epsilon_eval, epsilon_star_eval
 from .polys import (gauss_floats, json_complex, lstsq, mat_det, mat_max, mat_mul, mat_q,
-                    mat_qdiff_residual, padd, peval, pmax, pmul, pq, pscale)
+                    mat_qdiff_residual, padd, peval, pmax, pmul, pq, pscale, residual_tol)
 from .qseries import vw_polys
 
 __all__ = [
-    "SpectralFit", "theta_closed", "theta_star_closed", "fit_spectral_matrix",
-    "lstsq_spectral_matrix",
+    "SpectralFit", "fit_spectral_matrix", "lstsq_spectral_matrix",
     "build_B", "check_fundamental", "det_ratio_constant",
     "epsilon_column_residuals",
 ]
@@ -93,29 +92,8 @@ class SpectralFit:
                 "residual": float(self.residual)}
 
 
-def _thetas(p, vt, n):
-    """(Theta_n, Theta*_n, (a, b, q, q^n, alpha_n, alpha_{n+1})) on GaussFloat."""
-    a, b, q, an, a1 = gauss_floats([p.a, p.b, p.q, vt.alpha[n], vt.alpha_nonzero(n + 1)])
-    qn = q ** n
-    bq1 = b * qn * q
-    r = an / a1
-    theta = [(b.conj() * qn - a.conj()) * r, a - bq1]
-    theta_star = [bq1.conj() - a.conj(), (a * q - bq1) * r.conj()]
-    return theta, theta_star, (a, b, q, qn, an, a1)
-
-
 def _mpcs(xs):
     return [x.mpc() for x in xs]
-
-
-def theta_closed(p, vt, n):
-    """Closed form of Theta_n."""
-    return _mpcs(_thetas(p, vt, n)[0])
-
-
-def theta_star_closed(p, vt, n):
-    """Closed form of Theta*_n."""
-    return _mpcs(_thetas(p, vt, n)[1])
 
 
 def _check_order(vt, n):
@@ -126,11 +104,10 @@ def _check_order(vt, n):
 
 def _certify(p, V, vt, n, P, Q, Ps, Qs, theta, theta_star, tol):
     """SpectralFit of A_n = [[P, Q], [Qs, Ps]] after the coefficient residual
-    of both phi rows; FitError if it exceeds `tol` (default 2^-(prec/3))."""
-    if tol is None:
-        tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
+    of both phi rows; FitError unless it is <= `tol` (default `residual_tol()`)."""
+    tol = residual_tol() if tol is None else tol
     resid = mat_qdiff_residual(V, p.q, [P, Q, Qs, Ps], vt.phi[n], vt.phi_star(n))
-    if resid > tol:
+    if not resid <= tol:
         raise FitError(f"A_{n} fit residual {mp.nstr(resid, 5)} exceeds {mp.nstr(tol, 5)}")
     return SpectralFit(n=n, e11=tuple(P), e12=tuple(Q), e21=tuple(Qs),
                        e22=tuple(Ps), theta=tuple(theta),
@@ -148,7 +125,12 @@ def fit_spectral_matrix(p, vt, n, tol=None):
     """
     _check_order(vt, n)
     V = vw_polys(p)[0]
-    theta, theta_star, (a, b, q, qn, an, a1) = _thetas(p, vt, n)
+    a, b, q, an, a1 = gauss_floats([p.a, p.b, p.q, vt.alpha[n], vt.alpha_nonzero(n + 1)])
+    qn = q ** n
+    bq1 = b * qn * q
+    r = an / a1
+    theta = [(b.conj() * qn - a.conj()) * r, a - bq1]
+    theta_star = [bq1.conj() - a.conj(), (a * q - bq1) * r.conj()]
     s, V1, one = gauss_floats([vt.phi[n][n - 1], V[1], 1])
     Q = [-a1 * x for x in theta]
     Qs = [-a1.conj() * x for x in theta_star]  # Qs / z
@@ -240,7 +222,7 @@ def det_ratio_constant(fit, p):
     det = mat_det(fit.matrix)
     VW = pmul(*vw_polys(p))
     scale = pmax(VW)
-    idx = [i for i in range(len(VW)) if abs(VW[i]) > scale * mp.mpf(2) ** -40]
+    idx = [i for i in range(len(VW)) if abs(VW[i]) > mp.ldexp(scale, -40)]
     consts = [det[i] / VW[i] for i in idx if i < len(det)]
     if not consts:
         raise DegreeError("V W has no usable coefficients")

@@ -24,7 +24,7 @@ import mpmath as mp
 
 from .errors import DegenerateError, DomainError, SingularMeasureError
 from .polys import (below, dot, gauss_dot, gauss_floats, hpd_solve, json_complex,
-                    padd, peval, pmax, pmul, pstar)
+                    padd, peval, pmax, pmul, pstar, zero_bits)
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
 from .qseries import caratheodory, caratheodory_quad  # noqa: F401
@@ -103,7 +103,7 @@ def verblunsky_from_moments(table, N):
     """
     if N < 0 or table.K < N + 1:
         raise DomainError(f"need K >= N + 1 moments, got K = {table.K}, N = {N}")
-    floor = (1, -2 * (mp.mp.prec // 2))  # |alpha|^2 must stay 2^-(prec//2) below 1
+    floor = (1, -2 * zero_bits())  # 1 - |alpha|^2 must stay above the zero level
     cs = [table.cmom(-j) for j in range(N + 1)]
     one, zero = gauss_floats([1, 0])
     phi, psi, alpha, sigma = [[one]], [[one]], [one], [one]

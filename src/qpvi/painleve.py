@@ -40,17 +40,13 @@ import mpmath as mp
 from .errors import (ConsistencyError, ConstraintError, DegenerateError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
-from .polys import below, gauss_floats, json_complex, largest
+from .polys import below, gauss_floats, json_complex, largest, negligible, residual_tol, zero_bits
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
     "extract_coords", "phi_orbit", "phi_step", "matrix_step",
     "factorization_residuals", "blown_up_points",
 ]
-
-
-def _tiny():
-    return mp.mpf(2) ** (-(mp.mp.prec // 2))
 
 
 @dataclass(frozen=True)
@@ -75,16 +71,20 @@ class SurfaceParams:
             raise ConstraintError("q must be nonzero")
         if len(self.c) != 4:
             raise ConstraintError("need exactly four c parameters")
-        d, m = self._constraint_norms()
-        if below(m, d, -2 * (mp.mp.prec // 2)):  # residual above 2^-(prec//2)
+        try:
+            d, m = self._constraint_norms()
+        except ValueError:  # the exact conversion refuses inf and nan
+            raise ConstraintError("surface parameters must be finite") from None
+        if below(m, d, -2 * zero_bits()):  # residual above the zero level
             raise ConstraintError(
                 "kappa1 kappa2 c1 c2 c3 c4 = theta1 theta2 violated by "
                 f"{mp.nstr(self.constraint_residual(), 5)}")
 
     def _constraint_norms(self):
-        # |lhs - rhs|^2 and max(|lhs|, |rhs|)^2 exactly, as (man, exp)
-        k1, k2, c1, c2, c3, c4, t1, t2 = gauss_floats(
-            [self.k1, self.k2, *self.c, self.t1, self.t2], p=math.inf)
+        # |lhs - rhs|^2 and max(|lhs|, |rhs|)^2 exactly, as (man, exp); q is
+        # converted too, so that every parameter is checked finite
+        k1, k2, c1, c2, c3, c4, t1, t2, _ = gauss_floats(
+            [self.k1, self.k2, *self.c, self.t1, self.t2, self.q], p=math.inf)
         lhs, rhs = k1 * k2 * c1 * c2 * c3 * c4, t1 * t2
         return (lhs - rhs).norm(), largest([lhs, rhs]).norm()
 
@@ -119,7 +119,7 @@ def params_from_weight(p, n):
     kappa1 = b q^{n+1}, kappa2 = a q, theta1 = conj(b) q^n, theta2 = conj(a),
     c = (conj(a)/q, conj(b)/q, 1/b, 1/a); the constraint then holds exactly.
     """
-    if abs(p.a) < _tiny() or abs(p.b) < _tiny():
+    if negligible(p.a, 1) or negligible(p.b, 1):
         raise DegenerateError("c parameters require a != 0 and b != 0")
     return SurfaceParams(
         k1=p.b * p.q ** (n + 1), k2=p.a * p.q,
@@ -136,7 +136,7 @@ def y_closed(p, vt, n):
     """
     bq = p.b * p.q ** (n + 1)
     lam = p.a - bq
-    if abs(lam) <= _tiny() * (abs(p.a) + abs(bq)):
+    if abs(lam) <= mp.ldexp(abs(p.a) + abs(bq), -zero_bits()):
         raise DegenerateError("a - b q^(n+1) cancels; y_n closed form degenerates")
     den = lam * vt.alpha_nonzero(n + 1)
     return (mp.conj(p.a) - mp.conj(p.b) * p.q ** n) * vt.alpha[n] / den
@@ -188,7 +188,7 @@ def _horner(p, z):
     return out
 
 
-def extract_coords(A, sp, tol=None):
+def extract_coords(A, sp):
     """(y, xi) of a spectral matrix, certified by the second xi expression.
 
     A is a 2x2 polynomial matrix [e11, e12, e21, e22]; y and both xi
@@ -196,11 +196,9 @@ def extract_coords(A, sp, tol=None):
     normalization is needed here.  Everything is evaluated on GaussFloat
     by Horner's rule, and y and xi are rounded once each.
     """
-    if tol is None:
-        tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
-    bits = 2 * (mp.mp.prec // 2)  # |x| <= 2^-(prec//2) |s| as |x|^2 <= 2^-bits |s|^2
+    bits = 2 * zero_bits()  # |x| <= 2^-zero_bits() |s| as |x|^2 <= 2^-bits |s|^2
     e11, e12, _, e22 = [gauss_floats(e) for e in A]
-    k1, k2, c1, c2, c3, c4, one, gtol = gauss_floats([sp.k1, sp.k2, *sp.c, 1, tol])
+    k1, k2, c1, c2, c3, c4, one, gtol = gauss_floats([sp.k1, sp.k2, *sp.c, 1, residual_tol()])
     # thresholds relative to each entry's own scale: for small |a| the
     # off-diagonal entries carry a factor alpha_{n+1} far below 1
     e12 = _trimmed(e12, bits)
@@ -283,7 +281,7 @@ def phi_orbit(coords, sp, k):
     y, xi = coords.y, coords.xi
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
     q = sp.q
-    bits = 2 * (mp.mp.prec // 2)  # |x| < 2^-(prec//2) |s| as |x|^2 < 2^-bits |s|^2
+    bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
     gk1, gk2, gt1, gt2, c1, c2, c3, c4, gq, one = gauss_floats(
         [k1, k2, t1, t2, *sp.c, q, 1])
     c = (c1, c2, c3, c4)
@@ -358,9 +356,8 @@ def matrix_step(A, sp, tol=None):
     The normalization, Delta and both products run on GaussFloat, and
     each entry is rounded once.
     """
-    if tol is None:
-        tol = mp.mpf(2) ** (-(mp.mp.prec // 3))
-    bits = 2 * (mp.mp.prec // 2)  # |x| < 2^-(prec//2) |s| as |x|^2 < 2^-bits |s|^2
+    tol = residual_tol() if tol is None else tol
+    bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
     q, k1, k2, t1, t2, zero, one, gtol = gauss_floats(
         [sp.q, sp.k1, sp.k2, sp.t1, sp.t2, 0, 1, tol])
     e11, e12, e21, e22 = [gauss_floats(e) for e in A]

@@ -22,20 +22,27 @@ q's mantissa), `pmax` (exact squared magnitudes, one square root),
 
 Chains of arithmetic on a few values run on `GaussFloat` beside the
 kernel: the same Gaussian integers with a binary exponent, but cut back by
-a plain shift after each + - * / to the working precision plus 10 guard
-bits, instead of mpmath's per-operation normalization.  Beside the sums
-of products and the Toeplitz oracle, the weights chain runs on it: the
-Szego series and q-Pochhammer products (`qseries`), the Szego recursion
-(`opuc`), the closed A_n (`laxpair`), and `extract_coords`, `matrix_step`
-and the orbit (`painleve`).  Each of those converts its mpf/mpc inputs
-once with `gauss_floats` and rounds each output once with
-`GaussFloat.mpc`; its guards compare exact squared norms with `below`.
+a plain shift after each + - * / to the working precision plus
+`GUARD_BITS`, instead of mpmath's per-operation normalization.  The
+weights chain runs on it: the Szego series and q-Pochhammer products
+(`qseries`), the Szego recursion (`opuc`), the closed A_n (`laxpair`), and
+`extract_coords`, `matrix_step` and the orbit (`painleve`), each
+converting its mpf/mpc inputs once with `gauss_floats` and rounding each
+output once with `GaussFloat.mpc`.
 
 The two dense solvers work on plain lists too: `lstsq` (Householder QR,
 for the overdetermined fits) and `hpd_solve` (LDL^H, for Hermitian
 positive definite systems such as Toeplitz moment matrices).  Both carry
-10 guard bits and form every inner product with `dot`, and return values
+`GUARD_BITS` and form every inner product with `dot`, and return values
 rounded to working precision.
+
+Every precision guard of the package reads its threshold from the policy
+after the imports, and keeps its own comparison (< or <=) and scale: the
+zero level 2^-zero_bits() = 2^-(prec//2) of a scale (`negligible`, or
+2 zero_bits() bits through `below` on squared norms); the certificate
+level `residual_tol()` = 2^-(prec//3); the series tail 2^-(prec + 8),
+`TAIL_BITS` = 8, of `qpoch_inf` and `szego_coefficients`; `GUARD_BITS` =
+10; and mp.eps for `alpha_nonzero` and the pivots of the two solvers.
 """
 
 from math import isqrt
@@ -50,10 +57,26 @@ __all__ = [
     "padd", "pscale", "pmul", "pq", "peval", "pstar", "pmax", "mat_mul", "mat_det",
     "mat_q", "mat_max", "mat_qdiff_residual", "json_complex", "dot", "autocorr",
     "lstsq", "hpd_solve", "GaussFloat", "gauss_floats", "gauss_dot", "below", "largest",
+    "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
 ]
 
 _MPF, _MPC = mp.mpf, mp.mpc
 _make_mpf, _make_mpc = mp.mp.make_mpf, mp.mp.make_mpc
+
+# the precision policy of the module docstring
+GUARD_BITS, TAIL_BITS = 10, 8
+
+
+def zero_bits():
+    return mp.mp.prec // 2
+
+
+def negligible(x, scale):
+    return abs(x) < mp.ldexp(scale, -zero_bits())
+
+
+def residual_tol():
+    return mp.mpf(2) ** (-(mp.mp.prec // 3))
 
 
 def _gauss(xs):
@@ -216,12 +239,12 @@ def _cut(re, im, e, p):
 def gauss_floats(xs, p=None):
     """Each of xs (mpf, mpc or numbers) as an exact GaussFloat.
 
-    Operations on the results keep p bits, by default mp.prec + 10, the
-    guard of the dense solvers below.  Each value converts as `_gauss`
+    Operations on the results keep p bits, by default mp.prec + GUARD_BITS,
+    the guard of the dense solvers below.  Each value converts as `_gauss`
     converts a one-entry vector; inf and nan raise ValueError.
     """
     if p is None:
-        p = mp.mp.prec + 10
+        p = mp.mp.prec + GUARD_BITS
     out = []
     for x in xs:
         if type(x) is not _MPC and type(x) is not _MPF:
@@ -475,7 +498,7 @@ def lstsq(rows, rhs):
     and raises ZeroDivisionError.
     """
     m, k = len(rows), len(rows[0])
-    with mp.extraprec(10):
+    with mp.extraprec(GUARD_BITS):
         cols = [[mp.mpc(r[j]) for r in rows] for j in range(k)]
         b = [mp.mpc(x) for x in rhs]
         norms = [dot(c, c, conjugate=True).real for c in cols]
@@ -513,7 +536,7 @@ def hpd_solve(M, rhs):
     """
     n = len(M)
     tol = mp.eps
-    with mp.extraprec(10):
+    with mp.extraprec(GUARD_BITS):
         L = [[] for _ in range(n)]  # L[i] holds L_i0 .. L_i(i-1)
         d = []
         for j in range(n):

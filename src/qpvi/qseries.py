@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import (autocorr, below, dot, gauss_floats, json_complex, lstsq, peval,
-                    pmul)
+from .polys import (TAIL_BITS, autocorr, below, dot, gauss_floats, json_complex, lstsq,
+                    negligible, peval, pmul, zero_bits)
 
 __all__ = [
     "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
@@ -80,7 +80,7 @@ class QWeightParams:
         object.__setattr__(self, "q", mp.mpf(self.q))
         if not 0 < self.q < 1:
             raise DomainError(f"q must lie in (0, 1), got {mp.nstr(self.q, 8)}")
-        if abs(self.a) >= 1 or abs(self.b) >= 1:
+        if not (abs(self.a) < 1 and abs(self.b) < 1):  # nan fails too
             raise DomainError("|a| and |b| must be < 1 for a smooth positive weight")
 
 
@@ -95,7 +95,7 @@ def qpoch_inf(z, q):
     q = mp.mpf(q)
     if not 0 <= q < 1:
         raise ConvergenceError(f"q-Pochhammer product diverges for q = {mp.nstr(q, 8)}")
-    tol2 = (1, -2 * (mp.mp.prec + 8))
+    tol2 = (1, -2 * (mp.mp.prec + TAIL_BITS))
     zz, gq, one = gauss_floats([z, q, 1])
     out = one
     it = 0
@@ -115,7 +115,7 @@ def weight_eval(p, z):
         raise DomainError("weight is undefined at z = 0")
     num = qpoch_inf(p.a * z, p.q) * qpoch_inf(mp.conj(p.a) / z, p.q)
     den = qpoch_inf(p.b * z, p.q) * qpoch_inf(mp.conj(p.b) / z, p.q)
-    if abs(den) < mp.mpf(2) ** (-(mp.mp.prec // 2)):
+    if negligible(den, 1):
         raise PoleError(f"weight pole near z = {mp.nstr(z, 8)}")
     return num / den
 
@@ -153,7 +153,7 @@ def szego_coefficients(p):
     one vanishes too.  The recursion runs on `polys.GaussFloat`, and each
     g_n is rounded once.
     """
-    bits = 2 * (mp.mp.prec + 8)
+    bits = 2 * (mp.mp.prec + TAIL_BITS)
     a, b, q, one = gauss_floats([p.a, p.b, p.q, 1])
     absb = abs(b)
     aq, absaq, q1 = a, abs(a), q  # a q^n, |a| q^n, q^{n+1}
@@ -240,7 +240,7 @@ def caratheodory(table, z):
     the measure is positive, so F(z) = -conj F(1/conj z).
     """
     z = mp.mpc(z)
-    if abs(abs(z) - 1) < mp.mpf(2) ** -20:
+    if abs(abs(z) - 1) < mp.ldexp(1, -20):
         raise DomainError("Caratheodory evaluation requires |z| away from 1")
     if table.g is None:
         raise DomainError("moment table carries no Szego coefficients; "
@@ -283,11 +283,11 @@ def moments_quad(p, K, N=DEFAULT_NODES):
     if K < 0 or N <= 2 * K:
         raise DomainError(f"need N > 2K, got N = {N}, K = {K}")
     r = max(abs(p.a), abs(p.b))
-    if r > 0 and r ** (N - K) > mp.mpf(2) ** (-(mp.mp.prec - 8)):
+    if r > 0 and r ** (N - K) > mp.ldexp(1, 8 - mp.mp.prec):
         raise PrecisionError(
             f"N = {N} nodes cannot reach working precision for K = {K}")
     nodes, wvals, c0raw = weight_grid(p, N)
-    if abs(c0raw) < mp.mpf(2) ** (-(mp.mp.prec // 2)):
+    if negligible(c0raw, 1):
         raise PrecisionError("total mass of the weight vanished numerically")
     cs = []
     for k in range(-K, K + 1):
@@ -299,7 +299,7 @@ def moments_quad(p, K, N=DEFAULT_NODES):
 def caratheodory_quad(p, z, N=DEFAULT_NODES):
     """F(z) by quadrature against the Poisson-type kernel; needs |z| != 1."""
     z = mp.mpc(z)
-    if abs(abs(z) - 1) < mp.mpf(2) ** -20:
+    if abs(abs(z) - 1) < mp.ldexp(1, -20):
         raise DomainError("Caratheodory evaluation requires |z| away from 1")
     nodes, wvals, c0raw = weight_grid(p, N)
     return mp.fsum(wvals[m] * (nodes[m] + z) / (nodes[m] - z)
@@ -312,7 +312,7 @@ def caratheodory_series(table, z):
     if abs(z) >= 1:
         raise DomainError("moment series for F converges only in |z| < 1")
     tail = 2 * abs(z) ** (table.K + 1) / (1 - abs(z))
-    if tail > mp.mpf(2) ** (-(mp.mp.prec // 2)):
+    if tail > mp.ldexp(1, -zero_bits()):
         raise PrecisionError(
             f"series tail {mp.nstr(tail, 5)} too large at |z| = {mp.nstr(abs(z), 5)}")
     return table.cmom(0) + 2 * mp.fsum(table.cmom(k) * z ** k

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ChartError, DegenerateError, DomainError, IndeterminacyError
+from .polys import negligible
 
 __all__ = [
     "ip", "pic_constants", "phi_pic", "apply_pic", "is_isometry",
@@ -147,10 +148,6 @@ def check_translation(M=None):
 # birational realization
 
 
-def _near_zero(x, scale=1):
-    return abs(x) < mp.mpf(2) ** (-(mp.mp.prec // 2)) * (abs(scale) + 1)
-
-
 @dataclass(frozen=True)
 class BPoint:
     """Parameters b1..b8 and a point (f, g) of the family of surfaces."""
@@ -165,6 +162,8 @@ class BPoint:
         object.__setattr__(self, "g", mp.mpc(self.g))
         if len(self.b) != 8 or any(x == 0 for x in self.b):
             raise DomainError("need eight nonzero parameters b1..b8")
+        if not all(map(mp.isfinite, (*self.b, self.f, self.g))):
+            raise DomainError("need finite parameters b1..b8 and point (f, g)")
 
     @property
     def q(self):
@@ -189,7 +188,7 @@ def _w5(pt):
 
 def _w2(pt):
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
-    if _near_zero(pt.g - b1, pt.g):
+    if negligible(pt.g - b1, abs(pt.g) + 1):
         raise IndeterminacyError("w2 is indeterminate on g = b1")
     return BPoint(b=(b3, b2, b1, b4, b5 * b3 / b1, b6 * b3 / b1, b7, b8),
                   f=pt.f * (pt.g - b3) / (pt.g - b1), g=pt.g)
@@ -197,7 +196,7 @@ def _w2(pt):
 
 def _w3(pt):
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
-    if _near_zero(pt.f - b5, pt.f):
+    if negligible(pt.f - b5, abs(pt.f) + 1):
         raise IndeterminacyError("w3 is indeterminate on f = b5")
     return BPoint(b=(b1, b2, b3 * b5 / b7, b4 * b5 / b7, b7, b6, b5, b8),
                   f=pt.f, g=(b5 / b7) * pt.g * (pt.f - b7) / (pt.f - b5))
@@ -209,7 +208,7 @@ def _w0(pt):
     a1, a2, a3, a8 = 1 / b3, 1 / b1, 1 / b2, b4
     a4, a5 = -b3 / b7, -b3 / b8
     x, z = mp.mpc(1), pt.g
-    if _near_zero(x - a1 * z, z):
+    if negligible(x - a1 * z, abs(z) + 1):
         raise ChartError("point sits on the line x = a1 z of the chart")
     y = pt.f * (x - a1 * z)
     xp = x * (x - a1 * z)
@@ -219,7 +218,7 @@ def _w0(pt):
     na4, na5 = a1 * a8 * a4, a1 * a8 * a5
     nb3 = 1 / na1
     nb = (1 / a2, 1 / a3, nb3, na8, b5, b6, -nb3 / na4, -nb3 / na5)
-    if _near_zero(xp, 1) or _near_zero(xp - na1 * zp, zp):
+    if negligible(xp, 2) or negligible(xp - na1 * zp, abs(zp) + 1):
         raise ChartError("image leaves the chart of the quadratic involution")
     return BPoint(b=nb, f=yp / (xp - na1 * zp), g=zp / xp)
 
@@ -231,7 +230,7 @@ def sigma_inversion(pt):
     q = `BPoint.q` and b5..b8 and f by q^2.
     """
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
-    if _near_zero(pt.f) or _near_zero(pt.g):
+    if negligible(pt.f, 2) or negligible(pt.g, 2):
         raise IndeterminacyError("inversion is indeterminate on f g = 0")
     cg = b3 * b4 * b5 / b8
     cf = b3 * b4 * b5 ** 2 * b6 / (b1 * b2 * b8)
@@ -261,23 +260,23 @@ def composite_closed(pt):
     """Closed forms (fbar, gbar) of the composite's action on the point."""
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
     f, g = pt.f, pt.g
-    if _near_zero(f) or _near_zero(g):
+    if negligible(f, 2) or negligible(g, 2):
         raise IndeterminacyError("closed forms are indeterminate on f g = 0")
     den = ((f * (g - b3) - b8 * (g - b3 * b5 / b8))
            * (f * (g - b4) - b8 * (g - b4 * b5 / b8)))
-    if _near_zero(den, f * g):
+    if negligible(den, abs(f * g) + 1):
         raise IndeterminacyError("fbar denominator vanishes")
     fbar = (b3 * b4 * b5 ** 2 * b6 / (b1 * b2 * b8) / f
             * ((f * (g - b1 * b8 / b5) - b8 * (g - b1))
                * (f * (g - b2 * b8 / b5) - b8 * (g - b2))) / den)
-    if _near_zero(f - b5, f):
+    if negligible(f - b5, abs(f) + 1):
         raise IndeterminacyError("gbar is indeterminate on f = b5")
     G = g * (f - b8) / (f - b5)
     for v in (G - b1 * b8 / b5, G - b2 * b8 / b5):
-        if _near_zero(v, G):
+        if negligible(v, abs(G) + 1):
             raise IndeterminacyError("gbar hits a parameter line")
     P = ((G - b3) / (G - b1 * b8 / b5)) * ((G - b4) / (G - b2 * b8 / b5))
-    if _near_zero(f * P - b5, f):
+    if negligible(f * P - b5, abs(f) + 1):
         raise IndeterminacyError("gbar denominator vanishes")
     gbar = (b1 * b2 * b8 / (b5 * g)) * ((f - b5) / (f - b8)) \
         * (f * P - b3 * b4 * b5 ** 2 / (b1 * b2 * b8)) / (f * P - b5)

@@ -168,8 +168,7 @@ class TestWeylOde:
         assert seen == {160}
 
     def test_ode_csv(self, capsys):
-        code, out = run(capsys, ["ode", "--prec", "128", "--t1", "0.7",
-                                 "--npoints", "5", "--format", "csv"])
+        code, out = run(capsys, ["ode", "--t1", "0.7", "--npoints", "5", "--format", "csv"])
         assert code == 0
         lines = out.splitlines()
         assert lines[1] == "t,re_u,im_u,re_v,im_v"
@@ -202,27 +201,21 @@ def _refuse(*args, **kwargs):
 class TestFormat:
     @pytest.mark.parametrize("argv", [["lax", *WEIGHT], ["orbit", *WEIGHT],
                                       ["weyl"], ["verify-all", *WEIGHT],
-                                      ["ode", "--limit-check"]],
+                                      ["limit-check"]],
                              ids=["lax", "orbit", "weyl", "verify-all", "limit-check"])
     def test_csv_refused_where_output_is_json(self, capsys, monkeypatch, argv):
         for mod, name in ((qseries, "moments"), (weyl, "check_translation"),
                           (continuum, "discrete_orbit")):
             monkeypatch.setattr(mod, name, _refuse)
-        argv = [*argv, "--format", "csv"]
-        if argv[0] == "ode":
-            # `ode` has --format for its trajectory; the study refuses csv
-            code = cli.main(argv)
-        else:
-            # the other JSON-only subcommands have no --format: argparse exits
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            code = exc.value.code
-        assert code == 2 and capsys.readouterr().out == ""
+        # the JSON-only subcommands have no --format: argparse exits
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--format", "csv"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 class TestLimitCheck:
     def test_three_decreasing_errors(self, capsys):
-        code, out = run(capsys, ["ode", "--limit-check", "--prec", "128"])
+        code, out = run(capsys, ["limit-check", "--prec", "128"])
         assert code == 0
         data = json.loads(out)["data"]
         errs = data["errors"]
@@ -237,7 +230,7 @@ class TestLimitCheck:
             seen.append(mp.mp.prec)
             return orbit(*args, **kwargs)
         monkeypatch.setattr(continuum, "discrete_orbit", spy)
-        code, out = run(capsys, ["ode", "--limit-check", "--prec", "160"])
+        code, out = run(capsys, ["limit-check", "--prec", "160"])
         assert code == 0
         assert json.loads(out)["config"]["prec"] == 160
         assert seen == [160, 160, 160]
@@ -245,7 +238,7 @@ class TestLimitCheck:
     def test_v0_zero_is_numerical_failure(self, capsys, monkeypatch):
         for mod in (qpvi, painleve, continuum):
             monkeypatch.setattr(mod, "phi_orbit", _refuse)
-        code = cli.main(["ode", "--limit-check", "--v0", "0,0"])
+        code = cli.main(["limit-check", "--v0", "0,0"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("numerical failure:")
@@ -253,8 +246,43 @@ class TestLimitCheck:
     def test_window_across_singularity(self, capsys, monkeypatch):
         for mod in (qpvi, painleve, continuum):
             monkeypatch.setattr(mod, "phi_orbit", _refuse)
-        code, out = run(capsys, ["ode", "--limit-check", "--t0", "1.2", "--t1", "0.8"])
+        code, out = run(capsys, ["limit-check", "--t0", "1.2", "--t1", "0.8"])
         assert code == 2 and out == ""
+
+
+LIMIT_FLAGS = {"--t0", "--t1", "--u0", "--v0", "--K2", "--Theta2", "--C1", "--C2", "--C3",
+               "--C4"}
+
+class TestBadInput:
+    """Bad values are configuration errors, found before any computation."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        for mod, name in ((qseries, "moments"), (continuum, "integrate"),
+                          (continuum, "limit_check"), (verify, "run_all")):
+            monkeypatch.setattr(mod, name, _refuse)
+
+    @staticmethod
+    def config_error(capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("argv", [["moments", "--a", "nan"], ["orbit", "--b", "nan,0"],
+                                      ["verify-all", "--a", "nan"], ["ode", "--K2", "nan"],
+                                      ["limit-check", "--K2", "nan"]],
+                             ids=["moments", "orbit", "verify-all", "ode", "limit-check"])
+    def test_nan_parameter(self, capsys, argv):
+        self.config_error(capsys, argv)
+
+    def test_env_precision_not_a_number(self, capsys, monkeypatch):
+        monkeypatch.setenv("QPVI_PREC", "abc")
+        self.config_error(capsys, ["verblunsky", "--N", "3"])
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+    def test_lax_tolerance_finite_and_positive(self, capsys, tol):
+        self.config_error(capsys, ["lax", *WEIGHT, f"--tol={tol}"])
 
 
 # the exact option set of each subcommand: a new or lost flag fails here
@@ -264,9 +292,8 @@ OPTIONS = {
     "lax": {"--a", "--b", "--q", "--N", "--prec", "--tol", "--out"},
     "orbit": {"--a", "--b", "--q", "--prec", "--n-start", "--steps", "--out"},
     "weyl": {"--prec", "--seed", "--out"},
-    "ode": {"--prec", "--format", "--out", "--limit-check", "--t0", "--t1", "--u0",
-            "--v0", "--npoints", "--K1", "--K2", "--Theta2", "--C1", "--C2", "--C3",
-            "--C4"},
+    "ode": {"--format", "--out", "--npoints", *LIMIT_FLAGS},
+    "limit-check": {"--prec", "--out", "--K1", *LIMIT_FLAGS},
     "verify-all": {"--a", "--b", "--q", "--prec", "--seed", "--out"},
 }
 
@@ -277,8 +304,8 @@ BASE = {
     "lax": ["lax", "--N", "1", "--prec", "64"],
     "orbit": ["orbit", "--n-start", "2", "--steps", "1", "--prec", "64"],
     "weyl": ["weyl", "--prec", "64"],
-    "ode": ["ode", "--t1", "0.7", "--npoints", "3", "--prec", "64"],
-    "ode --limit-check": ["ode", "--limit-check", "--prec", "64"],
+    "ode": ["ode", "--t1", "0.7", "--npoints", "3"],
+    "limit-check": ["limit-check", "--prec", "64"],
 }
 
 # (base, flag, value, other value): the two runs must give different data
@@ -294,15 +321,16 @@ FLAG_VALUES = [
     ("orbit", "--n-start", "2", "3"), ("orbit", "--steps", "1", "2"),
     ("orbit", "--prec", "64", "128"),
     ("weyl", "--seed", "0", "1"), ("weyl", "--prec", "64", "128"),
-    ("ode", "--t0", "0.8", "0.75"), ("ode", "--t1", "0.7", "0.6"),
-    ("ode", "--u0", "0.3,0.1", "0.3,0.2"), ("ode", "--v0", "1.2,-0.2", "1.1,-0.2"),
-    ("ode", "--npoints", "3", "4"), ("ode", "--K2", "-0.3", "-0.2"),
-    ("ode", "--Theta2", "0.25", "0.3"),
-    *(("ode", f"--C{i}", "0.1", "0.05") for i in range(1, 5)),
+    *((cmd, flag, v1, v2) for cmd in ("ode", "limit-check")
+      for flag, v1, v2 in (("--t0", "0.8", "0.75"), ("--t1", "0.7", "0.6"),
+                           ("--u0", "0.3,0.1", "0.3,0.2"), ("--v0", "1.2,-0.2", "1.1,-0.2"),
+                           ("--K2", "-0.3", "-0.2"), ("--Theta2", "0.25", "0.3"),
+                           *((f"--C{i}", "0.1", "0.05") for i in range(1, 5)))),
+    ("ode", "--npoints", "3", "4"),
     # K1 drops out of the limit system, and the trajectory is double
-    # precision: both act on the discrete orbits of the study
-    ("ode --limit-check", "--K1", "0.4", "0.5"),
-    ("ode --limit-check", "--prec", "64", "128"),
+    # precision: both act on the discrete orbits of the study alone
+    ("limit-check", "--K1", "0.4", "0.5"),
+    ("limit-check", "--prec", "64", "128"),
 ]
 
 
@@ -317,23 +345,23 @@ def _subcommands():
 class TestContract:
     def test_option_sets(self):
         assert _subcommands() == OPTIONS
-        assert sum(len(opts) for opts in OPTIONS.values()) == 54
+        assert sum(len(opts) for opts in OPTIONS.values()) == 64
 
     def test_every_value_flag_is_exercised(self):
-        # --format and --out have their own tests, --limit-check is the
-        # study itself, and verify-all's flags are traced into run_all below
-        covered = {(base.split()[0], flag) for base, flag, _, _ in FLAG_VALUES}
+        # --format and --out have their own tests, and verify-all's flags
+        # are traced into run_all below
+        covered = {(cmd, flag) for cmd, flag, _, _ in FLAG_VALUES}
         for cmd, opts in OPTIONS.items():
             if cmd == "verify-all":
                 continue
-            for flag in opts - {"--format", "--out", "--limit-check"}:
+            for flag in opts - {"--format", "--out"}:
                 assert (cmd, flag) in covered, (cmd, flag)
 
-    @pytest.mark.parametrize("base,flag,v1,v2", FLAG_VALUES,
-                             ids=[f"{b}{f}" for b, f, _, _ in FLAG_VALUES])
-    def test_value_changes_output(self, capsys, base, flag, v1, v2):
+    @pytest.mark.parametrize("cmd,flag,v1,v2", FLAG_VALUES,
+                             ids=[f"{c}{f}" for c, f, _, _ in FLAG_VALUES])
+    def test_value_changes_output(self, capsys, cmd, flag, v1, v2):
         def data(value):
-            argv = [*BASE[base], flag, value]
+            argv = [*BASE[cmd], flag, value]
             code, out = run(capsys, argv)
             if code != 0:
                 return code
@@ -373,7 +401,7 @@ class TestContract:
                                     errors=(2e-2, 1e-2), orders=(1.0,), fitted_order=1.0)
         monkeypatch.setattr(continuum, "limit_check",
                             lambda **kwargs: seen.update(kwargs) or rep)
-        code, _ = run(capsys, ["ode", "--limit-check"])
+        code, _ = run(capsys, ["limit-check"])
         assert code == 0
         with mp.workprec(seen["prec"]):
             lp, window = continuum.reference_limit()
@@ -391,9 +419,13 @@ class TestContract:
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_precision_floor_everywhere(self, capsys, monkeypatch, command):
         for mod, name in ((qseries, "moments"), (weyl, "check_translation"),
-                          (continuum, "integrate"), (verify, "run_all")):
+                          (continuum, "integrate"), (continuum, "limit_check"),
+                          (verify, "run_all")):
             monkeypatch.setattr(mod, name, _refuse)
-        code, out = run(capsys, [command, "--prec", "20"])
+        # `ode` has no --prec; it parses its flags at QPVI_PREC
+        monkeypatch.setenv("QPVI_PREC", "20")
+        argv = [command, "--prec", "20"] if "--prec" in OPTIONS[command] else [command]
+        code, out = run(capsys, argv)
         assert code == 2 and out == ""
 
     def test_limit_gate_is_check_13s(self, capsys, monkeypatch, ctx):
@@ -404,6 +436,6 @@ class TestContract:
         monkeypatch.setattr(continuum, "limit_check", lambda **kwargs: rep)
         assert rep.decreasing and not rep.passed
         assert not verify.check_13_continuum(ctx).passed
-        code, out = run(capsys, ["ode", "--limit-check", "--prec", "64"])
+        code, out = run(capsys, ["limit-check", "--prec", "64"])
         assert code == 3
         assert json.loads(out)["data"]["fitted_order"] == 0.9

@@ -53,6 +53,14 @@ class TestLimitParams:
                                       C=tuple(mp.mpf(x) for x in
                                               ("0.15", "-0.2", "0.35", "0.2")))
 
+    def test_nan_exponent_rejected(self):
+        # a nan gap must fail the constraint, not pass it
+        with mp.workprec(128):
+            C = tuple(mp.mpf(x) for x in ("0.15", "-0.2", "0.35", "0.2"))
+            with pytest.raises(ConstraintError):
+                continuum.LimitParams.from_theta2(K1=mp.mpf("0.4"), K2=mp.nan,
+                                                  Th2=mp.mpf("0.25"), C=C)
+
     def test_from_theta2(self, ref):
         lp, _ = ref
         gap = lp.K1 + lp.K2 + mp.fsum(lp.C) - lp.Th1 - lp.Th2

@@ -34,16 +34,14 @@ class TestFit:
 
     # the closed route builds Theta_n, Theta*_n and the corners from the
     # closed forms, so these three tests run on the least-squares fit
-    def test_theta_closed_forms(self, ref_params, vt, oracle_fits, complex_b, prec192):
-        p_b, vt_b, _, oracle_b = complex_b
-        for p, vt_p, fits_p, orders in ((ref_params, vt, oracle_fits, (1, 2, 5, 9)),
-                                        (p_b, vt_b, oracle_b, (1, 2, 5))):
+    def test_theta_closed_forms(self, fits, oracle_fits, complex_b, prec192):
+        _, _, closed_b, oracle_b = complex_b
+        for closed, fits_p, orders in ((fits, oracle_fits, (1, 2, 5, 9)),
+                                       (closed_b, oracle_b, (1, 2, 5))):
             for n in orders:
                 fit = fits_p[n]
-                th = laxpair.theta_closed(p, vt_p, n)
-                ts = laxpair.theta_star_closed(p, vt_p, n)
-                assert pmax(padd(fit.theta, th, -1)) < 1e-40
-                assert pmax(padd(fit.theta_star, ts, -1)) < 1e-40
+                assert pmax(padd(fit.theta, closed[n].theta, -1)) < 1e-40
+                assert pmax(padd(fit.theta_star, closed[n].theta_star, -1)) < 1e-40
 
     def test_corner_entries(self, ref_params, vt, oracle_fits, prec192):
         a, b, q = ref_params.a, ref_params.b, ref_params.q
@@ -91,6 +89,11 @@ class TestFit:
         for route in ROUTES:
             with pytest.raises(FitError):
                 route(ref_params, vt, 3, tol=mp.mpf(10) ** -200)
+
+    def test_nan_tolerance_fails(self, ref_params, vt, prec192):
+        for route in ROUTES:
+            with pytest.raises(FitError):
+                route(ref_params, vt, 3, tol=mp.nan)
 
     def test_epsilon_columns(self, ref_params, vt, fits, oracle_fits, complex_b,
                              prec192):
@@ -180,9 +183,8 @@ class TestSmallAlpha:
         p = qseries.QWeightParams(a=mp.mpc("0.3", "0.2"), b=mp.mpc("0.3", "0.2"),
                                   q=mp.mpf("0.5"))
         vt = opuc.verblunsky_from_moments(qseries.moments(p, K=5), N=4)
-        with pytest.raises(DegenerateError):
-            laxpair.fit_spectral_matrix(p, vt, 1)
-        with pytest.raises(DegenerateError):
-            laxpair.theta_closed(p, vt, 1)
+        for route in ROUTES:
+            with pytest.raises(DegenerateError):
+                route(p, vt, 1)
         with pytest.raises(DegenerateError):
             painleve.y_closed(p, vt, 1)

@@ -147,6 +147,20 @@ class TestSurfaceParams:
                                        t1=mp.mpc("0.11"), t2=mp.mpc("0.5"),
                                        c=c, q=mp.mpf("0.5"))
 
+    @pytest.mark.parametrize("field", ["k1", "t2", "c", "q"])
+    def test_nonfinite_rejected(self, field):
+        # the exact conversion of the constraint check refuses nan and inf
+        with mp.workprec(128):
+            good = {"k1": mp.mpc("0.2"), "k2": mp.mpc("0.3"), "t1": mp.mpc("0.12"),
+                    "t2": mp.mpc("0.5"), "c": tuple(mp.mpc(1) for _ in range(4)),
+                    "q": mp.mpf("0.5")}
+            painleve.SurfaceParams(**good)
+            for x in (mp.nan, mp.inf):
+                value = (x,) + good["c"][1:] if field == "c" else x
+                with pytest.raises(ConstraintError) as err:
+                    painleve.SurfaceParams(**{**good, field: value})
+                assert str(err.value) == "surface parameters must be finite"
+
     def test_weight_dictionary(self, ref_params, prec192):
         n = 4
         sp = painleve.params_from_weight(ref_params, n)

@@ -1,3 +1,4 @@
+import inspect
 import random
 from pathlib import Path
 
@@ -498,3 +499,38 @@ def test_weights_chain_multiplication_count(monkeypatch):
             Am, _ = painleve.matrix_step(fits[n].matrix, sp)
             painleve.extract_coords(Am, sp.step())
     assert 0 < count[0] <= 142
+
+
+class TestPolicy:
+    """One precision policy: the levels live in `polys` and nowhere else."""
+
+    POLICY = (polys.zero_bits, polys.negligible, polys.residual_tol)
+
+    def test_fractions_only_in_the_policy(self):
+        for path in sorted(Path(qpvi.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            if path.name == "polys.py":
+                for fn in self.POLICY:
+                    assert inspect.getsource(fn) in text
+                    text = text.replace(inspect.getsource(fn), "")
+            for pattern in ("prec //", "mp.mpf(2) **"):
+                assert pattern not in text, (path.name, pattern)
+
+    def test_second_copies_gone(self):
+        for path in Path(qpvi.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            for name in ("_tiny", "_near_zero", "theta_closed", "theta_star_closed"):
+                assert name not in text, (path.name, name)
+        assert "tol" not in inspect.signature(painleve.extract_coords).parameters
+
+    def test_levels_at_192_bits(self):
+        with mp.workprec(192):
+            assert mp.ldexp(1, -polys.zero_bits()) == mp.mpf(2) ** -96
+            assert polys.residual_tol() == mp.mpf(2) ** -64
+            assert (polys.GUARD_BITS, polys.TAIL_BITS) == (10, 8)
+            # the zero level is strict, and scales with its argument
+            for scale in (1, 2, mp.mpf("0.75")):
+                edge = scale * mp.mpf(2) ** -96
+                assert polys.negligible(edge * mp.mpf("0.99"), scale)
+                assert not polys.negligible(edge, scale)
+                assert not polys.negligible(mp.mpc(0, edge * mp.mpf("1.01")), scale)

@@ -39,6 +39,12 @@ class TestWeight:
         with pytest.raises(DomainError):
             qseries.QWeightParams(a=mp.mpc("0.3"), b=mp.mpc("0.5"), q=mp.mpf("0"))
 
+    @pytest.mark.parametrize("field", ["a", "b", "q"])
+    def test_nan_rejected(self, field):
+        good = {"a": mp.mpc("0.3"), "b": mp.mpc("0.5"), "q": mp.mpf("0.5")}
+        with pytest.raises(DomainError):
+            qseries.QWeightParams(**{**good, field: mp.nan})
+
     def test_positive_on_circle(self, ref_params, prec192):
         for j in range(7):
             z = mp.exp(1j * mp.mpf(2 * j + 1) / 7)

@@ -68,6 +68,15 @@ class TestBirational:
                 weyl.BPoint(b=(mp.mpc(0),) + tuple(mp.mpc(1) for _ in range(7)),
                             f=mp.mpc(1), g=mp.mpc(1))
 
+    @pytest.mark.parametrize("bad", ["b", "f", "g"])
+    def test_nonfinite_bpoint_rejected(self, bad):
+        with mp.workprec(64):
+            good = {"b": tuple(mp.mpc(1) for _ in range(8)), "f": mp.mpc(1), "g": mp.mpc(1)}
+            for x in (mp.nan, mp.inf, mp.mpc(1, mp.nan)):
+                value = (x,) + good["b"][1:] if bad == "b" else x
+                with pytest.raises(DomainError):
+                    weyl.BPoint(**{**good, bad: value})
+
     def test_generator_index_range(self):
         pt = random_bpoint(0)
         with pytest.raises(DomainError):
