@@ -21,13 +21,25 @@ from .errors import ConfigError, NumericalError, QpviError
 from .polys import json_complex
 
 
+def _parse_real(text):
+    try:
+        return mp.mpf(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse a real number from {text!r}") from None
+
+
 def _parse_complex(text):
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) == 1:
-        return mp.mpc(mp.mpf(parts[0]))
-    if len(parts) == 2:
-        return mp.mpc(mp.mpf(parts[0]), mp.mpf(parts[1]))
-    raise ConfigError(f"cannot parse complex number from {text!r}")
+    parts = str(text).split(",")
+    if len(parts) > 2:
+        raise ConfigError(f"cannot parse complex number from {text!r}")
+    return mp.mpc(*(_parse_real(p.strip()) for p in parts))
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse's refusals, such as text for an int flag, are configuration errors
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"configuration error: {message}\n")
 
 
 def _add_weight(sp):
@@ -66,7 +78,7 @@ def _add_limit(sp):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="qpvi", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="qpvi", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=f"qpvi {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -146,7 +158,7 @@ def _resolve(args):
 def _weight_params(cfg):
     return qseries.QWeightParams(a=_parse_complex(cfg["a"]),
                                  b=_parse_complex(cfg["b"]),
-                                 q=mp.mpf(cfg["q"]))
+                                 q=_parse_real(cfg["q"]))
 
 
 def _emit(args, text):
@@ -267,7 +279,7 @@ def cmd_limit_check(args):
     cfg = _resolve(args)
     with mp.workprec(cfg["prec"]):
         lp = _limit_params(args, cfg)
-        window = {"t0": mp.mpf(args.t0), "t1": mp.mpf(args.t1),
+        window = {"t0": _parse_real(args.t0), "t1": _parse_real(args.t1),
                   "u0": _parse_complex(args.u0), "v0": _parse_complex(args.v0)}
         rep = continuum.limit_check(lp=lp, window=window, prec=cfg["prec"])
         _emit(args, _envelope(cfg, rep.to_json_dict()))
@@ -278,7 +290,7 @@ def cmd_ode(args):
     cfg = _resolve(args)
     with mp.workprec(cfg["prec"]):
         lp = _limit_params(args, cfg)
-        traj = continuum.integrate(lp, mp.mpf(args.t0), mp.mpf(args.t1),
+        traj = continuum.integrate(lp, _parse_real(args.t0), _parse_real(args.t1),
                                    _parse_complex(args.u0), _parse_complex(args.v0),
                                    npoints=args.npoints)
         data = {"t": [float(t) for t in traj.t],

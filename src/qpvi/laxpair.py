@@ -28,13 +28,14 @@ and, with V_1, Q_1, Qs_1 the z^1 coefficients of V, Q, Qs,
 `fit_spectral_matrix` builds A_n from these forms on `polys.GaussFloat`
 and certifies it on every call by the coefficient residual of both phi
 rows, formed exactly (`polys.mat_qdiff_residual`).  The least-squares
-fit of the five unknown coefficients of each row (`lstsq_spectral_matrix`,
-`polys.lstsq`) is kept as their independent oracle for the checks and
-tests.  Its n = 1 system is rank-deficient on coefficients alone and is
-augmented with the Taylor coefficients of z^1..z^{n+2} of the eps
-identities, where eps_n = psi_n + F phi_n with F = 1 + 2 sum_{k>=1} c_k z^k
-truncated at degree n + 2: those coefficients need only c_1..c_{n+2},
-which every table with K >= N + 1 holds.  The pointwise eps identities
+fit of the five unknown coefficients of each row (`lstsq_spectral_matrix`)
+is kept as their independent oracle for the checks and tests: `polys.lstsq`
+forms its normal equations exactly and solves them with `hpd_solve`.  Its
+n = 1 system is rank-deficient on coefficients alone and is augmented
+with the Taylor coefficients of z^1..z^{n+2} of the eps identities, where
+eps_n = psi_n + F phi_n with F = 1 + 2 sum_{k>=1} c_k z^k truncated at
+degree n + 2: those coefficients need only c_1..c_{n+2}, which every
+table with K >= N + 1 holds.  The pointwise eps identities
 (`epsilon_column_residuals`) check either route independently.
 
 A_n = [[P, Q], [Qs, Ps]] together with

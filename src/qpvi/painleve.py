@@ -17,16 +17,17 @@ steps: the parameter-only coefficients of S, T and xi' are computed once
 and advanced by a power of q per step, so an orbit neither re-derives nor
 re-validates the parameters at every step; `phi_step` is the orbit of one
 step.  The orbit computes on `polys.GaussFloat` (Python integers with a
-binary exponent, 10 guard bits) and rounds each new point once to the
-working precision; only the (kappa1, theta1) flow stays in mpmath, so that
-an orbit returns the parameters chained steps do.  `extract_coords` and
-`matrix_step` run on GaussFloat too.  Parameters are validated where they
-are built: `SurfaceParams` checks the constraint on exact products, and
-`phi_orbit` returns its parameters through that constructor, so every
-orbit is checked at both ends.  The same step is
-realized on matrices by a polynomial gauge transform
-A -> B(qz) A(z) adj(B(z)) / (z Delta) in `matrix_step`, so the three
-routes (recompute at n+1, phi_step, matrix_step) must agree.
+binary exponent, 10 guard bits), carries its point between steps at that
+precision and rounds the end point once to the working precision; only
+the (kappa1, theta1) flow stays in mpmath, so that an orbit returns the
+parameters chained steps do.  `extract_coords` and `matrix_step` run on
+GaussFloat too.  Parameters are validated where they are built:
+`SurfaceParams` checks the constraint on exact products, and `phi_orbit`
+returns its parameters through that constructor, so every orbit is
+checked at both ends.  The same step is realized on matrices by a
+polynomial gauge transform A -> B(qz) A(z) adj(B(z)) / (z Delta) in
+`matrix_step`, so the three routes (recompute at n+1, phi_step,
+matrix_step) must agree.
 
 The map blows down exactly eight parameter-dependent points; steps landing
 on them raise IndeterminacyError naming the nearest one.
@@ -188,6 +189,14 @@ def _horner(p, z):
     return out
 
 
+def _entries(A):
+    # A's entries on GaussFloat; the exact conversion refuses inf and nan
+    try:
+        return [gauss_floats(e) for e in A]
+    except ValueError:
+        raise DomainError("matrix entries must be finite") from None
+
+
 def extract_coords(A, sp):
     """(y, xi) of a spectral matrix, certified by the second xi expression.
 
@@ -197,7 +206,7 @@ def extract_coords(A, sp):
     by Horner's rule, and y and xi are rounded once each.
     """
     bits = 2 * zero_bits()  # |x| <= 2^-zero_bits() |s| as |x|^2 <= 2^-bits |s|^2
-    e11, e12, _, e22 = [gauss_floats(e) for e in A]
+    e11, e12, _, e22 = _entries(A)
     k1, k2, c1, c2, c3, c4, one, gtol = gauss_floats([sp.k1, sp.k2, *sp.c, 1, residual_tol()])
     # thresholds relative to each entry's own scale: for small |a| the
     # off-diagonal entries carry a factor alpha_{n+1} far below 1
@@ -247,9 +256,9 @@ def _st_terms(cf, c, y, xi):
 
 
 def _indeterminate(what, sp, k1, t1, y, xi):
-    # the error of a step from (y, xi) under sp with (kappa1, theta1) moved on
+    # the error of a step from GaussFloat (y, xi) with (kappa1, theta1) moved on
     here = SurfaceParams(k1=k1, k2=sp.k2, t1=t1, t2=sp.t2, c=sp.c, q=sp.q)
-    return IndeterminacyError(what + _nearest_base_point(here, y, xi))
+    return IndeterminacyError(what + _nearest_base_point(here, y.mpc(), xi.mpc()))
 
 
 def phi_orbit(coords, sp, k):
@@ -261,11 +270,11 @@ def phi_orbit(coords, sp, k):
     precision plus 10 guard bits.  The parameters are converted once and
     the parameter-only coefficients computed once; since a step multiplies
     kappa1 and theta1 by q, each then advances by one multiplication by q,
-    q^2, 1/q or 1/q^2.  Each step converts the point exactly and rounds the
-    new point once, at the working precision and rounding mode, so the
-    orbit carries the point between steps as k chained `phi_step` calls
-    do; the map grows errors by a factor of a few per step, and a point
-    kept at the guard precision would drift away from those calls.
+    q^2, 1/q or 1/q^2.  The point is converted once, carried between steps
+    at the guard precision and rounded once at the end, at the working
+    precision and rounding mode: k chained `phi_step` calls round it after
+    every step, and the map grows those roundings by a factor of a few per
+    step, so the orbit lands nearer the exact one than the chained calls.
     kappa1 and theta1 advance as mpc by the products `SurfaceParams.step`
     forms, so the chained calls return equal parameters.  The returned
     parameters go through the `SurfaceParams` constructor, so the
@@ -278,9 +287,10 @@ def phi_orbit(coords, sp, k):
     """
     if k < 0:
         raise DomainError("need k >= 0 steps")
-    y, xi = coords.y, coords.xi
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
     q = sp.q
+    if t1 == 0:  # and so at every step, since q != 0
+        raise DegenerateError("theta1 = 0: the step divides by q kappa1 theta1 xi")
     bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
     gk1, gk2, gt1, gt2, c1, c2, c3, c4, gq, one = gauss_floats(
         [k1, k2, t1, t2, *sp.c, q, 1])
@@ -297,6 +307,7 @@ def phi_orbit(coords, sp, k):
     r4 = gt2 / (gq * c4 * gk1)
     pref = c1 * c2 / (gq * gk1 * gt1)
 
+    gy, gxi = gauss_floats([coords.y, coords.xi])
     for j in range(k):
         if j:
             sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
@@ -304,7 +315,6 @@ def phi_orbit(coords, sp, k):
                   ta * gq, tb * gq, tc * gq, td * gq)
             r1, r2, r3, r4 = r1 * gq, r2 * gq, r3 * iq, r4 * iq
             pref = pref * iq2
-        gy, gxi = gauss_floats([y, xi])
         Sterms, Tterms = _st_terms(cf, c, gy, gxi)
         T0, T1, T2 = Tterms
         yT = gy * (T0 + T1 + T2)
@@ -312,22 +322,21 @@ def phi_orbit(coords, sp, k):
         scale = (ny[0] * nt[0], ny[1] + nt[1])
         if not scale[0] or below(yT.norm(), scale, bits):
             raise _indeterminate("y T cancels to working precision near ",
-                                sp, k1, t1, y, xi)
-        if not gxi or t1 == 0:
-            raise _indeterminate("xi = 0; step hit ", sp, k1, t1, y, xi)
+                                sp, k1, t1, gy, gxi)
+        if not gxi:
+            raise _indeterminate("xi = 0; step hit ", sp, k1, t1, gy, gxi)
         g1 = gxi * (gy - c4) - w * (gy - r3)
         g2 = gxi * (gy - c3) - w * (gy - r4)
         gscale = ((abs(gxi) + aw) * (one + abs(gy))).norm()
         if below(g1.norm(), gscale, bits) or below(g2.norm(), gscale, bits):
             raise _indeterminate("xi' denominator factor vanishes; step hit ",
-                                sp, k1, t1, y, xi)
+                                sp, k1, t1, gy, gxi)
         f1 = gxi * (gy - r1) - w * (gy - c2)
         f2 = gxi * (gy - r2) - w * (gy - c1)
         S0, S1, S2 = Sterms
-        y = ((S0 + S1 + S2) / yT).mpc()
-        xi = (pref * (f1 * f2) / (gxi * (g1 * g2))).mpc()
+        gy, gxi = (S0 + S1 + S2) / yT, pref * (f1 * f2) / (gxi * (g1 * g2))
         k1, t1 = q * k1, q * t1
-    return (SurfaceCoords(y=y, xi=xi),
+    return (SurfaceCoords(y=gy.mpc(), xi=gxi.mpc()),
             SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=sp.c, q=q))
 
 
@@ -358,9 +367,9 @@ def matrix_step(A, sp, tol=None):
     """
     tol = residual_tol() if tol is None else tol
     bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
+    e11, e12, e21, e22 = _entries(A)
     q, k1, k2, t1, t2, zero, one, gtol = gauss_floats(
         [sp.q, sp.k1, sp.k2, sp.t1, sp.t2, 0, 1, tol])
-    e11, e12, e21, e22 = [gauss_floats(e) for e in A]
     e12 = _trimmed(e12, bits)
     if len(e12) != 2:
         raise GaugeError("e12 must have exact degree 1 to normalize the gauge")

@@ -30,11 +30,11 @@ weights chain runs on it: the Szego series and q-Pochhammer products
 converting its mpf/mpc inputs once with `gauss_floats` and rounding each
 output once with `GaussFloat.mpc`.
 
-The two dense solvers work on plain lists too: `lstsq` (Householder QR,
-for the overdetermined fits) and `hpd_solve` (LDL^H, for Hermitian
-positive definite systems such as Toeplitz moment matrices).  Both carry
-`GUARD_BITS` and form every inner product with `dot`, and return values
-rounded to working precision.
+One dense solver works on plain lists too: `hpd_solve`, LDL^H for
+Hermitian positive definite systems such as Toeplitz moment matrices,
+with `GUARD_BITS` and every inner product formed by `dot`.  `lstsq` hands
+it the normal equations of an overdetermined fit, formed exactly and
+rounded once.
 
 Every precision guard of the package reads its threshold from the policy
 after the imports, and keeps its own comparison (< or <=) and scale: the
@@ -42,7 +42,7 @@ zero level 2^-zero_bits() = 2^-(prec//2) of a scale (`negligible`, or
 2 zero_bits() bits through `below` on squared norms); the certificate
 level `residual_tol()` = 2^-(prec//3); the series tail 2^-(prec + 8),
 `TAIL_BITS` = 8, of `qpoch_inf` and `szego_coefficients`; `GUARD_BITS` =
-10; and mp.eps for `alpha_nonzero` and the pivots of the two solvers.
+10; and mp.eps for `alpha_nonzero` and the pivots of `hpd_solve`.
 """
 
 from math import isqrt
@@ -240,7 +240,7 @@ def gauss_floats(xs, p=None):
     """Each of xs (mpf, mpc or numbers) as an exact GaussFloat.
 
     Operations on the results keep p bits, by default mp.prec + GUARD_BITS,
-    the guard of the dense solvers below.  Each value converts as `_gauss`
+    the guard of `hpd_solve` below.  Each value converts as `_gauss`
     converts a one-entry vector; inf and nan raise ValueError.
     """
     if p is None:
@@ -487,43 +487,18 @@ def json_complex(z):
 
 
 def lstsq(rows, rhs):
-    """Least-squares solution x of rows x = rhs by Householder QR.
+    """Least-squares solution x of rows x = rhs by its normal equations.
 
-    `rows` holds the m >= k rows of an m x k matrix, `rhs` its m right-hand
-    sides.  Column j is reflected onto p_j e_j with the complex-phase choice
-    p_j = -sqrt(s) a_jj/|a_jj| (-sqrt(s) when a_jj = 0), s being the squared
-    norm of the column's remaining part, so a lead with zero real part
-    needs no special case.  A column whose remaining part is not above
-    eps times its own norm is numerically dependent on the ones before it
-    and raises ZeroDivisionError.
+    `rows` holds the m >= k rows of an m x k matrix A, `rhs` its m
+    right-hand sides.  A^H A and A^H rhs are exact `dot` sums, each rounded
+    once, solved by `hpd_solve`: its pivot test d_j <= eps (A^H A)_jj is
+    |r_jj|^2 <= eps |a_j|^2 in a QR of A, so a column numerically dependent
+    on the ones before it raises ZeroDivisionError.
     """
-    m, k = len(rows), len(rows[0])
-    with mp.extraprec(GUARD_BITS):
-        cols = [[mp.mpc(r[j]) for r in rows] for j in range(k)]
-        b = [mp.mpc(x) for x in rhs]
-        norms = [dot(c, c, conjugate=True).real for c in cols]
-        diag = []
-        for j in range(k):
-            v = cols[j][j:]
-            s = dot(v, v, conjugate=True).real
-            if not s > mp.eps * norms[j]:
-                raise ZeroDivisionError(f"column {j} is numerically dependent")
-            r, ajj = mp.sqrt(s), v[0]
-            p = -r * ajj / abs(ajj) if ajj else -r
-            # H = I - kappa v v^H maps the column to p e_j; with this p,
-            # kappa = 1/(s - conj(p) a_jj) = 1/(s + r |a_jj|) is real
-            kappa = 1 / (s + r * abs(ajj))
-            v[0] = ajj - p
-            for c in cols[j + 1:] + [b]:
-                y = dot(c[j:], v, conjugate=True) * kappa
-                for i in range(j, m):
-                    c[i] -= v[i - j] * y
-            diag.append(p)
-        x = [mp.mpc(0)] * k
-        for i in range(k - 1, -1, -1):
-            ri = [cols[j][i] for j in range(i + 1, k)]
-            x[i] = (b[i] - dot(ri, x[i + 1:])) / diag[i]
-    return [+xi for xi in x]
+    cols = [_gauss([r[j] for r in rows]) for j in range(len(rows[0]))]
+    b = _gauss(rhs)
+    M = [[_gdot(cj, ci, True) for cj in cols[:i + 1]] for i, ci in enumerate(cols)]
+    return hpd_solve(M, [_gdot(b, ci, True) for ci in cols])
 
 
 def hpd_solve(M, rhs):

@@ -233,15 +233,15 @@ def moments(p, K):
 
 
 def caratheodory(table, z):
-    """F(z) from the Szego coefficients of a `moments` table; needs |z| != 1.
+    """F(z) from the Szego coefficients of a `moments` table; needs a finite z, |z| != 1.
 
     Inside the disk F = 2 sum_m conj(g_m) S_m(z) / mass - 1 with
     S_m = g_m + z S_{m+1}, one pass over the series per point.  Outside it
     the measure is positive, so F(z) = -conj F(1/conj z).
     """
     z = mp.mpc(z)
-    if abs(abs(z) - 1) < mp.ldexp(1, -20):
-        raise DomainError("Caratheodory evaluation requires |z| away from 1")
+    if not mp.isfinite(z) or abs(abs(z) - 1) < mp.ldexp(1, -20):
+        raise DomainError("Caratheodory evaluation requires a finite z, |z| away from 1")
     if table.g is None:
         raise DomainError("moment table carries no Szego coefficients; "
                           "build it with qseries.moments")

@@ -334,6 +334,23 @@ FLAG_VALUES = [
 ]
 
 
+@pytest.mark.parametrize("cmd,flag", [(cmd, flag) for cmd in sorted(OPTIONS)
+                                      for flag in sorted(OPTIONS[cmd] - {"--format", "--out"})])
+def test_text_is_not_a_number(capsys, monkeypatch, cmd, flag):
+    """Every numeric flag given text is a configuration error, found before
+    any computation; argparse refuses the int and float flags itself."""
+    for mod, name in ((qseries, "moments"), (continuum, "integrate"),
+                      (continuum, "limit_check"), (verify, "run_all")):
+        monkeypatch.setattr(mod, name, _refuse)
+    try:
+        code = cli.main([cmd, f"{flag}=abc"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "configuration error" in captured.err and "Traceback" not in captured.err
+
+
 def _subcommands():
     ap = cli.build_parser()
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))

@@ -13,6 +13,7 @@ import qpvi
 from qpvi import laxpair, opuc, painleve, polys, qseries
 from qpvi.errors import SingularMeasureError
 from qpvi.polys import autocorr, dot, hpd_solve, lstsq, padd, pmax, pmul
+from test_domain_sweep import _context as sweep_context
 
 # mp.qr_solve, mp.lu_solve and mp.fdot appear here only as oracles for the
 # list kernels
@@ -59,6 +60,46 @@ class TestLstsq:
             row[2] = 2 * row[0] - row[1]
         with pytest.raises(ZeroDivisionError):
             lstsq(rows, [_rc(rng) for _ in range(6)])
+
+
+def _fit_systems(monkeypatch, ctx):
+    """The systems `lstsq_spectral_matrix` (n = 1, augmented by the eps
+    rows, and n = 15) and `fit_caratheodory_u` hand to `lstsq`."""
+    systems = []
+
+    def spy(rows, rhs):
+        systems.append((rows, rhs))
+        return lstsq(rows, rhs)
+    monkeypatch.setattr(laxpair, "lstsq", spy)
+    monkeypatch.setattr(qseries, "lstsq", spy)
+    with mp.workprec(ctx.prec):
+        for n in (1, 15):
+            laxpair.lstsq_spectral_matrix(ctx.params, ctx.vt(), n)
+        qseries.fit_caratheodory_u(ctx.params)
+    return systems
+
+
+class TestNormalEquations:
+    # the reference weight and sweep weight (|a|, |b|, q) = (0.5, 0.85, 0.95),
+    # whose fits square the worst condition numbers of the checks: these
+    # systems land within 2^-164.4 of the 768-bit solution (2^-158.9 at n = 3)
+    @pytest.mark.parametrize("weight", ["reference", "sweep4"])
+    def test_fit_systems_within_2_150(self, monkeypatch, ctx, weight):
+        if weight == "sweep4":
+            ctx = sweep_context(4)
+        systems = _fit_systems(monkeypatch, ctx)
+        # n = 1: 4 coefficient rows and 3 eps rows per phi row; n = 15: 18
+        assert [(len(r), len(r[0])) for r, _ in systems] == [(7, 5), (7, 5), (18, 5),
+                                                              (18, 5), (8, 3)]
+        for rows, rhs in systems:
+            with mp.workprec(ctx.prec):
+                got = lstsq(rows, rhs)
+            with mp.workprec(4 * ctx.prec):
+                A = mp.matrix([[mp.mpc(v) for v in r] for r in rows])
+                AH = A.transpose_conj()
+                want = mp.lu_solve(AH * A, AH * mp.matrix([mp.mpc(v) for v in rhs]))
+                err = max(abs(got[j] - want[j]) for j in range(len(got)))
+                assert err <= mp.ldexp(1, -150) * max(abs(w) for w in want)
 
 
 WEIGHTS = [(("0.3", "0.2"), ("0.5", "0")), (("-0.4", "0.1"), ("0.2", "0.6")),
@@ -519,9 +560,17 @@ class TestPolicy:
     def test_second_copies_gone(self):
         for path in Path(qpvi.__file__).parent.glob("*.py"):
             text = path.read_text()
-            for name in ("_tiny", "_near_zero", "theta_closed", "theta_star_closed"):
+            for name in ("_tiny", "_near_zero", "theta_closed", "theta_star_closed",
+                         "Householder"):
                 assert name not in text, (path.name, name)
+            # one dense solver: lstsq hands its normal equations to hpd_solve,
+            # the one block of guard precision
+            if path.name == "polys.py":
+                assert text.count(inspect.getsource(polys.hpd_solve)) == 1
+                text = text.replace(inspect.getsource(polys.hpd_solve), "")
+            assert "extraprec" not in text, path.name
         assert "tol" not in inspect.signature(painleve.extract_coords).parameters
+        assert "hpd_solve(" in inspect.getsource(polys.lstsq)
 
     def test_levels_at_192_bits(self):
         with mp.workprec(192):

@@ -180,6 +180,12 @@ class TestSzegoSeries:
         with pytest.raises(DomainError):
             qseries.caratheodory(bare, mp.mpc("0.2"))
 
+    @pytest.mark.parametrize("z", [mp.nan, mp.inf, mp.mpc("0.2", mp.nan), mp.mpc(-mp.inf, 0)])
+    def test_caratheodory_non_finite(self, table, z):
+        # both |z| guards compare false on nan, and inf maps to 1/conj(z) = 0
+        with pytest.raises(DomainError, match="finite"):
+            qseries.caratheodory(table, z)
+
     def test_iteration_cap(self, ref_params, monkeypatch):
         monkeypatch.setattr(qseries, "_MAX_TERMS", 20)
         with pytest.raises(ConvergenceError):
