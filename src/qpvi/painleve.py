@@ -289,8 +289,12 @@ def phi_orbit(coords, sp, k):
         raise DomainError("need k >= 0 steps")
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
     q = sp.q
-    if t1 == 0:  # and so at every step, since q != 0
-        raise DegenerateError("theta1 = 0: the step divides by q kappa1 theta1 xi")
+    # a zero stays zero at every step, since q != 0
+    names = ("kappa1", "kappa2", "theta1", "c1", "c2", "c3", "c4")
+    zeros = [name for name, x in zip(names, (k1, k2, t1, *sp.c)) if x == 0]
+    if zeros:
+        raise DegenerateError(" = 0, ".join(zeros) + " = 0: the step divides by "
+                              "kappa1, kappa2, theta1 and c1..c4")
     bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
     gk1, gk2, gt1, gt2, c1, c2, c3, c4, gq, one = gauss_floats(
         [k1, k2, t1, t2, *sp.c, q, 1])
@@ -366,6 +370,8 @@ def matrix_step(A, sp, tol=None):
     each entry is rounded once.
     """
     tol = residual_tol() if tol is None else tol
+    if not tol < mp.inf:  # nan fails the gate, and inf has no exact form
+        raise ConsistencyError(f"divisibility tolerance {tol} cannot certify the step")
     bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
     e11, e12, e21, e22 = _entries(A)
     q, k1, k2, t1, t2, zero, one, gtol = gauss_floats(

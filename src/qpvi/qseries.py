@@ -42,10 +42,18 @@ the finite moment series c_0 + 2 sum_{k=1..K} c_k z^k
 (`caratheodory_series`).  F inherits a q-difference equation with an
 extra polynomial part,
 
-    W(z) F(qz) = -V(z) F(z) + U(z),   deg U <= 2,
+    W(z) F(qz) + V(z) F(z) = U(z),   deg U <= 2,
 
-and `fit_caratheodory_u` recovers U by least squares (`polys.lstsq`)
-with a held-out residual that certifies the identity.
+for |z| < 1 and, with the same U, for |z| > 1/q, where z and qz lie on
+one side of the circle.
+
+With F = sum f_k z^k, f_0 = 1 and f_k = 2 c_k, it is a recurrence on the
+moments: for every k >= 3,
+
+    (W_0 q^k + V_0) f_k + (W_1 q^(k-1) + V_1) f_(k-1) + (W_2 q^(k-2) + V_2) f_(k-2) = 0,
+
+and U is the first three coefficients of the left side.  Check 12 of
+`qpvi.verify` applies the recurrence to the moment table.
 """
 
 from dataclasses import dataclass
@@ -53,14 +61,13 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import (TAIL_BITS, autocorr, below, dot, gauss_floats, json_complex, lstsq,
-                    negligible, peval, pmul, zero_bits)
+from .polys import (TAIL_BITS, autocorr, below, dot, gauss_floats, json_complex, negligible,
+                    peval, pmul, zero_bits)
 
 __all__ = [
     "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
     "weight_feq_residual", "szego_coefficients", "moments", "caratheodory",
     "moments_quad", "caratheodory_quad", "caratheodory_series",
-    "fit_caratheodory_u",
 ]
 
 DEFAULT_NODES = 512
@@ -318,28 +325,3 @@ def caratheodory_series(table, z):
     return table.cmom(0) + 2 * mp.fsum(table.cmom(k) * z ** k
                                        for k in range(1, table.K + 1))
 
-
-def fit_caratheodory_u(p, nfit=8, nheld=30, rfit=0.3):
-    """Least-squares fit of the quadratic U in W(z) F(qz) = -V(z) F(z) + U(z).
-
-    F comes from the Szego series of the weight.  Fits on `nfit` points of
-    the circle |z| = rfit and reports the maximum relative residual on
-    `nheld` fresh points at a different radius.
-    Returns (U coefficients, held-out residual).
-    """
-    V, W = vw_polys(p)
-    table = moments(p, 0)
-
-    def lhs(z):
-        return (peval(W, z) * caratheodory(table, p.q * z)
-                + peval(V, z) * caratheodory(table, z))
-
-    zs = [rfit * mp.e ** (2j * mp.pi * j / nfit) for j in range(nfit)]
-    U = lstsq([[1, z, z ** 2] for z in zs], [lhs(z) for z in zs])
-    resid = mp.mpf(0)
-    for j in range(nheld):
-        z = 1.23 * rfit * mp.e ** (2j * mp.pi * (j + mp.mpf("0.37")) / nheld)
-        val = lhs(z)
-        scale = max(abs(peval(W, z) * caratheodory(table, p.q * z)), abs(val), mp.mpf(1))
-        resid = max(resid, abs(val - peval(U, z)) / scale)
-    return U, resid

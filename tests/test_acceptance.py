@@ -5,6 +5,10 @@ Run with -s to see the lines as they complete:
     pytest tests/test_acceptance.py -v -s
 """
 
+from dataclasses import replace
+
+import mpmath as mp
+
 from qpvi import continuum, verify
 
 
@@ -62,6 +66,18 @@ def test_11_weyl_word_matches_step(ctx):
 
 def test_12_szego_function_and_u_fit(ctx):
     _run(ctx, verify.check_12_weight_identities)
+
+
+def test_12_reads_the_moment_table(ctx):
+    # c_10 and c_-10 moved by 1e-10 break the F recurrence on the table
+    table = ctx.table()
+    cs = list(table.c)
+    cs[table.K + 10] += mp.mpf("1e-10")
+    cs[table.K - 10] = mp.conj(cs[table.K + 10])
+    moved = verify.VerificationContext(prec=ctx.prec)
+    moved._table = replace(table, c=tuple(cs))
+    res = verify.check_12_weight_identities(moved)
+    assert not res.passed and 1e-11 < res.value < 1e-9, res.line()
 
 
 def test_13_continuum_convergence(ctx):

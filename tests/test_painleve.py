@@ -330,6 +330,16 @@ class TestOrbit:
             with pytest.raises(DegenerateError, match="theta1 = 0"):
                 painleve.phi_orbit(co, sp, 3)
 
+    @pytest.mark.parametrize("k2, c, zero", [(0, (1, 2, 3, 4), "kappa2 = 0"),
+                                             (1, (0, 2, 3, 4), "c1 = 0")])
+    def test_zero_divisor_parameter(self, k2, c, zero):
+        # with theta2 = 0 the constraint holds whatever kappa2 and c1 are
+        with mp.workprec(128):
+            sp = painleve.SurfaceParams(k1=1, k2=k2, t1=1, t2=0, c=c, q=mp.mpf("0.5"))
+            co = painleve.SurfaceCoords(y=mp.mpc("0.3"), xi=mp.mpc(1))
+            with pytest.raises(DegenerateError, match=zero):
+                painleve.phi_orbit(co, sp, 3)
+
     def test_zero_and_negative_length(self, ref_params, ctx, prec192):
         sp, co = coords_at(ref_params, ctx, 2)
         assert painleve.phi_orbit(co, sp, 0) == (co, sp)
@@ -518,6 +528,14 @@ class TestGuards:
             painleve.matrix_step(A, sp, tol=mp.mpf(2) ** -150)
         assert str(err.value) == ("conjugated matrix is not divisible by z; "
                                   "gauge data inconsistent")
+
+    def test_non_finite_tolerance(self, ref_params, ctx, prec192):
+        # a nan tolerance fails the divisibility gate, as it fails the fit's
+        sp, A = self.fit3(ref_params, ctx)
+        with pytest.raises(ConsistencyError):
+            painleve.matrix_step(A, sp, tol=mp.nan)
+        with pytest.raises(QpviError):
+            painleve.matrix_step(A, sp, tol=mp.inf)
 
 
 class TestFactorizations:

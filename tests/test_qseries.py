@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpvi import qseries
 from qpvi.errors import ConvergenceError, DomainError, PoleError, PrecisionError
+from qpvi.polys import padd, peval, pmul, pq
 
 
 def mpc_close(x, y, tol):
@@ -124,11 +125,20 @@ class TestCaratheodory:
         with pytest.raises(PrecisionError):
             qseries.caratheodory_series(table, mp.mpc("0.97"))
 
-    def test_u_fit(self, ref_params, prec192):
-        # W(z) F(qz) + V(z) F(z) is a polynomial of degree two
-        U, resid = qseries.fit_caratheodory_u(ref_params)
-        assert len(U) == 3
-        assert resid < 1e-40
+    def test_u_from_recurrence(self, ref_params, table, prec192):
+        # W(z) F(qz) + V(z) F(z) is the polynomial U of degree two whose
+        # coefficients are the first three of the product on the moments;
+        # F from the Szego series, with z and qz both inside the circle or
+        # both outside (|z| > 1/q = 2)
+        V, W = qseries.vw_polys(ref_params)
+        q = ref_params.q
+        F = [mp.mpc(1)] + [2 * table.cmom(k) for k in range(1, table.K + 1)]
+        U = padd(pmul(W, pq(F, q)), pmul(V, F))[:3]
+        for z in (mp.mpc("0.3", "0.1"), mp.mpc("-0.5", "0.6"),
+                  mp.mpc("2.5", "1.2"), mp.mpc("-3", "-1")):
+            wf = peval(W, z) * qseries.caratheodory(table, q * z)
+            val = wf + peval(V, z) * qseries.caratheodory(table, z)
+            assert abs(val - peval(U, z)) <= 1e-40 * max(abs(wf), abs(val), 1)
 
 
 def _weight(a, b, q):
