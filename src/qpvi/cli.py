@@ -84,9 +84,7 @@ def build_parser():
 
     sp = sub.add_parser("moments", help="trigonometric moment table")
     _add_weight(sp)
-    sp.add_argument("--N", type=int, default=20,
-                    help="table order; the default moment range is 2N + 6")
-    sp.add_argument("--K", type=int, help="moment range")
+    sp.add_argument("--K", type=int, default=46, help="moment range: c_-K..c_K")
     _add_prec(sp)
     _add_output(sp, csv=True)
 
@@ -189,8 +187,7 @@ def cmd_moments(args):
     cfg = _resolve(args)
     with mp.workprec(cfg["prec"]):
         p = _weight_params(cfg)
-        K = cfg["K"] if cfg["K"] is not None else 2 * cfg["N"] + 6
-        table = qseries.moments(p, K=K)
+        table = qseries.moments(p, K=cfg["K"])
         _emit_table(args, cfg, table.to_json_dict(), table.to_csv_lines())
     return 0
 
@@ -269,7 +266,7 @@ def _limit_params(args, cfg):
     cfg.update({"K1": K1, "K2": args.K2, "Theta2": args.Theta2,
                 "C": [args.C1, args.C2, args.C3, args.C4],
                 "t0": args.t0, "t1": args.t1, "u0": args.u0, "v0": args.v0})
-    return continuum.LimitParams.from_theta2(
+    return continuum.LimitParams(
         K1=_parse_complex(K1 or "0"), K2=_parse_complex(args.K2),
         Th2=_parse_complex(args.Theta2),
         C=tuple(_parse_complex(getattr(args, f"C{i}")) for i in range(1, 5)))

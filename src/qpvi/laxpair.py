@@ -103,7 +103,7 @@ def _check_order(vt, n):
     return vt.alpha_nonzero(n + 1)
 
 
-def _certify(p, V, vt, n, P, Q, Ps, Qs, theta, theta_star, tol):
+def _certify(p, V, vt, n, P, Q, Ps, Qs, theta, theta_star, tol=None):
     """SpectralFit of A_n = [[P, Q], [Qs, Ps]] after the coefficient residual
     of both phi rows; FitError unless it is <= `tol` (default `residual_tol()`)."""
     tol = residual_tol() if tol is None else tol
@@ -164,11 +164,11 @@ def _eps_taylor(vt, n, D):
     return eps[:D + 1], eps_star[:D + 1]
 
 
-def lstsq_spectral_matrix(p, vt, n, tol=None):
+def lstsq_spectral_matrix(p, vt, n):
     """Least-squares fit of A_n from the phi-row identities: the oracle of
     `fit_spectral_matrix`, for the checks and tests.
 
-    Returns a SpectralFit under the same residual gate.
+    Returns a SpectralFit under the default residual gate, `residual_tol()`.
     """
     a1 = _check_order(vt, n)
     V, W = vw_polys(p)
@@ -201,7 +201,7 @@ def lstsq_spectral_matrix(p, vt, n, tol=None):
     Q = sol1[3:]
     Qs = [mp.mpc(0)] + sol2[3:]
     return _certify(p, V, vt, n, sol1[:3], Q, sol2[:3], Qs,
-                    pscale(Q, -1 / a1), pscale(Qs[1:], -1 / mp.conj(a1)), tol)
+                    pscale(Q, -1 / a1), pscale(Qs[1:], -1 / mp.conj(a1)))
 
 
 def build_B(vt, n):

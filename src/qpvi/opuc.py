@@ -30,12 +30,10 @@ from .polys import (below, dot, gauss_dot, gauss_floats, hpd_solve, json_complex
 from .qseries import caratheodory, caratheodory_quad  # noqa: F401
 
 __all__ = [
-    "star", "VerblunskyTable", "inner_poly", "verblunsky_from_moments",
+    "VerblunskyTable", "inner_poly", "verblunsky_from_moments",
     "verblunsky_toeplitz", "orthogonality_residual", "wronskian_residuals",
     "epsilon_eval", "epsilon_star_eval", "epsilon_asymptotics",
 ]
-
-star = pstar
 
 
 def inner_poly(table, p, r):
@@ -55,11 +53,14 @@ class VerblunskyTable:
     """Verblunsky coefficients alpha_0..alpha_N with norms and polynomials."""
 
     moments: "MomentTable"
-    N: int
     alpha: tuple
     sigma: tuple
     phi: tuple
     psi: tuple
+
+    @property
+    def N(self):
+        return len(self.alpha) - 1
 
     def phi_star(self, n):
         return pstar(list(self.phi[n]), n)
@@ -120,7 +121,7 @@ def verblunsky_from_moments(table, N):
         for p, s in ((phi, a), (psi, -a)):
             zp = [zero] + p[n]
             p.append([x + s * y.conj() for x, y in zip(zp, reversed(p[n]))] + [zp[-1]])
-    return VerblunskyTable(moments=table, N=N,
+    return VerblunskyTable(moments=table,
                            alpha=tuple(x.mpc() for x in alpha),
                            sigma=tuple(x.mpc().real for x in sigma),
                            phi=tuple(tuple(x.mpc() for x in p) for p in phi),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import (ConsistencyError, ConstraintError, DegenerateError,
+from .errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
 from .polys import below, gauss_floats, json_complex, largest, negligible, residual_tol, zero_bits
@@ -132,9 +132,11 @@ def params_from_weight(p, n):
 def y_closed(p, vt, n):
     """Closed form of y_n through the Verblunsky coefficients.
 
-    Refused when a - b q^{n+1} cancels relative to its two terms, or when
-    alpha_{n+1} is zero at working precision.
+    Needs 0 <= n < vt.N.  Refused when a - b q^{n+1} cancels relative to
+    its two terms, or when alpha_{n+1} is zero at working precision.
     """
+    if not 0 <= n < vt.N:
+        raise DegreeError(f"y_n needs 0 <= n <= {vt.N - 1}, got {n}")
     bq = p.b * p.q ** (n + 1)
     lam = p.a - bq
     if abs(lam) <= mp.ldexp(abs(p.a) + abs(bq), -zero_bits()):
@@ -311,7 +313,10 @@ def phi_orbit(coords, sp, k):
     r4 = gt2 / (gq * c4 * gk1)
     pref = c1 * c2 / (gq * gk1 * gt1)
 
-    gy, gxi = gauss_floats([coords.y, coords.xi])
+    try:
+        gy, gxi = gauss_floats([coords.y, coords.xi])
+    except ValueError:  # the exact conversion refuses inf and nan
+        raise DomainError("orbit coordinates must be finite") from None
     for j in range(k):
         if j:
             sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
@@ -360,22 +365,20 @@ def _lin(u, P, v, R):
     return out
 
 
-def matrix_step(A, sp, tol=None):
+def matrix_step(A, sp):
     """One Painleve step on the matrix itself: A -> B(qz) A(z) adj B(z) / (z Delta).
 
     A must carry degree-1 e12 and e21 = z (gamma z + beta); it is first
     diagonally conjugated so e12 is monic, then B is assembled from beta.
-    Every entry of the product must be divisible by z, which is checked.
-    The normalization, Delta and both products run on GaussFloat, and
-    each entry is rounded once.
+    Every entry of the product must be divisible by z, which is checked
+    relative to the entry's scale at `residual_tol()`.  The normalization,
+    Delta and both products run on GaussFloat, and each entry is rounded
+    once.
     """
-    tol = residual_tol() if tol is None else tol
-    if not tol < mp.inf:  # nan fails the gate, and inf has no exact form
-        raise ConsistencyError(f"divisibility tolerance {tol} cannot certify the step")
     bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
     e11, e12, e21, e22 = _entries(A)
     q, k1, k2, t1, t2, zero, one, gtol = gauss_floats(
-        [sp.q, sp.k1, sp.k2, sp.t1, sp.t2, 0, 1, tol])
+        [sp.q, sp.k1, sp.k2, sp.t1, sp.t2, 0, 1, residual_tol()])
     e12 = _trimmed(e12, bits)
     if len(e12) != 2:
         raise GaugeError("e12 must have exact degree 1 to normalize the gauge")

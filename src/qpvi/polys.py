@@ -330,16 +330,8 @@ def autocorr(x, K):
 def padd(p, r, s=1):
     """p + s*r, aligned by degree."""
     n, m = len(p), len(r)
-    if s == 1:
-        head = [x + y for x, y in zip(p, r)]
-        tail = [+y for y in r[n:]]
-    elif s == -1:
-        head = [x - y for x, y in zip(p, r)]
-        tail = [-y for y in r[n:]]
-    else:
-        head = [x + s * y for x, y in zip(p, r)]
-        tail = [s * y for y in r[n:]]
-    return head + [+x for x in p[m:]] + tail
+    return ([x + s * y for x, y in zip(p, r)] + [+x for x in p[m:]]
+            + [s * y for y in r[n:]])
 
 
 def pscale(p, s):

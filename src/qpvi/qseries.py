@@ -103,7 +103,10 @@ def qpoch_inf(z, q):
     if not 0 <= q < 1:
         raise ConvergenceError(f"q-Pochhammer product diverges for q = {mp.nstr(q, 8)}")
     tol2 = (1, -2 * (mp.mp.prec + TAIL_BITS))
-    zz, gq, one = gauss_floats([z, q, 1])
+    try:
+        zz, gq, one = gauss_floats([z, q, 1])
+    except ValueError:  # the exact conversion refuses inf and nan
+        raise DomainError("q-Pochhammer product needs a finite z") from None
     out = one
     it = 0
     while below(tol2, zz.norm()):
@@ -116,7 +119,7 @@ def qpoch_inf(z, q):
 
 
 def weight_eval(p, z):
-    """w(z) for z != 0 off the zero set of the denominator products."""
+    """w(z) for finite z != 0 off the zero set of the denominator products."""
     z = mp.mpc(z)
     if z == 0:
         raise DomainError("weight is undefined at z = 0")
@@ -185,19 +188,21 @@ def szego_coefficients(p):
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Normalized moments c_k, k = -K..K, with c_0 = 1.
+    """Normalized moments c_k, k = -K..K, with c_0 = 1, where len(c) = 2K + 1.
 
     A table from `moments` carries the Szego coefficients `g` and their
     `mass`, from which `caratheodory` evaluates F.  A table from the
-    trapezoid rule (`moments_quad`) records its node count `N` instead.
+    trapezoid rule (`moments_quad`) carries neither.
     """
 
     params: QWeightParams
-    K: int
     c: tuple
-    N: int = None
     g: tuple = None
     mass: mp.mpf = None
+
+    @property
+    def K(self):
+        return len(self.c) // 2
 
     def cmom(self, k):
         if abs(k) > self.K:
@@ -236,7 +241,7 @@ def moments(p, K):
     g, mass = szego_coefficients(p)
     pos = [x / mass for x in autocorr(g, K)[1:]]
     cs = [mp.conj(x) for x in reversed(pos)] + [mp.mpc(1)] + pos
-    return MomentTable(params=p, K=K, c=tuple(cs), g=g, mass=mass)
+    return MomentTable(params=p, c=tuple(cs), g=g, mass=mass)
 
 
 def caratheodory(table, z):
@@ -285,7 +290,8 @@ def moments_quad(p, K, N=DEFAULT_NODES):
 
     The rule aliases c_k onto c_{k +- N}, so the truncation error is of
     order r^(N-K) with r = max(|a|, |b|); the guard below rejects requests
-    the grid cannot support at working precision.
+    the grid cannot support at working precision.  The table carries no
+    Szego coefficients, so `caratheodory` refuses it.
     """
     if K < 0 or N <= 2 * K:
         raise DomainError(f"need N > 2K, got N = {N}, K = {K}")
@@ -300,14 +306,14 @@ def moments_quad(p, K, N=DEFAULT_NODES):
     for k in range(-K, K + 1):
         s = mp.fsum(wvals[m] * nodes[m] ** (-k) for m in range(N)) / N
         cs.append(s / c0raw)
-    return MomentTable(params=p, K=K, c=tuple(cs), N=N)
+    return MomentTable(params=p, c=tuple(cs))
 
 
 def caratheodory_quad(p, z, N=DEFAULT_NODES):
-    """F(z) by quadrature against the Poisson-type kernel; needs |z| != 1."""
+    """F(z) by quadrature against the Poisson-type kernel; needs a finite z, |z| != 1."""
     z = mp.mpc(z)
-    if abs(abs(z) - 1) < mp.ldexp(1, -20):
-        raise DomainError("Caratheodory evaluation requires |z| away from 1")
+    if not mp.isfinite(z) or abs(abs(z) - 1) < mp.ldexp(1, -20):
+        raise DomainError("Caratheodory evaluation requires a finite z, |z| away from 1")
     nodes, wvals, c0raw = weight_grid(p, N)
     return mp.fsum(wvals[m] * (nodes[m] + z) / (nodes[m] - z)
                    for m in range(N)) / (N * c0raw)
@@ -316,8 +322,8 @@ def caratheodory_quad(p, z, N=DEFAULT_NODES):
 def caratheodory_series(table, z):
     """F(z) = 1 + 2 sum_{k=1..K} c_k z^k for |z| < 1, with a tail guard."""
     z = mp.mpc(z)
-    if abs(z) >= 1:
-        raise DomainError("moment series for F converges only in |z| < 1")
+    if not abs(z) < 1:  # nan fails too
+        raise DomainError("moment series for F needs a finite z with |z| < 1")
     tail = 2 * abs(z) ** (table.K + 1) / (1 - abs(z))
     if tail > mp.ldexp(1, -zero_bits()):
         raise PrecisionError(

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ChartError, DegenerateError, DomainError, IndeterminacyError
+from .painleve import SurfaceCoords, SurfaceParams
 from .polys import negligible
 
 __all__ = [
@@ -109,12 +110,12 @@ def is_isometry(M):
                for i in range(10) for j in range(10))
 
 
-def check_translation(M=None):
-    """Exact integer verification that M acts as the lattice translation.
+def check_translation():
+    """Exact integer verification that `phi_pic` acts as the lattice translation.
 
     Returns a dict of named boolean checks; `all` aggregates them.
     """
-    M = phi_pic() if M is None else M
+    M = phi_pic()
     k = pic_constants()
     delta, D, al = k["delta"], k["D"], k["alpha"]
     sub = lambda u, v: tuple(a - b for a, b in zip(u, v))
@@ -294,8 +295,7 @@ def bpoint_from_surface(sp, coords):
 
 
 def surface_from_bpoint(pt):
-    """Inverse dictionary; imports locally to avoid a module cycle."""
-    from .painleve import SurfaceCoords, SurfaceParams
+    """Inverse dictionary, from the b-chart to surface parameters/coordinates."""
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
     q = (b1 * b2 * b7 * b8) / (b3 * b4 * b5 * b6)
     sp = SurfaceParams(k1=1 / b7, k2=q / b8, t1=b1 * b2 / b5, t2=b1 * b2 / b6,

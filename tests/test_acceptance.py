@@ -64,7 +64,7 @@ def test_11_weyl_word_matches_step(ctx):
     _run(ctx, verify.check_11_composite)
 
 
-def test_12_szego_function_and_u_fit(ctx):
+def test_12_weight_identities(ctx):
     _run(ctx, verify.check_12_weight_identities)
 
 

@@ -59,7 +59,7 @@ class TestExitCodes:
 
 class TestMoments:
     def test_json_envelope(self, capsys):
-        code, out = run(capsys, ["moments", *WEIGHT, "--N", "4"])
+        code, out = run(capsys, ["moments", *WEIGHT, "--K", "14"])
         assert code == 0
         doc = json.loads(out)
         assert set(doc) == {"version", "config", "data"}
@@ -68,9 +68,14 @@ class TestMoments:
         assert len(doc["data"]["c"]) == 29
         assert doc["data"]["c"][14] == [1.0, 0.0]
 
+    def test_default_range(self, capsys):
+        code, out = run(capsys, ["moments", *WEIGHT])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["K"] == doc["data"]["K"] == 46 and "N" not in doc["config"]
+
     def test_csv(self, capsys):
-        code, out = run(capsys, ["moments", *WEIGHT, "--N", "4", "--K", "3",
-                                 "--format", "csv"])
+        code, out = run(capsys, ["moments", *WEIGHT, "--K", "3", "--format", "csv"])
         assert code == 0
         lines = out.splitlines()
         assert lines[0].startswith("# qpvi ")
@@ -287,7 +292,7 @@ class TestBadInput:
 
 # the exact option set of each subcommand: a new or lost flag fails here
 OPTIONS = {
-    "moments": {"--a", "--b", "--q", "--N", "--K", "--prec", "--format", "--out"},
+    "moments": {"--a", "--b", "--q", "--K", "--prec", "--format", "--out"},
     "verblunsky": {"--a", "--b", "--q", "--N", "--prec", "--format", "--out"},
     "lax": {"--a", "--b", "--q", "--N", "--prec", "--tol", "--out"},
     "orbit": {"--a", "--b", "--q", "--prec", "--n-start", "--steps", "--out"},
@@ -299,7 +304,7 @@ OPTIONS = {
 
 # cheap base runs; a flag given twice takes its last value
 BASE = {
-    "moments": ["moments", "--N", "2", "--prec", "64"],
+    "moments": ["moments", "--K", "10", "--prec", "64"],
     "verblunsky": ["verblunsky", "--N", "3", "--prec", "64"],
     "lax": ["lax", "--N", "1", "--prec", "64"],
     "orbit": ["orbit", "--n-start", "2", "--steps", "1", "--prec", "64"],
@@ -313,7 +318,7 @@ FLAG_VALUES = [
     *((cmd, flag, v1, v2) for cmd in ("moments", "verblunsky", "lax", "orbit")
       for flag, v1, v2 in (("--a", "0.3,0.2", "0.2,0.3"), ("--b", "0.5", "0.4"),
                            ("--q", "0.5", "0.4"))),
-    ("moments", "--N", "2", "3"), ("moments", "--K", "3", "4"),
+    ("moments", "--K", "3", "4"),
     ("moments", "--prec", "53", "128"),
     ("verblunsky", "--N", "3", "4"), ("verblunsky", "--prec", "53", "128"),
     ("lax", "--N", "1", "2"), ("lax", "--prec", "64", "128"),
@@ -362,7 +367,7 @@ def _subcommands():
 class TestContract:
     def test_option_sets(self):
         assert _subcommands() == OPTIONS
-        assert sum(len(opts) for opts in OPTIONS.values()) == 64
+        assert sum(len(opts) for opts in OPTIONS.values()) == 63
 
     def test_every_value_flag_is_exercised(self):
         # --format and --out have their own tests, and verify-all's flags

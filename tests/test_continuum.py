@@ -45,26 +45,15 @@ POINTS = ((mp.mpf("0.7"), mp.mpc("0.3", "0.1"), mp.mpc("1.2", "-0.2")),
 
 
 class TestLimitParams:
-    def test_constraint_enforced(self):
-        with mp.workprec(128):
-            with pytest.raises(ConstraintError):
-                continuum.LimitParams(K1=mp.mpf("0.4"), K2=mp.mpf("-0.3"),
-                                      Th1=mp.mpf("1.0"), Th2=mp.mpf("0.25"),
-                                      C=tuple(mp.mpf(x) for x in
-                                              ("0.15", "-0.2", "0.35", "0.2")))
-
     def test_nan_exponent_rejected(self):
-        # a nan gap must fail the constraint, not pass it
         with mp.workprec(128):
             C = tuple(mp.mpf(x) for x in ("0.15", "-0.2", "0.35", "0.2"))
-            with pytest.raises(ConstraintError):
-                continuum.LimitParams.from_theta2(K1=mp.mpf("0.4"), K2=mp.nan,
-                                                  Th2=mp.mpf("0.25"), C=C)
-
-    def test_from_theta2(self, ref):
-        lp, _ = ref
-        gap = lp.K1 + lp.K2 + mp.fsum(lp.C) - lp.Th1 - lp.Th2
-        assert abs(gap) < 1e-30
+            for bad in (mp.nan, mp.inf, mp.mpc(0, -mp.inf)):
+                with pytest.raises(ConstraintError, match="finite"):
+                    continuum.LimitParams(K1=mp.mpf("0.4"), K2=bad, Th2=mp.mpf("0.25"), C=C)
+                with pytest.raises(ConstraintError, match="finite"):
+                    continuum.LimitParams(K1=mp.mpf("0.4"), K2=mp.mpf("-0.3"),
+                                          Th2=mp.mpf("0.25"), C=C[:3] + (bad,))
 
 
 class TestVectorField:
@@ -131,6 +120,12 @@ class TestEmbedding:
         with pytest.raises(DomainError):
             continuum.discrete_orbit(lp, mp.mpf("0.01"), mp.mpf("0.4"),
                                      mp.mpf("0.8"), w["u0"], w["v0"])
+
+    def test_non_finite_start_rejected(self, ref):
+        lp, w = ref
+        for u0, v0 in ((mp.nan, w["v0"]), (w["u0"], mp.mpc(mp.inf, 0))):
+            with pytest.raises(DomainError, match="finite"):
+                continuum.discrete_orbit(lp, mp.mpf("0.01"), w["t0"], w["t1"], u0, v0)
 
 
 class TestIntegration:

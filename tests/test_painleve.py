@@ -4,8 +4,9 @@ import mpmath as mp
 import pytest
 
 from qpvi import continuum, laxpair, painleve, polys, verify, weyl
-from qpvi.errors import (ConsistencyError, ConstraintError, DegenerateError, DomainError,
-                         GaugeError, IndeterminacyError, QpviError, SingularGaugeError)
+from qpvi.errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
+                         DomainError, GaugeError, IndeterminacyError, QpviError,
+                         SingularGaugeError)
 from qpvi.polys import mat_det, padd, pmax, pscale
 
 
@@ -200,6 +201,13 @@ class TestCoordinates:
             yc = painleve.y_closed(ref_params, ctx.vt(), n)
             assert abs(co.y - yc) < 1e-40 * (1 + abs(yc))
 
+    def test_y_closed_order_range(self, ref_params, ctx, prec192):
+        # y_n reads alpha_{n+1}: the table's last order and negative n are refused
+        vt = ctx.vt()
+        for n in (vt.N, -1):
+            with pytest.raises(DegreeError):
+                painleve.y_closed(ref_params, vt, n)
+
     def test_gauge_invariance(self, ref_params, ctx, prec192):
         # conjugating A by a constant diagonal rescales e12/e21 but leaves
         # (y, xi) unchanged
@@ -339,6 +347,16 @@ class TestOrbit:
             co = painleve.SurfaceCoords(y=mp.mpc("0.3"), xi=mp.mpc(1))
             with pytest.raises(DegenerateError, match=zero):
                 painleve.phi_orbit(co, sp, 3)
+
+    @pytest.mark.parametrize("bad", [mp.nan, mp.inf, mp.mpc(0, -mp.inf)])
+    def test_non_finite_coordinates(self, ref_params, ctx, prec192, bad):
+        sp, co = coords_at(ref_params, ctx, 2)
+        for start in (painleve.SurfaceCoords(y=bad, xi=co.xi),
+                      painleve.SurfaceCoords(y=co.y, xi=bad)):
+            with pytest.raises(DomainError, match="finite"):
+                painleve.phi_orbit(start, sp, 3)
+            with pytest.raises(DomainError, match="finite"):
+                painleve.phi_step(start, sp)
 
     def test_zero_and_negative_length(self, ref_params, ctx, prec192):
         sp, co = coords_at(ref_params, ctx, 2)
@@ -518,24 +536,18 @@ class TestGuards:
             painleve.matrix_step(A, sp)
         assert str(err.value) == "gauge matrix B is singular: Delta ~ 0"
 
-    def test_not_divisible_by_z(self, ref_params, ctx, prec192):
+    def test_not_divisible_by_z(self, ref_params, ctx, prec192, monkeypatch):
         # e21(0) = 2^-100 passes the e21 guard, but leaves z^0 terms of
-        # about 2^-100 in the product, above a tolerance of 2^-150
+        # about 2^-100 in the product: under the default gate 2^-64, above
+        # a gate of 2^-150
         sp, (e11, e12, e21, e22) = self.fit3(ref_params, ctx)
         A = [e11, e12, [mp.mpf(2) ** -100 / e12[1]] + list(e21[1:]), e22]
         painleve.matrix_step(A, sp)
+        monkeypatch.setattr(painleve, "residual_tol", lambda: mp.mpf(2) ** -150)
         with pytest.raises(ConsistencyError) as err:
-            painleve.matrix_step(A, sp, tol=mp.mpf(2) ** -150)
+            painleve.matrix_step(A, sp)
         assert str(err.value) == ("conjugated matrix is not divisible by z; "
                                   "gauge data inconsistent")
-
-    def test_non_finite_tolerance(self, ref_params, ctx, prec192):
-        # a nan tolerance fails the divisibility gate, as it fails the fit's
-        sp, A = self.fit3(ref_params, ctx)
-        with pytest.raises(ConsistencyError):
-            painleve.matrix_step(A, sp, tol=mp.nan)
-        with pytest.raises(QpviError):
-            painleve.matrix_step(A, sp, tol=mp.inf)
 
 
 class TestFactorizations:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import random
 from pathlib import Path
@@ -10,7 +11,7 @@ from mpmath import ctx_mp_python
 from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_pos, mpf_sum
 
 import qpvi
-from qpvi import laxpair, opuc, painleve, polys, qseries
+from qpvi import continuum, laxpair, opuc, painleve, polys, qseries, weyl
 from qpvi.errors import SingularMeasureError
 from qpvi.polys import autocorr, dot, hpd_solve, lstsq, padd, pmax, pmul
 from test_domain_sweep import _context as sweep_context
@@ -163,7 +164,7 @@ class TestHpdSolve:
     def test_indefinite(self, ref_params, prec192):
         # |c_1| > c_0: a Hermitian Toeplitz matrix of no positive measure
         c1 = mp.mpc("1.5", "0.5")
-        table = qseries.MomentTable(params=ref_params, K=2,
+        table = qseries.MomentTable(params=ref_params,
                                     c=(mp.mpc(0), mp.conj(c1), mp.mpc(1), c1, mp.mpc(0)))
         M = _toeplitz(table, 2)
         assert M[0][1] == mp.conj(M[1][0])
@@ -568,6 +569,24 @@ class TestPolicy:
             assert "extraprec" not in text, path.name
         assert "tol" not in inspect.signature(painleve.extract_coords).parameters
         assert "hpd_solve(" in inspect.getsource(polys.lstsq)
+
+    def test_removed_options(self):
+        # each gate reads residual_tol(), the sizes come from the tables'
+        # own tuples, and Th1 follows from the linear constraint
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        def fields(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert params(painleve.matrix_step) == ["A", "sp"]
+        assert params(laxpair.lstsq_spectral_matrix) == ["p", "vt", "n"]
+        assert params(weyl.check_translation) == []
+        assert fields(continuum.LimitParams) == ["K1", "K2", "Th2", "C"]
+        assert not hasattr(continuum.LimitParams, "from_theta2")
+        assert fields(qseries.MomentTable) == ["params", "c", "g", "mass"]
+        assert fields(opuc.VerblunskyTable) == ["moments", "alpha", "sigma", "phi", "psi"]
+        assert not hasattr(opuc, "star")
 
     def test_levels_at_192_bits(self):
         with mp.workprec(192):

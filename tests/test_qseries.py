@@ -30,6 +30,11 @@ class TestQPochhammer:
         with pytest.raises(ConvergenceError):
             qseries.qpoch_inf(mp.mpc(1), mp.mpf("1.0"))
 
+    @pytest.mark.parametrize("z", [mp.nan, mp.inf, mp.mpc("0.2", mp.nan)])
+    def test_non_finite_argument(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            qseries.qpoch_inf(z, mp.mpf("0.5"))
+
 
 class TestWeight:
     def test_param_validation(self):
@@ -56,6 +61,11 @@ class TestWeight:
     def test_zero_argument_rejected(self, ref_params):
         with pytest.raises(DomainError):
             qseries.weight_eval(ref_params, mp.mpc(0))
+
+    @pytest.mark.parametrize("z", [mp.nan, mp.inf, mp.mpc(0, -mp.inf)])
+    def test_non_finite_argument(self, ref_params, z):
+        with pytest.raises(DomainError, match="finite"):
+            qseries.weight_eval(ref_params, z)
 
     def test_szego_function_factorization(self, ref_params, prec192):
         # w(e^{i theta}) = |G(e^{i theta})|^2: products against the Szego series
@@ -167,7 +177,7 @@ class TestSzegoSeries:
     def test_moments_match_quadrature(self, a, b, prec192):
         p = _weight(a, b, "0.3")
         series, quad = qseries.moments(p, K=20), qseries.moments_quad(p, K=20, N=192)
-        assert quad.N == 192 and series.N is None
+        assert quad.K == series.K == 20 and quad.g is None
         assert max(abs(x - y) for x, y in zip(series.c, quad.c)) <= 1e-50
 
     def test_caratheodory_matches_quadrature(self, ref_params, table, prec192):
@@ -186,15 +196,20 @@ class TestSzegoSeries:
         with pytest.raises(DomainError):
             qseries.caratheodory(table, mp.exp(1j * mp.mpf("0.3")))
         # a table without Szego coefficients, as moments_quad returns
-        bare = qseries.MomentTable(params=ref_params, K=0, c=(mp.mpc(1),), N=64)
+        bare = qseries.MomentTable(params=ref_params, c=(mp.mpc(1),))
         with pytest.raises(DomainError):
             qseries.caratheodory(bare, mp.mpc("0.2"))
 
     @pytest.mark.parametrize("z", [mp.nan, mp.inf, mp.mpc("0.2", mp.nan), mp.mpc(-mp.inf, 0)])
     def test_caratheodory_non_finite(self, table, z):
-        # both |z| guards compare false on nan, and inf maps to 1/conj(z) = 0
+        # every |z| guard compares false on nan, and inf maps to 1/conj(z) = 0;
+        # the two oracles of F refuse it as the series route does
         with pytest.raises(DomainError, match="finite"):
             qseries.caratheodory(table, z)
+        with pytest.raises(DomainError, match="finite"):
+            qseries.caratheodory_quad(table.params, z)
+        with pytest.raises(DomainError, match="finite"):
+            qseries.caratheodory_series(table, z)
 
     def test_iteration_cap(self, ref_params, monkeypatch):
         monkeypatch.setattr(qseries, "_MAX_TERMS", 20)
