@@ -46,9 +46,7 @@ One study reference is 242 right-hand-side evaluations, about 1.3 ms on
 the same VM.
 
 The right-hand side is typed once, in `_field`.  `ode_rhs` evaluates it
-on mpmath numbers and the solver on Python complex numbers;
-`rhs_discrete_residual` certifies it against a finite difference of the
-discrete step, an independent route to the same vector field.
+on mpmath numbers and the solver on Python complex numbers.
 """
 
 import math
@@ -59,11 +57,13 @@ from operator import mul, truediv
 import mpmath as mp
 
 from .errors import ConstraintError, DomainError, SingularityError, StepFailure
-from .painleve import SurfaceCoords, SurfaceParams, phi_orbit, phi_step
+from .painleve import SurfaceCoords, SurfaceParams, phi_orbit
+# phi_step stays bound here; perfbench/selftest.py wraps this binding
+from .painleve import phi_step  # noqa: F401
 
 __all__ = [
     "LimitParams", "REFERENCE_LIMIT", "reference_limit", "ode_rhs", "discrete_step_params",
-    "discrete_orbit", "rhs_discrete_residual", "Trajectory", "integrate",
+    "discrete_orbit", "Trajectory", "integrate",
     "limit_check", "LimitReport", "ORDER_TOL", "V_COLLAPSE",
 ]
 
@@ -166,27 +166,6 @@ def discrete_orbit(lp, eps, t0, t1, u0, v0):
     coords = SurfaceCoords(y=1 + eps * mp.mpc(u0), xi=mp.mpc(v0))
     coords, _ = phi_orbit(coords, sp, k)
     return k, t_end, (coords.y - 1) / eps, coords.xi
-
-
-def rhs_discrete_residual(lp, t, u, v, eps=mp.mpf("1e-12"), prec=360):
-    """Finite-difference certificate that the limit system matches the step.
-
-    One discrete step moves t by -eps t, so (u', v') - (u, v) over that
-    increment approximates the derivative to O(eps); evaluated at high
-    precision this pins the right-hand side to ~eps relative accuracy.
-    """
-    with mp.workprec(prec):
-        t, u, v = mp.mpf(t), mp.mpc(u), mp.mpc(v)
-        eps = mp.mpf(eps)
-        sp = discrete_step_params(lp, eps, t)
-        coords = SurfaceCoords(y=1 + eps * u, xi=v)
-        new, _ = phi_step(coords, sp)
-        dt = -eps * t
-        du_fd = ((new.y - 1) / eps - u) / dt
-        dv_fd = (new.xi - v) / dt
-        du, dv = ode_rhs(lp, t, u, v)
-        return max(abs(du - du_fd) / (1 + abs(du)),
-                   abs(dv - dv_fd) / (1 + abs(dv)))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DegenerateError, DomainError, SingularMeasureError
-from .polys import (below, dot, gauss_dot, gauss_floats, hpd_solve, json_complex,
+from .polys import (LDLFactor, below, dot, gauss_dot, gauss_floats, json_complex,
                     padd, peval, pmax, pmul, pstar, zero_bits)
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
@@ -133,23 +133,34 @@ def verblunsky_toeplitz(table, n):
 
     Solves c_{k-n} + sum_{j<n} y_j c_{k-j} = 0, k = 0..n-1, for the monic
     least-squares polynomial and reads alpha_n = phi_n(0) = y_0.  The
-    matrix (c_{k-j}) is Hermitian positive definite for a positive measure
-    and is solved by plain LDL^H elimination (`polys.hpd_solve`), never by
-    Levinson or Szego, so this route stays independent of the recursion.
-    Its D is sigma_0..sigma_{n-1} (Simon, OPUC vol. 1, 1.5); a pivot that
-    is not positive at working precision raises SingularMeasureError.
+    matrix T_n = (c_{k-j}) is Hermitian positive definite for a positive
+    measure and is solved by dense LDL^H elimination on its entries
+    (`polys.LDLFactor`), never by Levinson or Szego, so this route stays
+    independent of the recursion.  Its D is sigma_0..sigma_{n-1} (Simon,
+    OPUC vol. 1, 1.5).
+
+    T_n is the leading block of T_{n+1}, so the table keeps one factor per
+    working precision and rounding mode and grows it to row n: a sweep
+    over orders 1..N costs O(N^3) in all.  Row n of L is conj(D^-1 L^-1
+    rhs), so y = L^-H conj(L_n) is one back substitution.  Order n grows
+    the factor of T_{n+1}, and a pivot that is not positive at working
+    precision raises SingularMeasureError.
     """
     if n < 1:
         raise DomainError("Toeplitz route needs n >= 1")
     if table.K < n:
         raise DomainError(f"need K >= {n} moments")
-    M = [[table.cmom(k - j) for j in range(n)] for k in range(n)]
-    rhs = [table.cmom(k - n) for k in range(n)]
+    key = tuple(mp.mp._prec_rounding)
+    if key not in table._toeplitz:
+        table._toeplitz.clear()
+        table._toeplitz[key] = (LDLFactor.entries(table.c), LDLFactor())
+    c, F = table._toeplitz[key]
     try:
-        y = hpd_solve(M, rhs)
+        for i in range(len(F.d), n + 1):
+            F.grow([c[table.K + i - j] for j in range(i + 1)])
     except ZeroDivisionError as exc:
         raise SingularMeasureError("Toeplitz system is not positive definite") from exc
-    return -y[0]
+    return -F.back([x.conj() for x in F.L[n]])[0].mpc()
 
 
 def orthogonality_residual(vt, upto=None):

@@ -30,11 +30,13 @@ weights chain runs on it: the Szego series and q-Pochhammer products
 converting its mpf/mpc inputs once with `gauss_floats` and rounding each
 output once with `GaussFloat.mpc`.
 
-One dense solver works on plain lists too: `hpd_solve`, LDL^H for
-Hermitian positive definite systems such as Toeplitz moment matrices,
-with `GUARD_BITS` and every inner product formed by `dot`.  `lstsq` hands
-it the normal equations of an overdetermined fit, formed exactly and
-rounded once.
+One dense solver runs on GaussFloat too: `LDLFactor`, LDL^H for
+Hermitian positive definite matrices such as Toeplitz moment matrices,
+grown one bordered row at a time, so a factor of order n extends the one
+of order n - 1.  Each entry is an exact Gaussian-integer sum cut once.
+`hpd_solve` grows it over a matrix given as lists and solves, and `lstsq`
+hands it the normal equations of an overdetermined fit, formed exactly
+and rounded once.
 
 Every precision guard of the package reads its threshold from the policy
 after the imports, and keeps its own comparison (< or <=) and scale: the
@@ -42,7 +44,8 @@ zero level 2^-zero_bits() = 2^-(prec//2) of a scale (`negligible`, or
 2 zero_bits() bits through `below` on squared norms); the certificate
 level `residual_tol()` = 2^-(prec//3); the series tail 2^-(prec + 8),
 `TAIL_BITS` = 8, of `qpoch_inf` and `szego_coefficients`; `GUARD_BITS` =
-10; and mp.eps for `alpha_nonzero` and the pivots of `hpd_solve`.
+10, twice over in `LDLFactor`; and mp.eps for `alpha_nonzero` and the
+pivots of `LDLFactor`.
 """
 
 from math import isqrt
@@ -56,7 +59,8 @@ from .errors import DegreeError
 __all__ = [
     "padd", "pscale", "pmul", "pq", "peval", "pstar", "pmax", "mat_mul", "mat_det",
     "mat_q", "mat_max", "mat_qdiff_residual", "json_complex", "dot", "autocorr",
-    "lstsq", "hpd_solve", "GaussFloat", "gauss_floats", "gauss_dot", "below", "largest",
+    "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
+    "largest",
     "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
 ]
 
@@ -239,8 +243,8 @@ def _cut(re, im, e, p):
 def gauss_floats(xs, p=None):
     """Each of xs (mpf, mpc or numbers) as an exact GaussFloat.
 
-    Operations on the results keep p bits, by default mp.prec + GUARD_BITS,
-    the guard of `hpd_solve` below.  Each value converts as `_gauss`
+    Operations on the results keep p bits, by default mp.prec + GUARD_BITS.
+    Each value converts as `_gauss`
     converts a one-entry vector; inf and nan raise ValueError.
     """
     if p is None:
@@ -493,34 +497,87 @@ def lstsq(rows, rhs):
     return hpd_solve(M, [_gdot(b, ci, True) for ci in cols])
 
 
+def _fms(b, xs, ys, conjugate=False):
+    """b - sum_k xs_k ys_k, or b - sum_k xs_k conj(ys_k), for GaussFloats:
+    exact, then one cut to b's precision."""
+    es = [x.e + y.e for x, y in zip(xs, ys)]
+    e = min(es + [b.e])
+    re, im = b.re << (b.e - e), b.im << (b.e - e)
+    for x, y, f in zip(xs, ys, es):
+        yi = -y.im if conjugate else y.im
+        re -= (x.re * y.re - x.im * yi) << (f - e)
+        im -= (x.re * yi + x.im * y.re) << (f - e)
+    return _cut(re, im, e, b.p)
+
+
+class LDLFactor:
+    """M = L D L^H for Hermitian positive definite M, grown one bordered row at a time.
+
+    `grow` takes row i of M's lower triangle, M_i0 .. M_ii as GaussFloats
+    from `entries`, and appends row i of the unit lower triangular L (its
+    entries L_i0 .. L_i(i-1) in `L[i]`) and the real pivot d_i to `d`.  The
+    rows before i are the factor of M's leading i x i block, so the factor
+    of a growing matrix is extended, never recomputed: row i costs O(i^2),
+    and n rows O(n^3) in all.  Bordering solves conj(L) u = row by forward
+    substitution, so u_j = L_ij d_j, and d_i = M_ii - sum_j u_j conj(L_ij);
+    each entry is an exact sum cut once (`_fms`).  A pivot d_i not above
+    eps Re M_ii, with eps read at the working precision and compared
+    exactly, is not positive at that precision and raises ZeroDivisionError;
+    the factor keeps the rows it has.
+    """
+
+    __slots__ = ("L", "d")
+
+    def __init__(self):
+        self.L, self.d = [], []
+
+    @staticmethod
+    def entries(xs):
+        """xs as exact GaussFloats whose operations keep prec + 2 GUARD_BITS bits.
+
+        The Toeplitz oracle's alpha_n is a cancellation of moments up to
+        2^51 times larger in perfbench's `weights` requests; the second
+        GUARD_BITS keep its error under that of an elimination on mpc
+        rounding each part to nearest at prec + GUARD_BITS.
+        """
+        return gauss_floats(xs, mp.mp.prec + 2 * GUARD_BITS)
+
+    def grow(self, row):
+        u = []
+        for j, Lj in enumerate(self.L):
+            u.append(_fms(row[j], u, Lj, True))
+        Li = [x / dj for x, dj in zip(u, self.d)]
+        di = _fms(row[-1], u, Li, True)
+        # d_i <= eps Re M_ii with eps = 2^(1 - prec), on exact integers
+        m, f = row[-1].re, row[-1].e + 1 - mp.mp.prec
+        e = min(di.e, f)
+        if di.re << (di.e - e) <= m << (f - e):
+            raise ZeroDivisionError(f"LDL^H pivot {len(self.d)} is not positive")
+        self.L.append(Li)
+        self.d.append(GaussFloat(di.re, 0, di.e, di.p))
+
+    def back(self, w):
+        """x with L^H x = w, for the leading len(w) x len(w) block of L."""
+        n = len(w)
+        x = [None] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = _fms(w[i], x[i + 1:], [self.L[k][i] for k in range(i + 1, n)], True)
+        return x
+
+
 def hpd_solve(M, rhs):
     """Solve M x = rhs for Hermitian positive definite M by LDL^H.
 
     Reads the lower triangle of M (a list of rows) and the real part of its
-    diagonal.  M = L D L^H with L unit lower triangular and D real; a pivot
-    d_j not above eps M_jj is not positive at working precision and raises
-    ZeroDivisionError, so an indefinite or singular M is refused.
+    diagonal, converts each entry once (`LDLFactor.entries`) and grows an
+    `LDLFactor` over the rows: an indefinite or singular M raises
+    ZeroDivisionError.  Then L z = rhs and L^H x = D^-1 z, each entry an
+    exact sum cut once; x is rounded once at the working precision.
     """
-    n = len(M)
-    tol = mp.eps
-    with mp.extraprec(GUARD_BITS):
-        L = [[] for _ in range(n)]  # L[i] holds L_i0 .. L_i(i-1)
-        d = []
-        for j in range(n):
-            # the multipliers of column j, converted once for all its rows
-            w = _gauss([mp.conj(L[j][k]) * d[k] for k in range(j)])
-            mjj = mp.re(M[j][j])
-            dj = mjj - mp.re(_gdot(_gauss(L[j]), w))
-            if not dj > tol * mjj:
-                raise ZeroDivisionError(f"LDL^H pivot {j} is not positive")
-            d.append(dj)
-            for i in range(j + 1, n):
-                L[i].append((M[i][j] - _gdot(_gauss(L[i]), w)) / dj)
-        z = []
-        for i in range(n):
-            z.append(rhs[i] - dot(L[i], z))
-        x = [mp.mpc(0)] * n
-        for i in range(n - 1, -1, -1):
-            x[i] = z[i] / d[i] - dot(x[i + 1:], [L[k][i] for k in range(i + 1, n)],
-                                     conjugate=True)
-    return [+xi for xi in x]
+    F = LDLFactor()
+    for i, row in enumerate(M):
+        F.grow(F.entries(row[:i + 1]))
+    z = []
+    for b, Li in zip(F.entries(rhs), F.L):
+        z.append(_fms(b, z, Li))
+    return [x.mpc() for x in F.back([zi / di for zi, di in zip(z, F.d)])]

@@ -200,6 +200,14 @@ class MomentTable:
     g: tuple = None
     mass: mp.mpf = None
 
+    def __post_init__(self):
+        if len(self.c) % 2 == 0:
+            raise DomainError(f"moment table needs c_-K..c_K, an odd length, got {len(self.c)}")
+        # {(prec, rounding): (converted moments, growing LDL^H of (c_{k-j}))},
+        # kept by `opuc.verblunsky_toeplitz`.  Not a field, so ==, hash and
+        # repr ignore it; `dataclasses.replace` runs this again and starts empty
+        object.__setattr__(self, "_toeplitz", {})
+
     @property
     def K(self):
         return len(self.c) // 2

@@ -31,6 +31,29 @@ def rk4_endpoint(lp, t0, t1, u0, v0, nsteps):
     return u, v
 
 
+def rhs_discrete_residual(lp, t, u, v, eps=mp.mpf("1e-12"), prec=360):
+    """Finite-difference certificate that the limit system matches the step.
+
+    One discrete step moves t by -eps t, so (u', v') - (u, v) over that
+    increment approximates the derivative to O(eps); evaluated at high
+    precision this pins the right-hand side to ~eps relative accuracy.  The
+    finite difference of the discrete step is a route to the vector field
+    independent of `ode_rhs`: a test oracle.
+    """
+    with mp.workprec(prec):
+        t, u, v = mp.mpf(t), mp.mpc(u), mp.mpc(v)
+        eps = mp.mpf(eps)
+        sp = continuum.discrete_step_params(lp, eps, t)
+        coords = painleve.SurfaceCoords(y=1 + eps * u, xi=v)
+        new, _ = painleve.phi_step(coords, sp)
+        dt = -eps * t
+        du_fd = ((new.y - 1) / eps - u) / dt
+        dv_fd = (new.xi - v) / dt
+        du, dv = continuum.ode_rhs(lp, t, u, v)
+        return max(abs(du - du_fd) / (1 + abs(du)),
+                   abs(dv - dv_fd) / (1 + abs(dv)))
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("orbit started before the window was checked")
 
@@ -62,8 +85,7 @@ class TestVectorField:
         # to the field, pins ode_rhs to about eps at 600 bits
         lp, _ = ref
         for t, u, v in POINTS:
-            assert continuum.rhs_discrete_residual(lp, t, u, v, eps="1e-60",
-                                                   prec=600) < 1e-45
+            assert rhs_discrete_residual(lp, t, u, v, eps="1e-60", prec=600) < 1e-45
 
     def test_solver_evaluates_the_same_field(self, ref, prec192):
         # the solver's complex evaluation against ode_rhs on mpmath
@@ -85,8 +107,7 @@ class TestVectorField:
     def test_discrete_derivative_certificate(self, ref):
         # (x(qt) - x(t)) / (eps t) reproduces the vector field as eps -> 0
         lp, w = ref
-        r = continuum.rhs_discrete_residual(lp, mp.mpf(str(w["t0"])),
-                                            w["u0"], w["v0"])
+        r = rhs_discrete_residual(lp, mp.mpf(str(w["t0"])), w["u0"], w["v0"])
         assert r < 1e-10
 
 

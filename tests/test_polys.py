@@ -108,32 +108,6 @@ def _toeplitz(table, n):
     return [[table.cmom(k - j) for j in range(n)] for k in range(n)]
 
 
-def _old_hpd_solve(M, rhs):
-    """`hpd_solve` as it was, converting column j's multipliers once per row."""
-    n = len(M)
-    tol = mp.eps
-    with mp.extraprec(10):
-        L = [[] for _ in range(n)]
-        d = []
-        for j in range(n):
-            w = [mp.conj(L[j][k]) * d[k] for k in range(j)]
-            mjj = mp.re(M[j][j])
-            dj = mjj - mp.re(dot(L[j], w))
-            if not dj > tol * mjj:
-                raise ZeroDivisionError(f"LDL^H pivot {j} is not positive")
-            d.append(dj)
-            for i in range(j + 1, n):
-                L[i].append((M[i][j] - dot(L[i], w)) / dj)
-        z = []
-        for i in range(n):
-            z.append(rhs[i] - dot(L[i], z))
-        x = [mp.mpc(0)] * n
-        for i in range(n - 1, -1, -1):
-            x[i] = z[i] / d[i] - dot(x[i + 1:], [L[k][i] for k in range(i + 1, n)],
-                                     conjugate=True)
-    return [+xi for xi in x]
-
-
 class TestHpdSolve:
     @pytest.mark.parametrize("a,b", WEIGHTS)
     def test_matches_lu_solve_on_toeplitz(self, a, b, prec192):
@@ -146,15 +120,24 @@ class TestHpdSolve:
             got = hpd_solve(M, rhs)
             assert max(abs(got[j] - want[j]) for j in range(n)) <= 1e-50
 
-    @pytest.mark.parametrize("a,b", WEIGHTS)
-    def test_bit_identical_to_per_row_conversion(self, a, b, prec192):
-        p = qseries.QWeightParams(a=mp.mpc(*a), b=mp.mpc(*b), q=mp.mpf("0.5"))
-        table = qseries.moments(p, K=14)
-        for n in (1, 6, 14):
-            M = _toeplitz(table, n)
-            rhs = [table.cmom(k - n) for k in range(n)]
-            assert ([x._mpc_ for x in hpd_solve(M, rhs)]
-                    == [x._mpc_ for x in _old_hpd_solve(M, rhs)])
+    def test_within_the_mpc_eliminations_error(self, prec192):
+        # against a 768-bit lu_solve; 1.37e-58 relative is the worst error of
+        # the LDL^H elimination on mpc at prec + 10 bits that the growing
+        # factor replaced
+        worst = 0
+        for a, b in WEIGHTS:
+            p = qseries.QWeightParams(a=mp.mpc(*a), b=mp.mpc(*b), q=mp.mpf("0.5"))
+            table = qseries.moments(p, K=14)
+            for n in (1, 6, 14):
+                M = _toeplitz(table, n)
+                rhs = [table.cmom(k - n) for k in range(n)]
+                got = hpd_solve(M, rhs)
+                with mp.workprec(768):
+                    want = mp.lu_solve(mp.matrix(M), mp.matrix(rhs))
+                    err = (max(abs(got[j] - want[j]) for j in range(n))
+                           / max(abs(want[j]) for j in range(n)))
+                worst = max(worst, err)
+        assert worst <= mp.mpf("1.37e-58")
 
     def test_singular(self, prec192):
         M = [[mp.mpc(1), mp.mpc(1)], [mp.mpc(1), mp.mpc(1)]]
@@ -172,6 +155,72 @@ class TestHpdSolve:
             hpd_solve(M, [mp.mpc(1), mp.mpc(0)])
         with pytest.raises(SingularMeasureError):
             opuc.verblunsky_toeplitz(table, 2)
+
+
+class TestGrowingFactor:
+    """The Toeplitz oracle's LDL^H, grown per moment table."""
+
+    @staticmethod
+    def _weight(a, b):
+        return qseries.QWeightParams(a=mp.mpc(*a), b=mp.mpc(*b), q=mp.mpf("0.5"))
+
+    @pytest.mark.parametrize("a,b", WEIGHTS)
+    def test_sweep_equals_fresh_tables(self, a, b, prec192):
+        p = self._weight(a, b)
+        table = qseries.moments(p, K=14)
+        swept = [opuc.verblunsky_toeplitz(table, n) for n in range(1, 15)]
+        for n, got in enumerate(swept, 1):
+            fresh = opuc.verblunsky_toeplitz(qseries.moments(p, K=14), n)
+            assert got._mpc_ == fresh._mpc_
+
+    def test_precision_switch_starts_afresh(self, prec192):
+        p = self._weight(*WEIGHTS[1])
+        table = qseries.moments(p, K=12)
+        for n in range(1, 13):
+            opuc.verblunsky_toeplitz(table, n)
+        with mp.workprec(768):
+            swept = [opuc.verblunsky_toeplitz(table, n) for n in range(1, 13)]
+            fresh = [opuc.verblunsky_toeplitz(dataclasses.replace(table), n)
+                     for n in range(1, 13)]
+        assert [x._mpc_ for x in swept] == [x._mpc_ for x in fresh]
+
+    def test_indefinite_past_order_1(self, ref_params, prec192):
+        # |c_1| < 1 but (c_{k-j}) of order 3 has the eigenvalue 1 - 1.5 < 0
+        c2 = mp.mpc("1.5")
+        table = qseries.MomentTable(
+            params=ref_params, c=(c2, mp.mpc(0), mp.mpc(1), mp.mpc(0), c2))
+        assert opuc.verblunsky_toeplitz(table, 1) == 0
+        with pytest.raises(SingularMeasureError):
+            opuc.verblunsky_toeplitz(table, 2)
+        assert opuc.verblunsky_toeplitz(table, 1) == 0
+
+    def test_replaced_table_starts_empty(self, prec192):
+        p = self._weight(*WEIGHTS[0])
+        table = qseries.moments(p, K=6)
+        before = opuc.verblunsky_toeplitz(table, 6)
+        cs = list(table.c)
+        cs[0], cs[-1] = cs[0] * mp.mpf("1.01"), cs[-1] * mp.mpf("1.01")  # c_-6, c_6
+        moved = dataclasses.replace(table, c=tuple(cs))
+        got = opuc.verblunsky_toeplitz(moved, 6)
+        fresh = qseries.MomentTable(params=p, c=tuple(cs))
+        assert got != before
+        assert got._mpc_ == opuc.verblunsky_toeplitz(fresh, 6)._mpc_
+
+    def test_sweep_grows_each_row_once(self, monkeypatch, prec192):
+        # orders 1..12 need rows 0..12 of the factor; refactoring at every
+        # order would grow 2 + 3 + ... + 13 = 90 rows
+        rows = [0]
+        grow = polys.LDLFactor.grow
+
+        def counted(self, row):
+            rows[0] += 1
+            return grow(self, row)
+        monkeypatch.setattr(polys.LDLFactor, "grow", counted)
+        table = qseries.moments(self._weight(*WEIGHTS[2]), K=14)
+        for _ in range(2):
+            for n in range(1, 13):
+                opuc.verblunsky_toeplitz(table, n)
+        assert rows[0] == 13
 
 
 # --- the exact kernel: dot, pmul, pmax, autocorr, padd ---------------------
@@ -511,9 +560,10 @@ def test_weights_chain_calls_no_fdot(monkeypatch):
 
 def test_weights_chain_multiplication_count(monkeypatch):
     """The chain of `test_weights_chain_calls_no_fdot` at its weight forms
-    78 mpf and 64 mpc products through mpmath's operators: the Toeplitz
-    oracle's pivot tests, and the parameters of the q-PVI steps.  The mpc
-    chain formed 1,035 and 1,349."""
+    64 mpc products through mpmath's operators, for the parameters of the
+    q-PVI steps; the Toeplitz oracle's pivot tests formed 78 mpf products
+    more before they compared exact integers.  The mpc chain formed 1,035
+    and 1,349."""
     count = [0]
 
     def counted(f):
@@ -537,7 +587,7 @@ def test_weights_chain_multiplication_count(monkeypatch):
             painleve.phi_step(painleve.extract_coords(fits[n].matrix, sp), sp)
             Am, _ = painleve.matrix_step(fits[n].matrix, sp)
             painleve.extract_coords(Am, sp.step())
-    assert 0 < count[0] <= 142
+    assert 0 < count[0] <= 64
 
 
 class TestPolicy:

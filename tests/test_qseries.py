@@ -98,6 +98,12 @@ class TestMoments:
         with pytest.raises(DomainError):
             table.cmom(table.K + 1)
 
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_even_length_refused(self, ref_params, n):
+        # c_0 sits at the centre of c_-K..c_K: an even length has none
+        with pytest.raises(DomainError, match=f"got {n}$"):
+            qseries.MomentTable(params=ref_params, c=tuple(mp.mpc(k + 1) for k in range(n)))
+
     def test_grid_too_small(self, ref_params):
         with pytest.raises(DomainError):
             qseries.moments_quad(ref_params, K=40, N=64)
