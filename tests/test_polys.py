@@ -120,6 +120,25 @@ class TestHpdSolve:
             got = hpd_solve(M, rhs)
             assert max(abs(got[j] - want[j]) for j in range(n)) <= 1e-50
 
+    @pytest.mark.parametrize("a,b", WEIGHTS)
+    def test_bit_identical_to_per_row_conversion(self, a, b, prec192):
+        # one factor of T_14, each row converted as it is grown and each entry
+        # on its own: its leading rows solve every leading block to the bits
+        # of hpd_solve, which converts and factors that block afresh
+        p = qseries.QWeightParams(a=mp.mpc(*a), b=mp.mpc(*b), q=mp.mpf("0.5"))
+        table = qseries.moments(p, K=14)
+        F = polys.LDLFactor()
+        for i, row in enumerate(_toeplitz(table, 14)):
+            F.grow([F.entries([x])[0] for x in row[:i + 1]])
+        for n in (1, 6, 14):
+            rhs = [table.cmom(k - n) for k in range(n)]
+            z = []
+            for bk, Lk in zip(F.entries(rhs), F.L):
+                z.append(polys._fms(bk, z, Lk))
+            want = F.back([zk / dk for zk, dk in zip(z, F.d)])
+            assert ([x._mpc_ for x in hpd_solve(_toeplitz(table, n), rhs)]
+                    == [x.mpc()._mpc_ for x in want])
+
     def test_within_the_mpc_eliminations_error(self, prec192):
         # against a 768-bit lu_solve; 1.37e-58 relative is the worst error of
         # the LDL^H elimination on mpc at prec + 10 bits that the growing
