@@ -43,7 +43,11 @@ A_n = [[P, Q], [Qs, Ps]] together with
     B_n = [[z, alpha_{n+1}], [conj(alpha_{n+1}) z, 1]]
 
 satisfies the compatibility identity A_{n+1}(z) B_n(z) = B_n(qz) A_n(z),
-and det A_n is the fixed multiple -q^n of V(z) W(z).
+and det A_n is the fixed multiple -q^n of V(z) W(z).  Both are checked
+coefficientwise on `polys.ExactPoly`, each side formed exactly from the
+rounded A_n and only the worst coefficient rounded: `check_fundamental`
+for the first and `det_residual`, |det A_n + q^n V W| / (q^n max|V W|),
+for the second.
 
 Theta_n and Theta*_n need alpha_{n+1} != 0.  For small |a| the alpha_n
 decay like |a|^n yet keep most of their bits, so they are refused only
@@ -57,13 +61,13 @@ import mpmath as mp
 
 from .errors import DegreeError, FitError
 from .opuc import epsilon_eval, epsilon_star_eval
-from .polys import (gauss_floats, json_complex, lstsq, mat_det, mat_max, mat_mul, mat_q,
-                    mat_qdiff_residual, padd, peval, pmax, pmul, pq, pscale, residual_tol)
+from .polys import (ExactPoly, gauss_floats, json_complex, lstsq, mat_qdiff_residual, peval,
+                    pmul, pq, pscale, residual_tol)
 from .qseries import vw_polys
 
 __all__ = [
     "SpectralFit", "fit_spectral_matrix", "lstsq_spectral_matrix",
-    "build_B", "check_fundamental", "det_ratio_constant",
+    "build_B", "check_fundamental", "det_residual",
     "epsilon_column_residuals",
 ]
 
@@ -157,11 +161,11 @@ def _coeff_rows(target, lhs, first, second, first_degs, second_degs):
 
 def _eps_taylor(vt, n, D):
     """Taylor coefficients of z^0..z^D of eps_n and eps*_n at the origin."""
-    F = [mp.mpc(1)] + [2 * vt.moments.cmom(k) for k in range(1, D + 1)]
-    ph, st = list(vt.phi[n]), vt.phi_star(n)
-    eps = padd(list(vt.psi[n]), pmul(F, ph))
-    eps_star = padd(vt.psi_star(n), pmul(F, st), -1)
-    return eps[:D + 1], eps_star[:D + 1]
+    X = ExactPoly.of
+    F = X([1] + [2 * vt.moments.cmom(k) for k in range(1, D + 1)])
+    eps = X(vt.psi[n]) + F * X(vt.phi[n])
+    eps_star = X(vt.psi_star(n)) - F * X(vt.phi_star(n))
+    return eps[:D + 1].rounded(), eps_star[:D + 1].rounded()
 
 
 def lstsq_spectral_matrix(p, vt, n):
@@ -211,26 +215,35 @@ def build_B(vt, n):
 
 
 def check_fundamental(fit_n, fit_next, Bn, q):
-    """Relative coefficient residual of A_{n+1}(z) B_n(z) = B_n(qz) A_n(z)."""
-    L = mat_mul(fit_next.matrix, Bn)
-    R = mat_mul(mat_q(Bn, q), fit_n.matrix)
-    diff = max(pmax(padd(L[i], R[i], -1)) for i in range(4))
-    return diff / max(mat_max(L), mat_max(R))
+    """Relative coefficient residual of A_{n+1}(z) B_n(z) = B_n(qz) A_n(z).
+
+    Both sides are formed exactly (`polys.ExactPoly`); the worst
+    coefficient of their difference is taken relative to the worst
+    coefficient of either side.
+    """
+    def times(X, Y):
+        return [X[0] * Y[0] + X[1] * Y[2], X[0] * Y[1] + X[1] * Y[3],
+                X[2] * Y[0] + X[3] * Y[2], X[2] * Y[1] + X[3] * Y[3]]
+
+    B = [ExactPoly.of(e) for e in Bn]
+    L = times([ExactPoly.of(e) for e in fit_next.matrix], B)
+    R = times([e.at_q(q) for e in B], [ExactPoly.of(e) for e in fit_n.matrix])
+    diff = max((x - y).max() for x, y in zip(L, R))
+    return diff / max(x.max() for x in L + R)
 
 
-def det_ratio_constant(fit, p):
-    """(constant, spread) of det A_n / (V W), which must be z-independent."""
-    det = mat_det(fit.matrix)
-    VW = pmul(*vw_polys(p))
-    scale = pmax(VW)
-    idx = [i for i in range(len(VW)) if abs(VW[i]) > mp.ldexp(scale, -40)]
-    consts = [det[i] / VW[i] for i in idx if i < len(det)]
-    if not consts:
-        raise DegreeError("V W has no usable coefficients")
-    spread = max(abs(x - consts[0]) for x in consts) / abs(consts[0])
-    extra = pmax([det[i] for i in range(len(det))
-                  if i >= len(VW) or i not in idx]) / (abs(consts[0]) * scale)
-    return consts[0], max(spread, extra)
+def det_residual(fit, p):
+    """|det A_n + q^n V W| / (q^n max|V W|), coefficientwise.
+
+    det A_n = P Ps - Q Qs and q^n V W are formed exactly
+    (`polys.ExactPoly`), so the residual vanishes exactly when det A_n is
+    -q^n V W; no coefficient is divided by another, so a small coefficient
+    of V W needs no cut-off.
+    """
+    P, Q, Qs, Ps = map(ExactPoly.of, fit.matrix)
+    V, W = map(ExactPoly.of, vw_polys(p))
+    qnVW = ExactPoly.of([p.q]) ** fit.n * V * W
+    return (P * Ps - Q * Qs + qnVW).max() / qnVW.max()
 
 
 def epsilon_column_residuals(p, vt, fit, zs=None):

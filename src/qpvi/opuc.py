@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DegenerateError, DomainError, SingularMeasureError
-from .polys import (LDLFactor, below, dot, gauss_dot, gauss_floats, json_complex,
-                    padd, peval, pmax, pmul, pstar, zero_bits)
+from .polys import (ExactPoly, LDLFactor, below, dot, gauss_dot, gauss_floats, json_complex,
+                    peval, pstar, zero_bits)
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
 from .qseries import caratheodory, caratheodory_quad  # noqa: F401
@@ -183,22 +183,22 @@ def wronskian_residuals(vt, n):
     phi_{n+1} psi_n - psi_{n+1} phi_n           = 2 alpha_{n+1} sigma_n z^n
     phi*_{n+1} psi*_n - psi*_{n+1} phi*_n       = 2 conj(alpha_{n+1}) sigma_n z^{n+1}
     phi_n psi*_n + psi_n phi*_n                 = 2 sigma_n z^n
+
+    Each side is formed exactly (`polys.ExactPoly`) and each worst
+    coefficient rounded once.
     """
     if n + 1 > vt.N:
         raise DomainError(f"table holds orders up to {vt.N}")
-    ph, ps = list(vt.phi[n]), list(vt.psi[n])
-    ph1, ps1 = list(vt.phi[n + 1]), list(vt.psi[n + 1])
-    phs, pss = vt.phi_star(n), vt.psi_star(n)
-    phs1, pss1 = pstar(ph1, n + 1), pstar(ps1, n + 1)
-    a, s = vt.alpha[n + 1], vt.sigma[n]
+    X = ExactPoly.of
+    ph, ps, ph1, ps1 = X(vt.phi[n]), X(vt.psi[n]), X(vt.phi[n + 1]), X(vt.psi[n + 1])
+    phs, pss = X(vt.phi_star(n)), X(vt.psi_star(n))
+    phs1, pss1 = X(pstar(vt.phi[n + 1], n + 1)), X(pstar(vt.psi[n + 1], n + 1))
+    a, two_s = vt.alpha[n + 1], X([0] * n + [2 * vt.sigma[n]])  # 2 sigma_n z^n
 
-    r1 = padd(pmul(ph1, ps), pmul(ps1, ph), -1)
-    r1[n] -= 2 * a * s
-    r2 = padd(pmul(phs1, pss), pmul(pss1, phs), -1)
-    r2[n + 1] -= 2 * mp.conj(a) * s
-    r3 = padd(pmul(ph, pss), pmul(ps, phs))
-    r3[n] -= 2 * s
-    return pmax(r1), pmax(r2), pmax(r3)
+    r1 = ph1 * ps - ps1 * ph - X([a]) * two_s
+    r2 = phs1 * pss - pss1 * phs - X([0, mp.conj(a)]) * two_s
+    r3 = ph * pss + ps * phs - two_s
+    return r1.max(), r2.max(), r3.max()
 
 
 def epsilon_eval(vt, n, z):

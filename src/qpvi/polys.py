@@ -9,16 +9,20 @@ here is allocation-light and precision-agnostic: callers set
 
 Sums of products go through one exact kernel.  An mpf is a dyadic
 rational, so a vector of mpf/mpc values converts exactly, once, to
-Gaussian integers at a common binary exponent; products and sums of those
-are exact Python integer arithmetic, and each result is rounded once
-(`libmp.from_man_exp`) at the working precision and rounding mode.  On it
-rest `dot` (the rounding of `mp.fdot`, without fdot's per-term object
-handling), `pmul` (exact convolution), `pq` (x_k q^k with exact powers of
-q's mantissa), `pmax` (exact squared magnitudes, one square root),
-`autocorr` and `mat_qdiff_residual` (the coefficient residual of a
-2x2 q-difference system, formed exactly).  The kernel reads the mpmath
-1.x raw layouts ``x._mpf_ = (sign, man, exp, bc)`` and
-``x._mpc_ = (re, im)``; an inf or nan entry raises ValueError.
+Gaussian integers at a common binary exponent (`_gauss`); products and
+sums of those are exact Python integer arithmetic, and each result is
+rounded once (`libmp.from_man_exp`) at the working precision and rounding
+mode.  On it rest `dot` (the rounding of `mp.fdot`, without fdot's
+per-term object handling), `autocorr`, and one exact polynomial type,
+`ExactPoly`: + - * and p(qz) (x_k q^k with exact powers of q's mantissa)
+stay exact, and only its `max` (exact squared magnitudes, one square
+root) and `rounded` round.  Every identity residual of the package is
+formed on it: the phi rows of the Lax matrices (`mat_qdiff_residual`), the
+Wronskians (`opuc`), compatibility and determinant (`laxpair`) and the F
+recurrence of check 12 (`verify`).  `pmul`, `pq` and `pmax` are its
+one-line forms on coefficient lists.  The kernel reads the mpmath 1.x raw
+layouts ``x._mpf_ = (sign, man, exp, bc)`` and ``x._mpc_ = (re, im)``; an
+inf or nan entry raises ValueError.
 
 Chains of arithmetic on a few values run on `GaussFloat` beside the
 kernel: the same Gaussian integers with a binary exponent, but cut back by
@@ -57,8 +61,8 @@ from mpmath.libmp import from_man_exp, fzero, mpf_sqrt
 from .errors import DegreeError
 
 __all__ = [
-    "padd", "pscale", "pmul", "pq", "peval", "pstar", "pmax", "mat_mul", "mat_det",
-    "mat_q", "mat_max", "mat_qdiff_residual", "json_complex", "dot", "autocorr",
+    "pscale", "ExactPoly", "pmul", "pq", "peval", "pstar", "pmax", "mat_qdiff_residual",
+    "json_complex", "dot", "autocorr",
     "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
     "largest",
     "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
@@ -331,91 +335,103 @@ def autocorr(x, K):
     return out
 
 
-def padd(p, r, s=1):
-    """p + s*r, aligned by degree."""
-    n, m = len(p), len(r)
-    return ([x + s * y for x, y in zip(p, r)] + [+x for x in p[m:]]
-            + [s * y for y in r[n:]])
-
-
 def pscale(p, s):
     return [s * x for x in p]
 
 
-def _exact(p):
-    # p as an exact polynomial (re, im, e): p_k = (re_k + i im_k) 2^e
-    return _gauss(p)[:3]
+class ExactPoly:
+    """A polynomial with exact coefficients p_k = (re_k + i im_k) 2^e.
 
+    `of` converts a coefficient list (mpf, mpc or numbers) exactly, once,
+    by `_gauss`.  + and - (aligned by degree), * (the exact convolution),
+    `**` (k >= 0), `at_q` (p(qz), with q^k an exact power of q's mantissa)
+    and slicing p[i:j] of the coefficients are exact integer arithmetic;
+    `max` and `rounded` are the only roundings.  Every identity residual of
+    the package is formed on it, from inputs converted once.
+    """
 
-def _xmul(X, Y):
-    # the exact product of two exact polynomials
-    (xr, xi, ex), (yr, yi, ey) = X, Y
-    yr, yi = yr[::-1], yi[::-1]
-    n, m = len(xr), len(yr)
-    re, im = [], []
-    for k in range(n + m - 1):
-        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
-        # x_j y_{k-j} for j = lo..hi-1; y_{k-j} sits at m-1-k+j reversed
-        a, b = xr[lo:hi], xi[lo:hi]
-        c, d = yr[m - 1 - k + lo:m - 1 - k + hi], yi[m - 1 - k + lo:m - 1 - k + hi]
-        re.append(_isum(a, c) - _isum(b, d))
-        im.append(_isum(a, d) + _isum(b, c))
-    return re, im, ex + ey
+    __slots__ = ("re", "im", "e")
 
+    def __init__(self, re, im, e):
+        self.re, self.im, self.e = re, im, e
 
-def _xadd(X, Y, s=1):
-    # X + s Y exactly, s = +-1, aligned by degree and exponent
-    (xr, xi, ex), (yr, yi, ey) = X, Y
-    e = min(ex, ey)
-    dx, dy = ex - e, ey - e
-    re = [v << dx for v in xr] + [0] * (len(yr) - len(xr))
-    im = [v << dx for v in xi] + [0] * (len(yr) - len(xr))
-    for k, (u, v) in enumerate(zip(yr, yi)):
-        re[k] += s * (u << dy)
-        im[k] += s * (v << dy)
-    return re, im, e
+    @classmethod
+    def of(cls, p):
+        return cls(*_gauss(p)[:3])
 
+    def _add(self, other, s):
+        e = min(self.e, other.e)
+        dx, dy = self.e - e, other.e - e
+        pad = [0] * (len(other.re) - len(self.re))
+        re = [v << dx for v in self.re] + pad
+        im = [v << dx for v in self.im] + pad
+        for k, (u, v) in enumerate(zip(other.re, other.im)):
+            re[k] += s * (u << dy)
+            im[k] += s * (v << dy)
+        return ExactPoly(re, im, e)
 
-def _xpq(X, q):
-    # X(qz) exactly: x_k q^k with q^k an exact power of q's mantissa
-    xr, xi, ex = X
-    (qr,), (qi,), eq, _ = _gauss([q])
-    top = min(0, (len(xr) - 1) * eq)  # x_k q^k sits at exponent ex + k eq
-    re, im, pr, pi = [], [], 1, 0
-    for k, (a, b) in enumerate(zip(xr, xi)):
-        d = k * eq - top
-        re.append((a * pr - b * pi) << d)
-        im.append((a * pi + b * pr) << d)
-        pr, pi = pr * qr - pi * qi, pr * qi + pi * qr
-    return re, im, ex + top
+    def __add__(self, other):
+        return self._add(other, 1)
 
+    def __sub__(self, other):
+        return self._add(other, -1)
 
-def _xmax(X):
-    # max_k |X_k| from the exact squared magnitudes, one correctly rounded sqrt
-    re, im, e = X
-    if not re:
-        return mp.mpf(0)
-    top = max(map(add, map(mul, re, re), map(mul, im, im)))
-    prec, rnd = mp.mp._prec_rounding
-    return _make_mpf(mpf_sqrt(from_man_exp(top, 2 * e), prec, rnd))
+    def __mul__(self, other):
+        xr, xi, yr, yi = self.re, self.im, other.re[::-1], other.im[::-1]
+        n, m = len(xr), len(yr)
+        re, im = [], []
+        for k in range(n + m - 1 if n and m else 0):
+            lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
+            # x_j y_{k-j} for j = lo..hi-1; y_{k-j} sits at m-1-k+j reversed
+            a, b = xr[lo:hi], xi[lo:hi]
+            c, d = yr[m - 1 - k + lo:m - 1 - k + hi], yi[m - 1 - k + lo:m - 1 - k + hi]
+            re.append(_isum(a, c) - _isum(b, d))
+            im.append(_isum(a, d) + _isum(b, c))
+        return ExactPoly(re, im, self.e + other.e)
 
+    def __pow__(self, k):
+        out = ExactPoly([1], [0], 0)
+        for _ in range(k):
+            out = out * self
+        return out
 
-def _rounded(X):
-    # the coefficients of an exact polynomial, each part rounded once
-    re, im, e = X
-    return [_make_mpc((_round(a, e), _round(b, e))) for a, b in zip(re, im)]
+    def __getitem__(self, k):
+        return ExactPoly(self.re[k], self.im[k], self.e)
+
+    def at_q(self, q):
+        """p(qz): p_k q^k, exactly."""
+        (qr,), (qi,), eq, _ = _gauss([q])
+        top = min(0, (len(self.re) - 1) * eq)  # p_k q^k sits at exponent e + k eq
+        re, im, pr, pi = [], [], 1, 0
+        for k, (a, b) in enumerate(zip(self.re, self.im)):
+            d = k * eq - top
+            re.append((a * pr - b * pi) << d)
+            im.append((a * pi + b * pr) << d)
+            pr, pi = pr * qr - pi * qi, pr * qi + pi * qr
+        return ExactPoly(re, im, self.e + top)
+
+    def max(self):
+        """max_k |p_k|: exact squared magnitudes, one correctly rounded square root."""
+        if not self.re:
+            return mp.mpf(0)
+        top = max(map(add, map(mul, self.re, self.re), map(mul, self.im, self.im)))
+        prec, rnd = mp.mp._prec_rounding
+        return _make_mpf(mpf_sqrt(from_man_exp(top, 2 * self.e), prec, rnd))
+
+    def rounded(self):
+        """The coefficients as mpc, each part rounded once (`_round`)."""
+        e = self.e
+        return [_make_mpc((_round(a, e), _round(b, e))) for a, b in zip(self.re, self.im)]
 
 
 def pmul(p, r):
     """p * r by exact convolution, each coefficient rounded once."""
-    if not p or not r:
-        return []
-    return _rounded(_xmul(_exact(p), _exact(r)))
+    return (ExactPoly.of(p) * ExactPoly.of(r)).rounded()
 
 
 def pq(p, q):
     """Substitute z -> q z: x_k q^k exactly, each coefficient rounded once."""
-    return _rounded(_xpq(_exact(p), q))
+    return ExactPoly.of(p).at_q(q).rounded()
 
 
 def peval(p, z):
@@ -434,28 +450,7 @@ def pstar(p, n):
 
 def pmax(p):
     """max_k |p_k|: exact squared magnitudes, one correctly rounded square root."""
-    return _xmax(_exact(p))
-
-
-def mat_mul(X, Y):
-    x11, x12, x21, x22 = X
-    y11, y12, y21, y22 = Y
-    return [padd(pmul(x11, y11), pmul(x12, y21)),
-            padd(pmul(x11, y12), pmul(x12, y22)),
-            padd(pmul(x21, y11), pmul(x22, y21)),
-            padd(pmul(x21, y12), pmul(x22, y22))]
-
-
-def mat_det(X):
-    return padd(pmul(X[0], X[3]), pmul(X[1], X[2]), -1)
-
-
-def mat_q(X, q):
-    return [pq(e, q) for e in X]
-
-
-def mat_max(X):
-    return max(pmax(e) for e in X)
+    return ExactPoly.of(p).max()
 
 
 def mat_qdiff_residual(V, q, A, x, y):
@@ -463,17 +458,15 @@ def mat_qdiff_residual(V, q, A, x, y):
 
     X = (x, y) is a column of polynomials and A = [e11, e12, e21, e22]; row
     i reads max_k |(V X_i(qz) - A_i1 x - A_i2 y)_k| / (1 + max_k |(V X_i(qz))_k|).
-    Every polynomial is formed exactly from the inputs, each converted
-    once (x_k q^k with q^k an exact power of q's mantissa), and each
-    maximum is rounded once.
+    Every polynomial is an `ExactPoly` of the inputs, each converted once,
+    and each maximum is rounded once.
     """
-    V, x, y = _exact(V), _exact(x), _exact(y)
-    e11, e12, e21, e22 = [_exact(e) for e in A]
+    V, x, y = ExactPoly.of(V), ExactPoly.of(x), ExactPoly.of(y)
+    e11, e12, e21, e22 = map(ExactPoly.of, A)
     worst = 0
     for xi, a, b in ((x, e11, e12), (y, e21, e22)):
-        lhs = _xmul(V, _xpq(xi, q))
-        rhs = _xadd(_xmul(a, x), _xmul(b, y))
-        worst = max(worst, _xmax(_xadd(lhs, rhs, -1)) / (1 + _xmax(lhs)))
+        lhs = V * xi.at_q(q)
+        worst = max(worst, (lhs - (a * x + b * y)).max() / (1 + lhs.max()))
     return worst
 
 

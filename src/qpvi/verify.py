@@ -17,7 +17,7 @@ import mpmath as mp
 
 from . import continuum, laxpair, opuc, painleve, qseries, weyl
 from .painleve import SurfaceCoords
-from .polys import padd, pmax, pmul, pq
+from .polys import ExactPoly, pmax
 
 __all__ = ["CheckResult", "VerificationContext", "run_all", "CRITERIA", "COMPOSITE_TOL"]
 
@@ -140,8 +140,8 @@ def check_05_closed_factors(ctx):
         worst = mp.mpf(0)
         for n in range(1, 16):
             f, closed = ctx.oracle_fits()[n], ctx.fits()[n]
-            entries = max(pmax(padd(x, y, -1)) / pmax(y) for x, y in
-                          zip(closed.matrix, f.matrix))
+            entries = max((ExactPoly.of(x) - ExactPoly.of(y)).max() / pmax(y)
+                          for x, y in zip(closed.matrix, f.matrix))
             tdiff = max(abs(x - y) for x, y in zip(f.theta, closed.theta))
             sdiff = max(abs(x - y) for x, y in zip(f.theta_star, closed.theta_star))
             corners = max(abs(f.e11[2] - p.b * p.q ** (n + 1)),
@@ -162,20 +162,11 @@ def check_06_compatibility(ctx):
 
 
 def check_07_determinant(ctx):
+    """det A_n = -q^n V W for n = 1..15, coefficientwise and exact:
+    `laxpair.det_residual`, |det A_n + q^n V W| / (q^n max|V W|)."""
     with mp.workprec(ctx.prec):
-        p = ctx.params
-        worst_spread = mp.mpf(0)
-        worst_mag = mp.mpf(0)
-        signs = set()
-        for n in range(1, 16):
-            const, spread = laxpair.det_ratio_constant(ctx.fits()[n], p)
-            worst_spread = max(worst_spread, spread)
-            worst_mag = max(worst_mag, abs(abs(const) - p.q ** n) / p.q ** n)
-            signs.add(mp.nstr(const / p.q ** n, 3))
-        passed_mag = worst_mag <= 1e-12
-    res = _result(7, "det A = const q^n V W", worst_spread, 1e-15,
-                  detail=f"const/q^n = {sorted(signs)}, |const| gap {float(worst_mag):.1e}")
-    return replace(res, passed=res.passed and passed_mag)
+        worst = max(laxpair.det_residual(ctx.fits()[n], ctx.params) for n in range(1, 16))
+    return _result(7, "det A_n = -q^n V W", worst, 1e-15)
 
 
 def check_08_three_routes(ctx):
@@ -271,7 +262,8 @@ def check_12_weight_identities(ctx):
     the Szego series; and the F recurrence on the K = 48 moment table.
 
     With F = [1, 2 c_1, ..., 2 c_K], the coefficients z^3..z^K of
-    W(z) F(qz) + V(z) F(z) vanish; their worst modulus is taken relative to
+    W(z) F(qz) + V(z) F(z), formed exactly (`polys.ExactPoly`), vanish;
+    their worst modulus is taken relative to
     the whole coefficient scale, as `polys.mat_qdiff_residual` does, since
     the high c_k can vanish exactly (b = 0).
     """
@@ -284,10 +276,9 @@ def check_12_weight_identities(ctx):
             G2 = abs(mp.polyval(g, z)) ** 2
             worst_circle = max(worst_circle, abs(qseries.weight_eval(p, z) - G2) / G2)
         V, W = qseries.vw_polys(p)
-        F = [mp.mpc(1)] + [2 * table.cmom(k) for k in range(1, table.K + 1)]
-        lhs, rhs = pmul(W, pq(F, p.q)), pmul(V, F)
-        resid_f = (pmax(padd(lhs, rhs)[3:table.K + 1])
-                   / (1 + max(pmax(lhs), pmax(rhs))))
+        F = ExactPoly.of([1] + [2 * table.cmom(k) for k in range(1, table.K + 1)])
+        lhs, rhs = ExactPoly.of(W) * F.at_q(p.q), ExactPoly.of(V) * F
+        resid_f = (lhs + rhs)[3:table.K + 1].max() / (1 + max(lhs.max(), rhs.max()))
         passed = worst_circle <= 1e-25 and resid_f <= 1e-15
     res = _result(12, "weight and Caratheodory q-identities",
                   max(worst_circle, resid_f), 1e-15,

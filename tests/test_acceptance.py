@@ -80,6 +80,21 @@ def test_12_reads_the_moment_table(ctx):
     assert not res.passed and 1e-11 < res.value < 1e-9, res.line()
 
 
+def test_06_07_read_the_lax_matrices(ctx):
+    # the z^1 coefficient of e11 in A_5 moved by a factor 1 + 1e-10 breaks
+    # both the compatibility with A_4, A_6 and det A_5 = -q^5 V W
+    fits = dict(ctx.fits())
+    e11 = list(fits[5].e11)
+    with mp.workprec(ctx.prec):
+        e11[1] *= 1 + mp.mpf("1e-10")
+    moved = verify.VerificationContext(prec=ctx.prec)
+    moved._vt = ctx.vt()
+    moved._fits = {**fits, 5: replace(fits[5], e11=tuple(e11))}
+    for check in (verify.check_06_compatibility, verify.check_07_determinant):
+        res = check(moved)
+        assert not res.passed and 1e-13 < res.value < 1e-9, res.line()
+
+
 def test_13_continuum_convergence(ctx):
     _run(ctx, verify.check_13_continuum)
 

@@ -149,6 +149,21 @@ class TestVerifyAll:
         assert sum(line.startswith("[PASS]") for line in lines) == 13
         assert lines[-1] == "all 13 checks passed"
 
+    def test_out_writes_the_printed_results(self, capsys, tmp_path):
+        path = tmp_path / "checks.json"
+        code, out = run(capsys, ["verify-all", "--out", str(path)])
+        lines = out.splitlines()
+        assert code == 0, out
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"version", "config", "data"}
+        results = doc["data"]["results"]
+        assert doc["data"]["all_passed"] is True and len(results) == 13
+        # names, values and verdicts round-trip to the printed lines
+        assert [verify.CheckResult(**r).line() for r in results] == lines[:13]
+        assert [r["index"] for r in results] == list(range(1, 14))
+        assert all(r["passed"] for r in results)
+        assert results[6]["name"] == "det A_n = -q^n V W"
+
 
 class TestWeylOde:
     def test_weyl_report(self, capsys):

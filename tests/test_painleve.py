@@ -7,7 +7,7 @@ from qpvi import continuum, laxpair, painleve, polys, verify, weyl
 from qpvi.errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                          DomainError, GaugeError, IndeterminacyError, QpviError,
                          SingularGaugeError)
-from qpvi.polys import mat_det, padd, pmax, pscale
+from qpvi.polys import ExactPoly, pscale
 
 
 def coords_at(ref_params, ctx, n):
@@ -244,8 +244,11 @@ class TestStep:
         At, sp2 = painleve.matrix_step(A, sp)
         q = ref_params.q
         # det gains one factor of q
-        d, dt = mat_det(A), mat_det(At)
-        assert pmax(padd(dt, pscale(d, q), -1)) < 1e-40 * pmax(d)
+        def det(M):
+            P, Q, Qs, Ps = map(ExactPoly.of, M)
+            return P * Ps - Q * Qs
+        d, dt = det(A), det(At)
+        assert (dt - ExactPoly.of([q]) * d).max() < 1e-40 * d.max()
         # normalized gauge: e12 = w z - q, so w ytilde = q
         assert abs(At[1][0] + q) < 1e-40
         co2 = painleve.extract_coords(At, sp2)

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import inspect
 import random
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -13,7 +15,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_pos, mpf_sum
 import qpvi
 from qpvi import continuum, laxpair, opuc, painleve, polys, qseries, weyl
 from qpvi.errors import SingularMeasureError
-from qpvi.polys import autocorr, dot, hpd_solve, lstsq, padd, pmax, pmul
+from qpvi.polys import ExactPoly, autocorr, dot, hpd_solve, lstsq, pmax, pmul
 from test_domain_sweep import _context as sweep_context
 
 # mp.qr_solve, mp.lu_solve and mp.fdot appear here only as oracles for the
@@ -242,7 +244,7 @@ class TestGrowingFactor:
         assert rows[0] == 13
 
 
-# --- the exact kernel: dot, pmul, pmax, autocorr, padd ---------------------
+# --- the exact kernel: dot, autocorr, ExactPoly and its pmul, pmax --------
 
 # (working precision, mantissa bits, exponent spread).  In each, every
 # product's bits lie within 2 prec bits of every other's, the window in
@@ -378,15 +380,31 @@ class TestPolyKernels:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 12).flatmap(lambda n: vectors(n, 53, 20)),
            st.integers(0, 12).flatmap(lambda n: vectors(n, 53, 20)),
-           st.sampled_from([1, -1, mp.mpc("0.3", "-1.7")]))
-    def test_padd_is_bit_identical_to_the_padded_sum(self, p, r, s):
-        # inputs at working precision, as everywhere in the package
+           st.sampled_from([1, -1]))
+    def test_exact_sum_is_the_padded_sum_rounded_once(self, p, r, s):
+        # 53-bit values within 2^+-20 of each other add exactly at 4 * 53 bits
         n = max(len(p), len(r))
-        with mp.workprec(53):
+        with mp.workprec(4 * 53):
             want = [(p[i] if i < len(p) else mp.mpc(0)) + s * (r[i] if i < len(r) else mp.mpc(0))
                     for i in range(n)]
-            got = padd(p, r, s)
-        assert [mp.mpc(x)._mpc_ for x in got] == [mp.mpc(x)._mpc_ for x in want]
+        with mp.workprec(53):
+            X, Y = ExactPoly.of(p), ExactPoly.of(r)
+            got = (X + Y if s == 1 else X - Y).rounded()
+            assert [x._mpc_ for x in got] == [(+mp.mpc(x))._mpc_ for x in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda n: vectors(n, 53, 20)),
+           vectors(1, 20, 4, ("mpf", "mpc")), st.integers(0, 4))
+    def test_at_q_powers_and_slices_are_exact(self, p, q, k):
+        # with 20-bit q and degree <= 9 every product is exact at 2000 bits
+        q = q[0]
+        with mp.workprec(2000):
+            want_q, want_pow = [x * q ** i for i, x in enumerate(p)], q ** k
+        with mp.workprec(53):
+            X = ExactPoly.of(p)
+            assert [x._mpc_ for x in X.at_q(q).rounded()] == [(+mp.mpc(x))._mpc_ for x in want_q]
+            assert (ExactPoly.of([q]) ** k).rounded()[0]._mpc_ == (+mp.mpc(want_pow))._mpc_
+            assert [x._mpc_ for x in X[1:3].rounded()] == [mp.mpc(x)._mpc_ for x in p[1:3]]
 
 
 # --- GaussFloat: the number type of the Painleve orbit ----------------------
@@ -627,6 +645,10 @@ class TestPolicy:
     def test_second_copies_gone(self):
         for path in Path(qpvi.__file__).parent.glob("*.py"):
             text = path.read_text()
+            # every identity residual is formed on ExactPoly
+            for name in ("_exact", "_xmul", "_xadd", "_xpq", "_xmax", "_rounded", "mat_mul",
+                         "mat_det", "mat_q", "mat_max", "padd", "det_ratio_constant"):
+                assert not re.search(rf"\b{name}\b", text), (path.name, name)
             for name in ("_tiny", "_near_zero", "theta_closed", "theta_star_closed",
                          "Householder", "fit_caratheodory_u"):
                 assert name not in text, (path.name, name)
@@ -638,6 +660,15 @@ class TestPolicy:
             assert "extraprec" not in text, path.name
         assert "tol" not in inspect.signature(painleve.extract_coords).parameters
         assert "hpd_solve(" in inspect.getsource(polys.lstsq)
+
+    @pytest.mark.parametrize("module", ["continuum", "laxpair", "opuc", "painleve", "polys",
+                                        "qseries", "verify", "weyl"])
+    def test_all_names_exist(self, module):
+        mod = importlib.import_module(f"qpvi.{module}")
+        assert all(hasattr(mod, name) for name in mod.__all__), module
+        names = {}
+        exec(f"from qpvi.{module} import *", names)
+        assert set(mod.__all__) <= set(names)
 
     def test_removed_options(self):
         # each gate reads residual_tol(), the sizes come from the tables'

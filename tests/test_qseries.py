@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpvi import qseries
 from qpvi.errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from qpvi.polys import padd, peval, pmul, pq
+from qpvi.polys import ExactPoly, peval
 
 
 def mpc_close(x, y, tol):
@@ -148,8 +148,8 @@ class TestCaratheodory:
         # both outside (|z| > 1/q = 2)
         V, W = qseries.vw_polys(ref_params)
         q = ref_params.q
-        F = [mp.mpc(1)] + [2 * table.cmom(k) for k in range(1, table.K + 1)]
-        U = padd(pmul(W, pq(F, q)), pmul(V, F))[:3]
+        F = ExactPoly.of([1] + [2 * table.cmom(k) for k in range(1, table.K + 1)])
+        U = (ExactPoly.of(W) * F.at_q(q) + ExactPoly.of(V) * F)[:3].rounded()
         for z in (mp.mpc("0.3", "0.1"), mp.mpc("-0.5", "0.6"),
                   mp.mpc("2.5", "1.2"), mp.mpc("-3", "-1")):
             wf = peval(W, z) * qseries.caratheodory(table, q * z)
