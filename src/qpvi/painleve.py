@@ -20,8 +20,11 @@ step.  The orbit computes on `polys.GaussFloat` (Python integers with a
 binary exponent, 10 guard bits), carries its point between steps at that
 precision and rounds the end point once to the working precision; only
 the (kappa1, theta1) flow stays in mpmath, so that an orbit returns the
-parameters chained steps do.  `extract_coords` and `matrix_step` run on
-GaussFloat too.  Parameters are validated where they are built:
+parameters chained steps do.  `extract_coords`, `matrix_step` and the four
+pencil factorizations of check 09 (`factorization_residuals`) run on
+GaussFloat too; of check 11's three routes to the step, `phi_step` and
+`weyl.composite_closed` run on it and the reflection word stays in
+mpmath (see `weyl`).  Parameters are validated where they are built:
 `SurfaceParams` checks the constraint on exact products, and `phi_orbit`
 returns its parameters through that constructor, so every orbit is
 checked at both ends.  The same step is realized on matrices by a
@@ -41,7 +44,8 @@ import mpmath as mp
 from .errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
-from .polys import below, gauss_floats, json_complex, largest, negligible, residual_tol, zero_bits
+from .polys import (as_mpc, below, gauss_floats, json_complex, largest, negligible, residual_tol,
+                    zero_bits)
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
@@ -62,12 +66,12 @@ class SurfaceParams:
     q: mp.mpc
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", mp.mpc(self.k1))
-        object.__setattr__(self, "k2", mp.mpc(self.k2))
-        object.__setattr__(self, "t1", mp.mpc(self.t1))
-        object.__setattr__(self, "t2", mp.mpc(self.t2))
-        object.__setattr__(self, "c", tuple(mp.mpc(x) for x in self.c))
-        object.__setattr__(self, "q", mp.mpc(self.q))
+        object.__setattr__(self, "k1", as_mpc(self.k1))
+        object.__setattr__(self, "k2", as_mpc(self.k2))
+        object.__setattr__(self, "t1", as_mpc(self.t1))
+        object.__setattr__(self, "t2", as_mpc(self.t2))
+        object.__setattr__(self, "c", tuple(as_mpc(x) for x in self.c))
+        object.__setattr__(self, "q", as_mpc(self.q))
         if self.q == 0:
             raise ConstraintError("q must be nonzero")
         if len(self.c) != 4:
@@ -257,6 +261,15 @@ def _st_terms(cf, c, y, xi):
     return S, T
 
 
+def _refuse_zero_divisors(sp):
+    # the step and the factorizations divide by these parameters
+    names = ("kappa1", "kappa2", "theta1", "c1", "c2", "c3", "c4")
+    zeros = [name for name, x in zip(names, (sp.k1, sp.k2, sp.t1, *sp.c)) if x == 0]
+    if zeros:
+        raise DegenerateError(" = 0, ".join(zeros) + " = 0: the step divides by "
+                              "kappa1, kappa2, theta1 and c1..c4")
+
+
 def _indeterminate(what, sp, k1, t1, y, xi):
     # the error of a step from GaussFloat (y, xi) with (kappa1, theta1) moved on
     here = SurfaceParams(k1=k1, k2=sp.k2, t1=t1, t2=sp.t2, c=sp.c, q=sp.q)
@@ -289,14 +302,9 @@ def phi_orbit(coords, sp, k):
     """
     if k < 0:
         raise DomainError("need k >= 0 steps")
+    _refuse_zero_divisors(sp)  # a zero stays zero at every step, since q != 0
     k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
     q = sp.q
-    # a zero stays zero at every step, since q != 0
-    names = ("kappa1", "kappa2", "theta1", "c1", "c2", "c3", "c4")
-    zeros = [name for name, x in zip(names, (k1, k2, t1, *sp.c)) if x == 0]
-    if zeros:
-        raise DegenerateError(" = 0, ".join(zeros) + " = 0: the step divides by "
-                              "kappa1, kappa2, theta1 and c1..c4")
     bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
     gk1, gk2, gt1, gt2, c1, c2, c3, c4, gq, one = gauss_floats(
         [k1, k2, t1, t2, *sp.c, q, 1])
@@ -412,28 +420,36 @@ def factorization_residuals(coords, sp):
     """Relative residuals of the four factorizations of S - c_i y T.
 
     These identities hold only on the constraint variety; off it the cross
-    terms in xi do not cancel.
+    terms in xi do not cancel.  Each residual is |lhs - rhs| over the
+    largest of |lhs|, |rhs|, the S terms and the T terms times |y| max |c_i|.
+    Like `phi_orbit`, this refuses kappa1, kappa2, theta1 or a c_i = 0 and
+    runs on GaussFloat: the inputs are converted once and each residual is
+    rounded once.
     """
-    y, xi = coords.y, coords.xi
-    k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
-    c1, c2, c3, c4 = sp.c
-    q = sp.q
-    Sterms, Tterms = _st_terms(_st_coefficients(k1, k2, t1, t2, sp.c, q), sp.c, y, xi)
-    S = mp.fsum(Sterms)
-    T = mp.fsum(Tterms)
-    scale = max(max(abs(t) for t in Sterms),
-                max(abs(t) for t in Tterms) * max(abs(ci) * abs(y) for ci in sp.c))
-    out = []
-    for ci, cj in ((c1, c2), (c2, c1)):
+    _refuse_zero_divisors(sp)
+    try:
+        y, xi = gauss_floats([coords.y, coords.xi])
+    except ValueError:  # the exact conversion refuses inf and nan
+        raise DomainError("coordinates must be finite") from None
+    k1, k2, t1, t2, c1, c2, c3, c4, q = gauss_floats([sp.k1, sp.k2, sp.t1, sp.t2, *sp.c, sp.q])
+    c = (c1, c2, c3, c4)
+    Sterms, Tterms = _st_terms(_st_coefficients(k1, k2, t1, t2, c, q), c, y, xi)
+    S0, S1, S2 = Sterms
+    T0, T1, T2 = Tterms
+    S, T = S0 + S1 + S2, T0 + T1 + T2
+    scale = [largest(Sterms), largest(Tterms) * largest(c) * y]
+    k12, qt1, k2y, qk1y = k1 * k2, q * t1, k2 * y, q * k1 * y
+    d1, d2, d3, d4 = (y - x for x in c)  # y - c_i
+    pairs = []
+    for ci, di, dj in ((c1, d1, d2), (c2, d2, d1)):
         lhs = S - ci * y * T
-        rhs = ((xi * (ci * k2 * y - q * t1) - q * ci * (y - cj))
-               * (k1 * k2 * xi * (y - c3) * (y - c4)
-                  - (1 / ci) * (q * ci * k1 * y - t2) * (y - ci)))
-        out.append(abs(lhs - rhs) / max(scale, abs(lhs), abs(rhs)))
-    for ci, cj in ((c3, c4), (c4, c3)):
+        rhs = ((xi * (ci * k2y - qt1) - q * ci * dj)
+               * (k12 * xi * d3 * d4 - (ci * qk1y - t2) * di / ci))
+        pairs.append((lhs, rhs))
+    for ci, di, dj in ((c3, d3, d4), (c4, d4, d3)):
         lhs = S - ci * y * T
-        rhs = ((xi * (y - cj) - (1 / (k1 * k2 * ci)) * (q * ci * k1 * y - t2))
-               * (k1 * k2 * xi * (y - ci) * (ci * k2 * y - q * t1)
-                  - q * k1 * k2 * ci * (y - c1) * (y - c2)))
-        out.append(abs(lhs - rhs) / max(scale, abs(lhs), abs(rhs)))
-    return tuple(out)
+        rhs = ((xi * dj - (ci * qk1y - t2) / (k12 * ci))
+               * (k12 * xi * di * (ci * k2y - qt1) - q * k12 * ci * d1 * d2))
+        pairs.append((lhs, rhs))
+    return tuple((abs(lhs - rhs) / abs(largest(scale + [lhs, rhs]))).mpc().real
+                 for lhs, rhs in pairs)

@@ -30,9 +30,12 @@ a plain shift after each + - * / to the working precision plus
 `GUARD_BITS`, instead of mpmath's per-operation normalization.  The
 weights chain runs on it: the Szego series and q-Pochhammer products
 (`qseries`), the Szego recursion (`opuc`), the closed A_n (`laxpair`), and
-`extract_coords`, `matrix_step` and the orbit (`painleve`), each
-converting its mpf/mpc inputs once with `gauss_floats` and rounding each
-output once with `GaussFloat.mpc`.
+`extract_coords`, `matrix_step` and the orbit (`painleve`); so do two of
+the routes of the `steps` checks, `factorization_residuals` (`painleve`)
+and `composite_closed` (`weyl`).  Each converts its mpf/mpc inputs once
+with `gauss_floats` and rounds each output once with `GaussFloat.mpc`.
+`as_mpc` is the `mp.mpc` of the constructors that hold such outputs, minus
+the no-op re-rounding of a value that already fits the working precision.
 
 One dense solver runs on GaussFloat too: `LDLFactor`, LDL^H for
 Hermitian positive definite matrices such as Toeplitz moment matrices,
@@ -64,7 +67,7 @@ __all__ = [
     "pscale", "ExactPoly", "pmul", "pq", "peval", "pstar", "pmax", "mat_qdiff_residual",
     "json_complex", "dot", "autocorr",
     "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
-    "largest",
+    "largest", "as_mpc",
     "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
 ]
 
@@ -242,6 +245,17 @@ def _cut(re, im, e, p):
     if re or im:
         return GaussFloat(re, im, e, p)
     return GaussFloat(0, 0, 0, p)  # else a zero's exponent drifts with each * and /
+
+
+def as_mpc(x):
+    """x as an mpc at the working precision: `mp.mpc(x)`, but an mpc whose
+    parts fit in mp.prec bits, the one case where that call returns an
+    equal value, is returned as it is."""
+    if type(x) is _MPC:
+        (_, _, _, bc), (_, _, _, bd) = x._mpc_
+        if bc <= mp.mp.prec and bd <= mp.mp.prec:
+            return x
+    return _MPC(x)
 
 
 def gauss_floats(xs, p=None):

@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import (TAIL_BITS, autocorr, below, dot, gauss_floats, json_complex, negligible,
-                    peval, pmul, zero_bits)
+from .polys import (TAIL_BITS, autocorr, below, gauss_floats, json_complex, negligible, peval,
+                    pmul, zero_bits)
 
 __all__ = [
     "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
@@ -150,17 +150,17 @@ _MAX_TERMS = 10 ** 5
 
 
 def szego_coefficients(p):
-    """(g, mass): Taylor coefficients g_0..g_L of G(z) and mass = sum |g_n|^2.
+    """The Taylor coefficients g_0..g_L of G(z), as a tuple.
 
     The recursion stops once the bound |g_n| r_n / (1 - r_n) on the tail
     sum_{m>n} |g_m| drops below 2^-(prec + 8).  Here r_n = num/den with
     num = |b| + |a| q^n and den = 1 - q^{n+1} bounds every later ratio
     |g_{m+1} / g_m| because it decreases in n, and the bound holds only
     once num < den; it is compared as |g_n|^2 num^2 < 2^-2(prec+8)
-    (den - num)^2, on exact squared norms.  As g_0 = 1 the mass is at
-    least 1, so the tail is also small relative to it.  A coefficient that
-    vanishes exactly (b = a q^n, e.g. a = b) ends the series: every later
-    one vanishes too.  The recursion runs on `polys.GaussFloat`, and each
+    (den - num)^2, on exact squared norms.  As g_0 = 1 the mass
+    sum |g_n|^2 is at least 1, so the tail is also small relative to it.
+    A coefficient that vanishes exactly (b = a q^n, e.g. a = b) ends the
+    series: every later one vanishes too.  The recursion runs on `polys.GaussFloat`, and each
     g_n is rounded once.
     """
     bits = 2 * (mp.mp.prec + TAIL_BITS)
@@ -182,8 +182,7 @@ def szego_coefficients(p):
             break
         g.append(nxt)
         aq, absaq, q1 = aq * q, absaq * q, q1 * q
-    g = [x.mpc() for x in g]
-    return tuple(g), dot(g, g, conjugate=True).real
+    return tuple(x.mpc() for x in g)
 
 
 @dataclass(frozen=True)
@@ -241,13 +240,16 @@ def moments(p, K):
     """Moment table c_{-K}..c_K from the Szego coefficients.
 
     c_k = sum_m g_{m+k} conj(g_m) / mass for k > 0, c_{-k} = conj(c_k) and
-    c_0 = 1 exactly.  The neglected tail of g moves each c_k by
+    c_0 = 1 exactly; the mass sum_m |g_m|^2 is lag 0 of the same exact
+    autocorrelation.  The neglected tail of g moves each c_k by
     O(2^-(prec + 8) sum |g_m| / mass).
     """
     if K < 0:
         raise DomainError(f"need K >= 0, got K = {K}")
-    g, mass = szego_coefficients(p)
-    pos = [x / mass for x in autocorr(g, K)[1:]]
+    g = szego_coefficients(p)
+    lags = autocorr(g, K)
+    mass = lags[0].real
+    pos = [x / mass for x in lags[1:]]
     cs = [mp.conj(x) for x in reversed(pos)] + [mp.mpc(1)] + pos
     return MomentTable(params=p, c=tuple(cs), g=g, mass=mass)
 

@@ -27,6 +27,12 @@ b_i = c_i (i <= 4), b5 = c1 c2/theta1, b6 = c1 c2/theta2, b7 = 1/kappa1,
 b8 = q/kappa2, f = xi, g = y.  Note the lattice/point-configuration
 convention q = b3 b4 b5 b6/(b1 b2 b7 b8) is the reciprocal of the weight
 convention used elsewhere.
+
+Check 11 of `qpvi.verify` compares three routes to the step: the word
+(`composite_map`), its closed forms (`composite_closed`) and
+`painleve.phi_step`.  The closed forms and phi_step run on
+`polys.GaussFloat`.  The word and its reflections stay in mpmath
+arithmetic, so that one of the three routes does not share that kernel.
 """
 
 from dataclasses import dataclass
@@ -35,7 +41,7 @@ import mpmath as mp
 
 from .errors import ChartError, DegenerateError, DomainError, IndeterminacyError
 from .painleve import SurfaceCoords, SurfaceParams
-from .polys import negligible
+from .polys import as_mpc, below, gauss_floats, negligible, zero_bits
 
 __all__ = [
     "ip", "pic_constants", "phi_pic", "apply_pic", "is_isometry",
@@ -158,9 +164,9 @@ class BPoint:
     g: mp.mpc
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple(mp.mpc(x) for x in self.b))
-        object.__setattr__(self, "f", mp.mpc(self.f))
-        object.__setattr__(self, "g", mp.mpc(self.g))
+        object.__setattr__(self, "b", tuple(as_mpc(x) for x in self.b))
+        object.__setattr__(self, "f", as_mpc(self.f))
+        object.__setattr__(self, "g", as_mpc(self.g))
         if len(self.b) != 8 or any(x == 0 for x in self.b):
             raise DomainError("need eight nonzero parameters b1..b8")
         if not all(map(mp.isfinite, (*self.b, self.f, self.g))):
@@ -257,31 +263,43 @@ def composite_map(pt):
     return pt
 
 
+def _negligible(x, scale):
+    # `negligible` on GaussFloats: |x| < 2^-zero_bits() |scale| on exact squared norms
+    return below(x.norm(), scale.norm(), 2 * zero_bits())
+
+
 def composite_closed(pt):
-    """Closed forms (fbar, gbar) of the composite's action on the point."""
-    b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
-    f, g = pt.f, pt.g
-    if negligible(f, 2) or negligible(g, 2):
+    """Closed forms (fbar, gbar) of the composite's action on the point.
+
+    Computed on GaussFloat from the parameters and the point, each
+    converted once; fbar and gbar are rounded once each.  Each guard is
+    `negligible` on its scale, |x| < 2^-zero_bits() |scale|, compared on
+    exact squared norms.
+    """
+    b1, b2, b3, b4, b5, b6, b7, b8, f, g, one, two = gauss_floats([*pt.b, pt.f, pt.g, 1, 2])
+    if _negligible(f, two) or _negligible(g, two):
         raise IndeterminacyError("closed forms are indeterminate on f g = 0")
-    den = ((f * (g - b3) - b8 * (g - b3 * b5 / b8))
-           * (f * (g - b4) - b8 * (g - b4 * b5 / b8)))
-    if negligible(den, abs(f * g) + 1):
+    r1, r2 = b1 * b8 / b5, b2 * b8 / b5
+    u = b3 * b4 * b5 * b5 / (b1 * b2 * b8)
+    den = ((f * (g - b3) - (b8 * g - b3 * b5))
+           * (f * (g - b4) - (b8 * g - b4 * b5)))
+    if _negligible(den, abs(f * g) + one):
         raise IndeterminacyError("fbar denominator vanishes")
-    fbar = (b3 * b4 * b5 ** 2 * b6 / (b1 * b2 * b8) / f
-            * ((f * (g - b1 * b8 / b5) - b8 * (g - b1))
-               * (f * (g - b2 * b8 / b5) - b8 * (g - b2))) / den)
-    if negligible(f - b5, abs(f) + 1):
+    fbar = (u * b6 / f * ((f * (g - r1) - b8 * (g - b1))
+                          * (f * (g - r2) - b8 * (g - b2))) / den)
+    fb5 = f - b5
+    if _negligible(fb5, abs(f) + one):
         raise IndeterminacyError("gbar is indeterminate on f = b5")
-    G = g * (f - b8) / (f - b5)
-    for v in (G - b1 * b8 / b5, G - b2 * b8 / b5):
-        if negligible(v, abs(G) + 1):
+    G = g * (f - b8) / fb5
+    Gr1, Gr2 = G - r1, G - r2
+    for v in (Gr1, Gr2):
+        if _negligible(v, abs(G) + one):
             raise IndeterminacyError("gbar hits a parameter line")
-    P = ((G - b3) / (G - b1 * b8 / b5)) * ((G - b4) / (G - b2 * b8 / b5))
-    if negligible(f * P - b5, abs(f) + 1):
+    fP = f * ((G - b3) / Gr1) * ((G - b4) / Gr2)
+    if _negligible(fP - b5, abs(f) + one):
         raise IndeterminacyError("gbar denominator vanishes")
-    gbar = (b1 * b2 * b8 / (b5 * g)) * ((f - b5) / (f - b8)) \
-        * (f * P - b3 * b4 * b5 ** 2 / (b1 * b2 * b8)) / (f * P - b5)
-    return fbar, gbar
+    gbar = b1 * b2 * b8 / (b5 * g) * (fb5 / (f - b8)) * (fP - u) / (fP - b5)
+    return fbar.mpc(), gbar.mpc()
 
 
 def bpoint_from_surface(sp, coords):

@@ -149,7 +149,7 @@ def _entry_err(got, want):
 
 def szego_error(p):
     with mp.workprec(PREC):
-        g, _ = qseries.szego_coefficients(p)
+        g = qseries.szego_coefficients(p)
     with mp.workprec(REF):
         want = ref_szego(p, len(g))
         return (max(abs(x - y) / abs(y) for x, y in zip(g, want)),

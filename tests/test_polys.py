@@ -13,7 +13,7 @@ from mpmath import ctx_mp_python
 from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_pos, mpf_sum
 
 import qpvi
-from qpvi import continuum, laxpair, opuc, painleve, polys, qseries, weyl
+from qpvi import continuum, laxpair, opuc, painleve, polys, qseries, verify, weyl
 from qpvi.errors import SingularMeasureError
 from qpvi.polys import ExactPoly, autocorr, dot, hpd_solve, lstsq, pmax, pmul
 from test_domain_sweep import _context as sweep_context
@@ -625,6 +625,29 @@ def test_weights_chain_multiplication_count(monkeypatch):
             Am, _ = painleve.matrix_step(fits[n].matrix, sp)
             painleve.extract_coords(Am, sp.step())
     assert 0 < count[0] <= 64
+
+
+def test_steps_chain_multiplication_count(monkeypatch):
+    """`composite_closed` and `factorization_residuals` form no mpf or mpc
+    product through mpmath's operators at a check-11 point: they run on
+    GaussFloat.  In mpmath arithmetic they formed 39 and 120."""
+    count = [0]
+
+    def counted(f):
+        def g(*args):
+            count[0] += 1
+            return f(*args)
+        return g
+    with mp.workprec(192):
+        pt = verify._composite_point(0, 0)
+        sp, coords = weyl.surface_from_bpoint(pt)
+        for name in ("mpf_mul", "mpc_mul"):
+            monkeypatch.setattr(ctx_mp_python, name, counted(getattr(ctx_mp_python, name)))
+        weyl.composite_closed(pt)
+        painleve.factorization_residuals(coords, sp)
+        assert count[0] == 0
+        sp.step()  # q kappa1 and q theta1: the counter sees mpmath's products
+        assert count[0] == 2
 
 
 class TestPolicy:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpvi import qseries
 from qpvi.errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from qpvi.polys import ExactPoly, peval
+from qpvi.polys import ExactPoly, dot, peval
 
 
 def mpc_close(x, y, tol):
@@ -69,7 +69,7 @@ class TestWeight:
 
     def test_szego_function_factorization(self, ref_params, prec192):
         # w(e^{i theta}) = |G(e^{i theta})|^2: products against the Szego series
-        g, _ = qseries.szego_coefficients(ref_params)
+        g = qseries.szego_coefficients(ref_params)
         for j in range(9):
             z = mp.expj(mp.mpf(2 * j + 1) / 9)
             G2 = abs(mp.polyval(g[::-1], z)) ** 2
@@ -164,7 +164,7 @@ def _weight(a, b, q):
 class TestSzegoSeries:
     def test_coefficients_match_products(self, ref_params, prec192):
         # sum g_n z^n = (az; q)_inf / (bz; q)_inf, and |G|^2 = w on the circle
-        g, mass = qseries.szego_coefficients(ref_params)
+        g = qseries.szego_coefficients(ref_params)
         a, b, q = ref_params.a, ref_params.b, ref_params.q
         for z in (mp.mpc("0.4", "0.3"), mp.exp(1j * mp.mpf("0.7"))):
             G = mp.polyval(g[::-1], z)
@@ -172,7 +172,14 @@ class TestSzegoSeries:
             assert abs(G - want) < 1e-50
         z = mp.exp(1j * mp.mpf("2.1"))
         assert abs(abs(mp.polyval(g[::-1], z)) ** 2 - qseries.weight_eval(ref_params, z)) < 1e-50
-        assert abs(mass - mp.fsum(abs(x) ** 2 for x in g)) < 1e-50
+        assert abs(qseries.moments(ref_params, K=4).mass - mp.fsum(abs(x) ** 2 for x in g)) < 1e-50
+
+    def test_mass_is_the_exact_sum_of_squares(self, ref_params, prec192):
+        # lag 0 of the autocorrelation is sum |g_n|^2, rounded once: the bits
+        # of the exact dot product
+        g = qseries.szego_coefficients(ref_params)
+        mass = qseries.moments(ref_params, K=4).mass
+        assert mass._mpf_ == dot(g, g, conjugate=True).real._mpf_
 
     def test_moments_match_quadrature_reference(self, ref_params, table, prec192):
         quad = qseries.moments_quad(ref_params, K=20)

@@ -14,6 +14,13 @@ def _surface(**kw):
     return painleve.SurfaceParams(**args)
 
 
+def _zero_divisors():
+    return painleve.SurfaceParams(k1=2, k2=3, t1=0, t2=5, c=(0, 1, 2, 3), q=mp.mpf("0.5"))
+
+
+ZERO_DIVISORS = "theta1 = 0, c1 = 0: the step divides by kappa1, kappa2, theta1 and c1..c4"
+
+
 def _limit(C):
     return continuum.LimitParams(K1=mp.mpf("0.4"), K2=mp.mpf("-0.3"),
                                  Th2=mp.mpf("0.25"), C=C)
@@ -40,6 +47,16 @@ CASES = {
                            DomainError, "need K >= 0, got K = -1"),
     "composite_f0": (lambda table, vt: weyl.composite_closed(weyl.BPoint(b=(1,) * 8, f=0, g=1)),
                      IndeterminacyError, "closed forms are indeterminate on f g = 0"),
+    # the step and the factorizations refuse a zero divisor through one check
+    "factorization_zero_divisors": (lambda table, vt: painleve.factorization_residuals(
+                                        painleve.SurfaceCoords(y=1, xi=1), _zero_divisors()),
+                                    DegenerateError, ZERO_DIVISORS),
+    "phi_step_zero_divisors": (lambda table, vt: painleve.phi_step(
+                                   painleve.SurfaceCoords(y=1, xi=1), _zero_divisors()),
+                               DegenerateError, ZERO_DIVISORS),
+    "factorization_nan_coords": (lambda table, vt: painleve.factorization_residuals(
+                                     painleve.SurfaceCoords(y=mp.nan, xi=1), _surface()),
+                                 DomainError, "coordinates must be finite"),
     "bpoint_kappa1_0": (lambda table, vt: weyl.bpoint_from_surface(
                             _surface(k1=0, t2=0), painleve.SurfaceCoords(y=1, xi=1)),
                         DegenerateError, "dictionary needs nonzero kappa, theta"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import mpmath as mp
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpvi import painleve, verify, weyl
 from qpvi.errors import ChartError, DomainError, IndeterminacyError
+from test_benchmark_contract import _load
 
 vec = st.lists(st.integers(-6, 6), min_size=10, max_size=10).map(tuple)
 
@@ -163,6 +165,48 @@ class TestBirational:
             pt = weyl.BPoint(b=ones, f=mp.mpc(0), g=mp.mpc("0.5"))
             with pytest.raises(IndeterminacyError):
                 weyl.sigma_inversion(pt)
+
+
+def test_closed_forms_match_600_bit_run():
+    """At 192 bits fbar and gbar keep 188 bits against a 600-bit run of the
+    same inputs, the worst case of the mpmath arithmetic on these draws; on
+    GaussFloat the worst is 192.3 bits."""
+    worst = mp.inf
+    # perfbench's `steps` requests: the sampler of checks 09 and 11
+    for req in itertools.islice(_load("workloads").steps_requests(7), 200):
+        got = []
+        for prec in (192, 600):
+            with mp.workprec(prec):
+                zs = [mp.mpc(z) for z in req]
+                got.append(weyl.composite_closed(weyl.BPoint(b=tuple(zs[:8]), f=zs[8], g=zs[9])))
+        with mp.workprec(600):
+            for x, want in zip(*got):
+                worst = min(worst, -mp.log(abs(x - want) / abs(want), 2))
+    assert worst >= 188.0
+
+
+@pytest.mark.parametrize("build", ["BPoint", "SurfaceParams"])
+def test_constructors_round_only_wider_values(build):
+    """Built under workprec(53) from 300-bit values, BPoint and SurfaceParams
+    hold their 53-bit roundings; built from those roundings, they hold
+    them bit for bit."""
+    def fields(xs):
+        # the fields that take xs[k] as given, in the order of xs
+        if build == "BPoint":
+            pt = weyl.BPoint(b=tuple(xs[:8]), f=xs[8], g=xs[9])
+            return [*pt.b, pt.f, pt.g]
+        sp = painleve.SurfaceParams(k1=xs[0], k2=xs[1], t1=xs[2], t2=xs[0] * xs[1] / xs[2],
+                                    c=(1, 1, 1, 1), q=xs[3])
+        return [sp.k1, sp.k2, sp.t1, sp.q]
+
+    with mp.workprec(300):
+        wide = [mp.mpc(1, j) / 3 for j in range(1, 11)]
+    with mp.workprec(53):
+        narrow = [mp.mpc(x) for x in wide]
+        assert all(t[3] <= 53 for x in narrow for t in x._mpc_)
+        for xs in (wide, narrow):
+            got = fields(xs)
+            assert [x._mpc_ for x in got] == [x._mpc_ for x in narrow[:len(got)]]
 
 
 class TestDictionary:
