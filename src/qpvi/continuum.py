@@ -27,13 +27,16 @@ in which K1 and Th1 do not appear.
 `discrete_orbit` runs the discrete orbit as one `painleve.phi_orbit` call,
 which computes the surface coefficients once and advances them by powers
 of q, in Python-integer arithmetic (`polys.GaussFloat`): the study's three
-orbits, 484 steps at 128 bits, take about 50 ms on a 2-core VM with
-pure-Python mpmath, against about 170 ms in mpmath arithmetic.  `limit_check` measures the endpoint gap between the discrete orbit
-and a high-order integration of this system for a decreasing sequence of
-eps and fits the convergence order, which is 1 in eps; `LimitReport.passed`
-is the one gate on that study, for check 13 and `qpvi limit-check`
-alike.  The reference endpoint comes from `integrate` at rtol = 1e-13,
-atol = 1e-15: about 1e-14 accurate, against gaps of at least 6.7e-3.
+orbits, 484 steps at 128 bits, take 40 to 55 ms on a 2-core VM with
+pure-Python mpmath, a sixth of the 240 to 310 ms the same steps take in
+mpmath arithmetic in the same runs (medians of three runs; the VM's speed
+varied by a third between them).  `limit_check` measures the endpoint gap
+between the discrete orbit and a high-order integration of this system
+for a decreasing sequence of eps and fits the convergence order, which is
+1 in eps; `LimitReport.passed` is the one gate on that study, for check
+13 and `qpvi limit-check` alike.  The reference endpoint comes from
+`integrate` at rtol = 1e-13, atol = 1e-15: about 1e-14 accurate, against
+gaps of at least 6.7e-3.
 
 `integrate` is an in-repo DOP853 (Hairer, Norsett and Wanner, Solving
 ODEs I, II.10): the 12-stage 8(5,3) tableau, written once below, on Python
@@ -42,8 +45,8 @@ combined 5th/3rd-order error norm, factor 0.9 err^(-1/8) within
 [0.2, 10], Hairer's first-step rule, failure below ten float spacings).
 It takes the same steps as scipy's DOP853 and reaches sample times by
 clipping steps to them, so the package needs neither numpy nor scipy.
-One study reference is 242 right-hand-side evaluations, about 1.3 ms on
-the same VM.
+One study reference is 242 right-hand-side evaluations, 1.1 to 1.6 ms in
+the same runs.
 
 The right-hand side is typed once, in `_field`.  `ode_rhs` evaluates it
 on mpmath numbers and the solver on Python complex numbers.

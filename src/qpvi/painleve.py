@@ -19,18 +19,18 @@ re-validates the parameters at every step; `phi_step` is the orbit of one
 step.  The orbit computes on `polys.GaussFloat` (Python integers with a
 binary exponent, 10 guard bits), carries its point between steps at that
 precision and rounds the end point once to the working precision; only
-the (kappa1, theta1) flow stays in mpmath, so that an orbit returns the
-parameters chained steps do.  `extract_coords`, `matrix_step` and the four
-pencil factorizations of check 09 (`factorization_residuals`) run on
-GaussFloat too; of check 11's three routes to the step, `phi_step` and
-`weyl.composite_closed` run on it and the reflection word stays in
-mpmath (see `weyl`).  Parameters are validated where they are built:
-`SurfaceParams` checks the constraint on exact products, and `phi_orbit`
-returns its parameters through that constructor, so every orbit is
-checked at both ends.  The same step is realized on matrices by a
-polynomial gauge transform A -> B(qz) A(z) adj(B(z)) / (z Delta) in
-`matrix_step`, so the three routes (recompute at n+1, phi_step,
-matrix_step) must agree.
+the (kappa1, theta1) flow keeps mpmath's rounding, applied to raw tuples,
+so that an orbit returns the parameters chained steps do.
+`extract_coords`, `matrix_step` and the four pencil factorizations of
+check 09 (`factorization_residuals`) run on GaussFloat too; of check 11's
+three routes to the step, `phi_step` and `weyl.composite_closed` run on it
+and the reflection word stays in mpmath (see `weyl`).  Parameters are
+validated where they are built: `SurfaceParams` checks the constraint on
+exact products, and `phi_orbit` returns its parameters through that
+constructor, so every orbit is checked at both ends.  The same step is
+realized on matrices by a polynomial gauge transform
+A -> B(qz) A(z) adj(B(z)) / (z Delta) in `matrix_step`, so the three
+routes (recompute at n+1, phi_step, matrix_step) must agree.
 
 The map blows down exactly eight parameter-dependent points; steps landing
 on them raise IndeterminacyError naming the nearest one.
@@ -40,18 +40,21 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp.libmpc import mpc_mul
 
 from .errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
-from .polys import (as_mpc, below, gauss_floats, json_complex, largest, negligible, residual_tol,
-                    zero_bits)
+from .polys import (as_mpc, below, gauss_floats, is_zero, json_complex, largest, negligible,
+                    residual_tol, zero_bits)
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
     "extract_coords", "phi_orbit", "phi_step", "matrix_step",
     "factorization_residuals", "blown_up_points",
 ]
+
+_make_mpc = mp.mp.make_mpc
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class SurfaceParams:
         object.__setattr__(self, "t2", as_mpc(self.t2))
         object.__setattr__(self, "c", tuple(as_mpc(x) for x in self.c))
         object.__setattr__(self, "q", as_mpc(self.q))
-        if self.q == 0:
+        if is_zero(self.q):
             raise ConstraintError("q must be nonzero")
         if len(self.c) != 4:
             raise ConstraintError("need exactly four c parameters")
@@ -247,13 +250,14 @@ def _st_coefficients(k1, k2, t1, t2, c, q):
             -q * t2, -k1 * k2 * k2, 2 * m, m * s1, -q * q * k1)
 
 
-def _st_terms(cf, c, y, xi):
-    # S and T, three terms each in powers of xi, at one point; the two
-    # share (y - c1)(y - c2), xi^2 (y - c3)(y - c4) and q^2 k1 t1 + k2 t2
+def _st_terms(cf, d, y, xi):
+    # S and T, three terms each in powers of xi, at one point, from the
+    # differences d = (y - c1, .., y - c4); the two share (y - c1)(y - c2),
+    # xi^2 (y - c3)(y - c4) and q^2 k1 t1 + k2 t2
     sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
-    c1, c2, c3, c4 = c
-    a12 = (y - c1) * (y - c2)
-    xa34 = xi * xi * (y - c3) * (y - c4)
+    d1, d2, d3, d4 = d
+    a12 = d1 * d2
+    xa34 = xi * xi * d3 * d4
     p = p1 + p2
     y2 = y * y
     S = (sa * xa34, xi * (p * y2 - sb * y + sc), sd * a12)
@@ -264,15 +268,21 @@ def _st_terms(cf, c, y, xi):
 def _refuse_zero_divisors(sp):
     # the step and the factorizations divide by these parameters
     names = ("kappa1", "kappa2", "theta1", "c1", "c2", "c3", "c4")
-    zeros = [name for name, x in zip(names, (sp.k1, sp.k2, sp.t1, *sp.c)) if x == 0]
+    zeros = [name for name, x in zip(names, (sp.k1, sp.k2, sp.t1, *sp.c)) if is_zero(x)]
     if zeros:
         raise DegenerateError(" = 0, ".join(zeros) + " = 0: the step divides by "
                               "kappa1, kappa2, theta1 and c1..c4")
 
 
+def _top(x):
+    # max(|re|, |im|) 2^e < 2^top, so 2^(2 top - 2) <= |x|^2 < 2^(2 top + 1) if x != 0
+    return (abs(x.re) | abs(x.im)).bit_length() + x.e
+
+
 def _indeterminate(what, sp, k1, t1, y, xi):
-    # the error of a step from GaussFloat (y, xi) with (kappa1, theta1) moved on
-    here = SurfaceParams(k1=k1, k2=sp.k2, t1=t1, t2=sp.t2, c=sp.c, q=sp.q)
+    # the error of a step from GaussFloat (y, xi) with raw (kappa1, theta1) moved on
+    here = SurfaceParams(k1=_make_mpc(k1), k2=sp.k2, t1=_make_mpc(t1), t2=sp.t2, c=sp.c,
+                         q=sp.q)
     return IndeterminacyError(what + _nearest_base_point(here, y.mpc(), xi.mpc()))
 
 
@@ -285,29 +295,41 @@ def phi_orbit(coords, sp, k):
     precision plus 10 guard bits.  The parameters are converted once and
     the parameter-only coefficients computed once; since a step multiplies
     kappa1 and theta1 by q, each then advances by one multiplication by q,
-    q^2, 1/q or 1/q^2.  The point is converted once, carried between steps
-    at the guard precision and rounded once at the end, at the working
-    precision and rounding mode: k chained `phi_step` calls round it after
-    every step, and the map grows those roundings by a factor of a few per
-    step, so the orbit lands nearer the exact one than the chained calls.
-    kappa1 and theta1 advance as mpc by the products `SurfaceParams.step`
-    forms, so the chained calls return equal parameters.  The returned
-    parameters go through the `SurfaceParams` constructor, so the
-    constraint is checked at both ends of the orbit; in between the flow
-    scales both of its sides by q.  Near-vanishing denominators are
-    rejected relative to the term magnitudes, compared through exact
-    squared norms, so that catastrophic cancellation is reported instead
-    of silently amplified; the error names the base point nearest to the
-    failing step, under that step's parameters.
+    q^2, 1/q or 1/q^2.  The differences y - c_i are formed once per step
+    and shared by S, T, g1, g2, f1 and f2.  The point is converted once,
+    carried between steps at the guard precision and rounded once at the
+    end, at the working precision and rounding mode: k chained `phi_step`
+    calls round it after every step, and the map grows those roundings by
+    a factor of a few per step, so the orbit lands nearer the exact one
+    than the chained calls.
+
+    kappa1 and theta1 advance on mpmath's raw tuples: each step applies
+    `libmpc.mpc_mul`, the function behind mpc * mpc, to q and each of them,
+    so an orbit forms no mpc until the end and returns the parameters that
+    k chained `SurfaceParams.step` calls return, bit for bit.  (The
+    kernel's `_round` of the exact product would not always do: mpmath
+    rounds a sum of two products more than prec + 4 bits apart as the
+    larger one plus a sticky bit.)  The returned parameters go through the
+    `SurfaceParams` constructor, so the constraint is checked at both ends
+    of the orbit; in between the flow scales both of its sides by q.
+
+    Near-vanishing denominators are rejected relative to the term
+    magnitudes, compared through exact squared norms, so that catastrophic
+    cancellation is reported instead of silently amplified; the error
+    names the base point nearest to the failing step, under that step's
+    parameters.  In front of each of the two magnitude guards, y T and
+    g1, g2, a pre-test bounds the guarded squared norm from below and the
+    scale from above by bit lengths alone (`_top`); where the bounds
+    already clear the margin the step goes on, and elsewhere the exact
+    test decides.  So every decision is the exact test's.
     """
     if k < 0:
         raise DomainError("need k >= 0 steps")
     _refuse_zero_divisors(sp)  # a zero stays zero at every step, since q != 0
-    k1, k2, t1, t2 = sp.k1, sp.k2, sp.t1, sp.t2
-    q = sp.q
-    bits = 2 * zero_bits()  # |x| < 2^-zero_bits() |s| as |x|^2 < 2^-bits |s|^2
+    zb = zero_bits()
+    bits = 2 * zb  # |x| < 2^-zb |s| as |x|^2 < 2^-bits |s|^2
     gk1, gk2, gt1, gt2, c1, c2, c3, c4, gq, one = gauss_floats(
-        [k1, k2, t1, t2, *sp.c, q, 1])
+        [sp.k1, sp.k2, sp.t1, sp.t2, *sp.c, sp.q, 1])
     c = (c1, c2, c3, c4)
     cf = _st_coefficients(gk1, gk2, gt1, gt2, c, gq)
     q2 = gq * gq
@@ -315,11 +337,14 @@ def phi_orbit(coords, sp, k):
     iq2 = iq * iq
     w = gq / gk2
     aw = abs(w)
+    top_w = _top(aw)
     r1 = gq * gt1 / (c1 * gk2)
     r2 = gq * gt1 / (c2 * gk2)
     r3 = gt2 / (gq * c3 * gk1)
     r4 = gt2 / (gq * c4 * gk1)
     pref = c1 * c2 / (gq * gk1 * gt1)
+    prec, rnd = mp.mp._prec_rounding
+    q, k1, t1 = sp.q._mpc_, sp.k1._mpc_, sp.t1._mpc_
 
     try:
         gy, gxi = gauss_floats([coords.y, coords.xi])
@@ -332,29 +357,39 @@ def phi_orbit(coords, sp, k):
                   ta * gq, tb * gq, tc * gq, td * gq)
             r1, r2, r3, r4 = r1 * gq, r2 * gq, r3 * iq, r4 * iq
             pref = pref * iq2
-        Sterms, Tterms = _st_terms(cf, c, gy, gxi)
+        d = d1, d2, d3, d4 = gy - c1, gy - c2, gy - c3, gy - c4
+        Sterms, Tterms = _st_terms(cf, d, gy, gxi)
         T0, T1, T2 = Tterms
         yT = gy * (T0 + T1 + T2)
-        ny, nt = gy.norm(), largest(Tterms).norm()
-        scale = (ny[0] * nt[0], ny[1] + nt[1])
-        if not scale[0] or below(yT.norm(), scale, bits):
-            raise _indeterminate("y T cancels to working precision near ",
-                                sp, k1, t1, gy, gxi)
+        top_y = _top(gy)
+        # pre-test: |yT|^2 >= 2^(2 top - 2) and |y|^2 max|T_i|^2 < 2^(2 top_y + 2 top_T + 2)
+        if not yT or _top(yT) - top_y - max(_top(T0), _top(T1), _top(T2)) < 2 - zb:
+            ny, nt = gy.norm(), largest(Tterms).norm()
+            scale = (ny[0] * nt[0], ny[1] + nt[1])
+            if not scale[0] or below(yT.norm(), scale, bits):
+                raise _indeterminate("y T cancels to working precision near ",
+                                    sp, k1, t1, gy, gxi)
         if not gxi:
             raise _indeterminate("xi = 0; step hit ", sp, k1, t1, gy, gxi)
-        g1 = gxi * (gy - c4) - w * (gy - r3)
-        g2 = gxi * (gy - c3) - w * (gy - r4)
-        gscale = ((abs(gxi) + aw) * (one + abs(gy))).norm()
-        if below(g1.norm(), gscale, bits) or below(g2.norm(), gscale, bits):
-            raise _indeterminate("xi' denominator factor vanishes; step hit ",
-                                sp, k1, t1, gy, gxi)
-        f1 = gxi * (gy - r1) - w * (gy - c2)
-        f2 = gxi * (gy - r2) - w * (gy - c1)
+        g1 = gxi * d4 - w * (gy - r3)
+        g2 = gxi * d3 - w * (gy - r4)
+        # pre-test: |g_i|^2 >= 2^(2 top - 2) and the scale, a product of
+        # values below 2^(max(top_xi, top_w) + 1.5) and 2^(max(top_y, 0) + 1.5),
+        # is below 2^(2 max(top_xi, top_w) + 2 max(top_y, 0) + 6)
+        if (not (g1 and g2) or min(_top(g1), _top(g2)) - max(_top(gxi), top_w)
+                - max(top_y, 0) < 4 - zb):
+            gscale = ((abs(gxi) + aw) * (one + abs(gy))).norm()
+            if below(g1.norm(), gscale, bits) or below(g2.norm(), gscale, bits):
+                raise _indeterminate("xi' denominator factor vanishes; step hit ",
+                                    sp, k1, t1, gy, gxi)
+        f1 = gxi * (gy - r1) - w * d2
+        f2 = gxi * (gy - r2) - w * d1
         S0, S1, S2 = Sterms
         gy, gxi = (S0 + S1 + S2) / yT, pref * (f1 * f2) / (gxi * (g1 * g2))
-        k1, t1 = q * k1, q * t1
+        k1, t1 = mpc_mul(q, k1, prec, rnd), mpc_mul(q, t1, prec, rnd)
     return (SurfaceCoords(y=gy.mpc(), xi=gxi.mpc()),
-            SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=sp.c, q=q))
+            SurfaceParams(k1=_make_mpc(k1), k2=sp.k2, t1=_make_mpc(t1), t2=sp.t2, c=sp.c,
+                          q=sp.q))
 
 
 def phi_step(coords, sp):
@@ -433,13 +468,13 @@ def factorization_residuals(coords, sp):
         raise DomainError("coordinates must be finite") from None
     k1, k2, t1, t2, c1, c2, c3, c4, q = gauss_floats([sp.k1, sp.k2, sp.t1, sp.t2, *sp.c, sp.q])
     c = (c1, c2, c3, c4)
-    Sterms, Tterms = _st_terms(_st_coefficients(k1, k2, t1, t2, c, q), c, y, xi)
+    d = d1, d2, d3, d4 = [y - x for x in c]  # y - c_i
+    Sterms, Tterms = _st_terms(_st_coefficients(k1, k2, t1, t2, c, q), d, y, xi)
     S0, S1, S2 = Sterms
     T0, T1, T2 = Tterms
     S, T = S0 + S1 + S2, T0 + T1 + T2
     scale = [largest(Sterms), largest(Tterms) * largest(c) * y]
     k12, qt1, k2y, qk1y = k1 * k2, q * t1, k2 * y, q * k1 * y
-    d1, d2, d3, d4 = (y - x for x in c)  # y - c_i
     pairs = []
     for ci, di, dj in ((c1, d1, d2), (c2, d2, d1)):
         lhs = S - ci * y * T

@@ -27,13 +27,15 @@ inf or nan entry raises ValueError.
 Chains of arithmetic on a few values run on `GaussFloat` beside the
 kernel: the same Gaussian integers with a binary exponent, but cut back by
 a plain shift after each + - * / to the working precision plus
-`GUARD_BITS`, instead of mpmath's per-operation normalization.  The
-weights chain runs on it: the Szego series and q-Pochhammer products
-(`qseries`), the Szego recursion (`opuc`), the closed A_n (`laxpair`), and
-`extract_coords`, `matrix_step` and the orbit (`painleve`); so do two of
-the routes of the `steps` checks, `factorization_residuals` (`painleve`)
-and `composite_closed` (`weyl`).  Each converts its mpf/mpc inputs once
-with `gauss_floats` and rounds each output once with `GaussFloat.mpc`.
+`GUARD_BITS`, instead of mpmath's per-operation normalization.  That cut,
+`_cut`, builds each result with object.__new__ and four slot stores, so no
+operation pays for an __init__ call.  The weights chain runs on it: the
+Szego series and q-Pochhammer products (`qseries`), the Szego recursion
+(`opuc`), the closed A_n (`laxpair`), and `extract_coords`, `matrix_step`
+and the orbit (`painleve`); so do two of the routes of the `steps` checks,
+`factorization_residuals` (`painleve`) and `composite_closed` (`weyl`).
+Each converts its mpf/mpc inputs once with `gauss_floats` and rounds each
+output once with `GaussFloat.mpc`.
 `as_mpc` is the `mp.mpc` of the constructors that hold such outputs, minus
 the no-op re-rounding of a value that already fits the working precision.
 
@@ -67,12 +69,13 @@ __all__ = [
     "pscale", "ExactPoly", "pmul", "pq", "peval", "pstar", "pmax", "mat_qdiff_residual",
     "json_complex", "dot", "autocorr",
     "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
-    "largest", "as_mpc",
+    "largest", "as_mpc", "is_zero",
     "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
 ]
 
 _MPF, _MPC = mp.mpf, mp.mpc
 _make_mpf, _make_mpc = mp.mp.make_mpf, mp.mp.make_mpc
+_new = object.__new__
 
 # the precision policy of the module docstring
 GUARD_BITS, TAIL_BITS = 10, 8
@@ -239,12 +242,15 @@ class GaussFloat:
 
 
 def _cut(re, im, e, p):
+    x = _new(GaussFloat)  # no __init__ call (module docstring)
     n = (abs(re) | abs(im)).bit_length() - p
     if n > 0:
-        return GaussFloat(re >> n, im >> n, e + n, p)
-    if re or im:
-        return GaussFloat(re, im, e, p)
-    return GaussFloat(0, 0, 0, p)  # else a zero's exponent drifts with each * and /
+        x.re, x.im, x.e, x.p = re >> n, im >> n, e + n, p
+    elif re or im:
+        x.re, x.im, x.e, x.p = re, im, e, p
+    else:
+        x.re, x.im, x.e, x.p = 0, 0, 0, p  # else a zero's exponent drifts with each * and /
+    return x
 
 
 def as_mpc(x):
@@ -256,6 +262,13 @@ def as_mpc(x):
         if bc <= mp.mp.prec and bd <= mp.mp.prec:
             return x
     return _MPC(x)
+
+
+def is_zero(x):
+    """x == 0 for an mpc x, read from its raw parts: a part is zero when its
+    mantissa is 0 and its bc >= 0, since inf and nan have bc < 0."""
+    (_, m, _, bc), (_, n, _, bd) = x._mpc_
+    return not (m or n) and bc >= 0 and bd >= 0
 
 
 def gauss_floats(xs, p=None):

@@ -41,7 +41,7 @@ import mpmath as mp
 
 from .errors import ChartError, DegenerateError, DomainError, IndeterminacyError
 from .painleve import SurfaceCoords, SurfaceParams
-from .polys import as_mpc, below, gauss_floats, negligible, zero_bits
+from .polys import as_mpc, below, gauss_floats, is_zero, negligible, zero_bits
 
 __all__ = [
     "ip", "pic_constants", "phi_pic", "apply_pic", "is_isometry",
@@ -167,9 +167,10 @@ class BPoint:
         object.__setattr__(self, "b", tuple(as_mpc(x) for x in self.b))
         object.__setattr__(self, "f", as_mpc(self.f))
         object.__setattr__(self, "g", as_mpc(self.g))
-        if len(self.b) != 8 or any(x == 0 for x in self.b):
+        # both tests read the raw parts: inf and nan have bc < 0
+        if len(self.b) != 8 or any(map(is_zero, self.b)):
             raise DomainError("need eight nonzero parameters b1..b8")
-        if not all(map(mp.isfinite, (*self.b, self.f, self.g))):
+        if any(bc < 0 for x in (*self.b, self.f, self.g) for _, _, _, bc in x._mpc_):
             raise DomainError("need finite parameters b1..b8 and point (f, g)")
 
     @property

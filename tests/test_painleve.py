@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -274,15 +275,37 @@ class TestStep:
 
 
 class TestOrbit:
-    @pytest.mark.parametrize("prec", [128, 192])
+    @pytest.mark.parametrize("prec", [53, 128, 192])
     def test_generic_orbit_matches_chained_steps(self, prec):
+        # the parameters also equal k `SurfaceParams.step` calls, a route
+        # that shares no code with the orbit's raw flow
         with mp.workprec(prec):
             for sp, co in generic_points(10):
                 got, sp2 = painleve.phi_orbit(co, sp, 6)
                 want, sp3 = chained(co, sp, 6)
                 assert rel(got.y, want.y) <= 2 ** -(prec - 16)
                 assert rel(got.xi, want.xi) <= 2 ** -(prec - 16)
-                assert sp2 == sp3
+                sp4 = sp
+                for _ in range(6):
+                    sp4 = sp4.step()
+                assert sp2 == sp3 == sp4
+
+    def test_flow_rounds_as_mpc_product(self):
+        # kappa1 = theta1 nearly real under a complex q: the real part of
+        # q kappa1 is a difference of two products 2^-136 apart, which
+        # mpmath rounds as the larger one plus a sticky bit, one unit from
+        # the correct rounding of the exact difference; the orbit's flow
+        # still returns what `SurfaceParams.step` returns
+        with mp.workprec(128):
+            q = mp.mpc(mp.mpf(3) / 5, mp.mpf(4) / 5)
+            k1 = mp.mpc(1 + mp.mpf(554) / 7, mp.mpf(554) / 7 * mp.mpf(2) ** -136)
+            sp = painleve.SurfaceParams(k1=k1, k2=1, t1=k1, t2=1, c=(1, 1, 1, 1), q=q)
+            exact = ExactPoly.of([q]) * ExactPoly.of([k1])
+            assert exact.rounded()[0] != q * k1
+            co = painleve.SurfaceCoords(y=mp.mpc("0.3", "0.2"), xi=mp.mpc("0.7", "-0.1"))
+            _, sp1 = painleve.phi_orbit(co, sp, 1)
+            assert sp1 == sp.step()
+            assert sp1.k1 == sp1.t1 == q * k1
 
     def test_weight_orbit_matches_600_bit_reference(self, ref_params, ctx, prec192):
         # the plain-mpmath step at 600 bits from the same 192-bit point and
@@ -423,9 +446,66 @@ class TestOrbit:
         label = painleve._nearest_base_point(sp_j, y, xi)
         assert str(err.value) == "xi' denominator factor vanishes; step hit " + label
 
-    def test_orbit_multiplies_no_mpc_per_step_but_the_flow(self, monkeypatch):
-        """A 277-step orbit forms about 2 mpc products per step: the
-        (kappa1, theta1) flow, as `SurfaceParams.step` forms it."""
+    def test_top_bounds_the_squared_norm(self):
+        # the bounds of the guards' pre-test: 2^(2 top - 2) <= |x|^2 < 2^(2 top + 1)
+        rng = random.Random(3)
+        edges = [(1, 0, 0), (0, -1, 5), (2 ** 40, 2 ** 40 - 1, -7), (2 ** 40 - 1, 2 ** 40 - 1, 3),
+                 (-(2 ** 138 - 1), 2 ** 138 - 1, -200)]
+        draws = [(rng.getrandbits(rng.randint(1, 140)) * rng.choice([1, -1]),
+                  rng.getrandbits(rng.randint(0, 140)) * rng.choice([1, -1]),
+                  rng.randint(-300, 300)) for _ in range(500)]
+        for re, im, e in edges + draws:
+            if not (re or im):
+                continue
+            x = polys.GaussFloat(re, im, e, 148)
+            top = painleve._top(x)
+            assert not polys.below(x.norm(), (1, 2 * top - 2)), (re, im, e)
+            assert polys.below(x.norm(), (1, 2 * top + 1)), (re, im, e)
+
+    @pytest.mark.parametrize("shift, fails", [(-2, False), (2, True)])
+    @pytest.mark.parametrize("guard", ["yT", "g1", "g2"])
+    def test_guard_margin(self, prec192, guard, shift, fails):
+        """Each magnitude guard of step j with its quantity at
+        2^-(zero_bits() + shift) of its scale: |T| of max |T_i| (the y
+        cancels), or |g_i| of (|xi| + |q/kappa2|)(1 + |y|).  Four times
+        above the zero level the orbit goes on; four times below it raises
+        the pinned class and message."""
+        j = 2
+        sp_j = guard_params()
+        c1, c2, c3, c4 = sp_j.c
+        level = mp.ldexp(1, -(polys.zero_bits() + shift))
+        y = mp.mpc("0.3", "0.4")
+        if guard == "yT":
+            _, T = oracle_st_terms(painleve.SurfaceCoords(y=y, xi=mp.mpc(1)), sp_j)
+            root = max(mp.polyroots(T), key=abs)
+            scale = max(abs(T[0] * root ** 2), abs(T[1] * root), abs(T[2]))
+            xi = root + level * scale / abs(2 * T[0] * root + T[1])
+            _, T = oracle_st_terms(painleve.SurfaceCoords(y=y, xi=xi), sp_j)
+            ratio = abs(mp.fsum(T)) / max(abs(t) for t in T)
+            message = "y T cancels to working precision near "
+        else:
+            w = sp_j.q / sp_j.k2
+            ci, cj = (c3, c4) if guard == "g1" else (c4, c3)
+            r = sp_j.t2 / (sp_j.q * ci * sp_j.k1)
+            xi0 = w * (y - r) / (y - cj)  # g = xi (y - cj) - w (y - r) = 0
+            xi = xi0 + level * (abs(xi0) + abs(w)) * (1 + abs(y)) / abs(y - cj)
+            ratio = abs(xi * (y - cj) - w * (y - r)) / ((abs(xi) + abs(w)) * (1 + abs(y)))
+            message = "xi' denominator factor vanishes; step hit "
+        assert abs(ratio / level - 1) < 1e-6
+        co, sp = preimage(sp_j, y, xi, j)
+        reached, _ = painleve.phi_orbit(co, sp, j)
+        assert rel(reached.y, y) < 1e-50 and rel(reached.xi, xi) < 1e-50
+        if not fails:
+            painleve.phi_orbit(co, sp, j + 1)
+            return
+        with pytest.raises(IndeterminacyError) as err:
+            painleve.phi_orbit(co, sp, j + 1)
+        assert str(err.value) == message + painleve._nearest_base_point(sp_j, y, xi)
+
+    def test_orbit_forms_no_mpc_product(self, monkeypatch):
+        """A 277-step orbit forms no mpc product.  It used to form 554, two
+        per step, for the (kappa1, theta1) flow; that flow now applies
+        mpmath's raw `mpc_mul` to the parts."""
         count = [0]
         mpc = type(mp.mpc(1))
         mul, rmul = mpc.__mul__, mpc.__rmul__
@@ -443,7 +523,7 @@ class TestOrbit:
             monkeypatch.setattr(mpc, "__mul__", counted(mul))
             monkeypatch.setattr(mpc, "__rmul__", counted(rmul))
             painleve.phi_orbit(co, sp, 277)
-        assert count[0] <= 2 * 277 + 16
+        assert count[0] == 0
 
     def test_off_constraint_params_rejected(self, ref_params, ctx, prec192):
         sp, co = coords_at(ref_params, ctx, 3)
@@ -563,7 +643,7 @@ class TestFactorizations:
     def test_matches_oracle(self, prec192):
         for sp, co in generic_points(50):
             cf = painleve._st_coefficients(sp.k1, sp.k2, sp.t1, sp.t2, sp.c, sp.q)
-            S, T = painleve._st_terms(cf, sp.c, co.y, co.xi)
+            S, T = painleve._st_terms(cf, [co.y - x for x in sp.c], co.y, co.xi)
             S0, T0 = oracle_st_terms(co, sp)
             assert rel(mp.fsum(S), mp.fsum(S0)) <= 1e-50
             assert rel(mp.fsum(T), mp.fsum(T0)) <= 1e-50

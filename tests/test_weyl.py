@@ -66,18 +66,23 @@ class TestLattice:
 class TestBirational:
     def test_bpoint_validation(self):
         with mp.workprec(64):
-            with pytest.raises(DomainError):
-                weyl.BPoint(b=(mp.mpc(0),) + tuple(mp.mpc(1) for _ in range(7)),
-                            f=mp.mpc(1), g=mp.mpc(1))
+            ones = tuple(mp.mpc(1) for _ in range(7))
+            for b in ((mp.mpc(0),) + ones, ones[:3] + (mp.mpc(0, 0),) + ones[3:], ones):
+                with pytest.raises(DomainError) as err:
+                    weyl.BPoint(b=b, f=mp.mpc(1), g=mp.mpc(1))
+                assert str(err.value) == "need eight nonzero parameters b1..b8"
+            # a part may be zero, and so may the point
+            weyl.BPoint(b=(mp.mpc(0, 1), mp.mpc(1, 0)) + ones[:6], f=mp.mpc(0), g=mp.mpc(0))
 
     @pytest.mark.parametrize("bad", ["b", "f", "g"])
     def test_nonfinite_bpoint_rejected(self, bad):
         with mp.workprec(64):
             good = {"b": tuple(mp.mpc(1) for _ in range(8)), "f": mp.mpc(1), "g": mp.mpc(1)}
-            for x in (mp.nan, mp.inf, mp.mpc(1, mp.nan)):
+            for x in (mp.nan, mp.inf, mp.mpc(1, mp.nan), mp.mpc(0, mp.nan), mp.mpc(-mp.inf, 0)):
                 value = (x,) + good["b"][1:] if bad == "b" else x
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError) as err:
                     weyl.BPoint(**{**good, bad: value})
+                assert str(err.value) == "need finite parameters b1..b8 and point (f, g)"
 
     def test_generator_index_range(self):
         pt = random_bpoint(0)
