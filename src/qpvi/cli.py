@@ -10,7 +10,6 @@ thirteen acceptance checks.  Exit codes: 0 success, 2 configuration error,
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -99,8 +98,6 @@ def build_parser():
     sp.add_argument("--N", type=int, default=8, help="build A_1..A_N")
     _add_prec(sp)
     _add_output(sp)
-    sp.add_argument("--tol", type=float,
-                    help="residual gate of the phi rows (default: 2^-(prec/3))")
 
     sp = sub.add_parser("orbit", help="Painleve orbit in (y, xi)")
     _add_weight(sp)
@@ -204,15 +201,11 @@ def cmd_verblunsky(args):
 
 def cmd_lax(args):
     cfg = _resolve(args)
-    cfg["tol"] = args.tol
-    if args.tol is not None and not 0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     with mp.workprec(cfg["prec"]):
         p = _weight_params(cfg)
         nmax = cfg["N"]
         vt = opuc.verblunsky_from_moments(qseries.moments(p, K=nmax + 2), N=nmax + 1)
-        tol = mp.mpf(args.tol) if args.tol is not None else None
-        fits = {str(n): laxpair.fit_spectral_matrix(p, vt, n, tol=tol).to_json_dict()
+        fits = {str(n): laxpair.fit_spectral_matrix(p, vt, n).to_json_dict()
                 for n in range(1, nmax + 1)}
         _emit(args, _envelope(cfg, fits))
     return 0

@@ -32,9 +32,9 @@ pure-Python mpmath, a sixth of the 240 to 310 ms the same steps take in
 mpmath arithmetic in the same runs (medians of three runs; the VM's speed
 varied by a third between them).  `limit_check` measures the endpoint gap
 between the discrete orbit and a high-order integration of this system
-for a decreasing sequence of eps and fits the convergence order, which is
-1 in eps; `LimitReport.passed` is the one gate on that study, for check
-13 and `qpvi limit-check` alike.  The reference endpoint comes from
+for the decreasing eps of `STUDY_EPS` and fits the convergence order,
+which is 1 in eps; `LimitReport.passed` is the one gate on that study,
+for check 13 and `qpvi limit-check` alike.  The reference endpoint comes from
 `integrate` at rtol = 1e-13, atol = 1e-15: about 1e-14 accurate, against
 gaps of at least 6.7e-3.
 
@@ -67,7 +67,7 @@ from .painleve import phi_step  # noqa: F401
 __all__ = [
     "LimitParams", "REFERENCE_LIMIT", "reference_limit", "ode_rhs", "discrete_step_params",
     "discrete_orbit", "Trajectory", "integrate",
-    "limit_check", "LimitReport", "ORDER_TOL", "V_COLLAPSE",
+    "limit_check", "LimitReport", "ORDER_TOL", "STUDY_EPS", "V_COLLAPSE",
 ]
 
 
@@ -366,6 +366,9 @@ def integrate(lp, t0, t1, u0, v0, rtol=1e-10, atol=1e-12, npoints=201):
 
 # the study passes when its fitted order is this close to the expected 1
 ORDER_TOL = 0.05
+# the eps of the convergence study, kept as strings so the values are
+# parsed at the study precision
+STUDY_EPS = ("0.01", "0.005", "0.0025")
 
 
 @dataclass(frozen=True)
@@ -397,17 +400,16 @@ class LimitReport:
                 "decreasing": self.decreasing}
 
 
-def limit_check(lp=None, eps_list=("0.01", "0.005", "0.0025"), window=None,
-                prec=128):
+def limit_check(lp=None, window=None, prec=128):
     """Convergence study of the discrete orbit toward the limit flow.
 
-    For each eps the discrete orbit runs at `prec` bits from t0 to
-    t_end = t0 q^k ~ t1, and its endpoint is compared with the DOP853
+    For each eps of `STUDY_EPS` the discrete orbit runs at `prec` bits from
+    t0 to t_end = t0 q^k ~ t1, and its endpoint is compared with the DOP853
     endpoint of the limit system from t0 to t_end (`integrate` at
     rtol = 1e-13, atol = 1e-15).  The window must satisfy 0 < t1 < t0
-    with [t1, t0] and every [t_end, t0] clear of t = 1, and the order fit
-    needs at least two eps.  The references take about 2 ms each, so they
-    all run first: a bad window, eps or v0 fails before any orbit runs.
+    with [t1, t0] and every [t_end, t0] clear of t = 1.  The references
+    take about 2 ms each, so they all run first: a bad window or v0 fails
+    before any orbit runs.
     """
     with mp.workprec(prec):
         if lp is None:
@@ -419,11 +421,8 @@ def limit_check(lp=None, eps_list=("0.01", "0.005", "0.0025"), window=None,
         u0, v0 = window["u0"], window["v0"]
         if t1 <= 1 <= t0:
             raise DomainError("the window [t1, t0] may not contain t = 1")
-        eps_list = [mp.mpf(e) for e in eps_list]
-        if len(eps_list) < 2:
-            raise DomainError("fitting a convergence order needs at least two eps")
         eps_steps, refs = [], []
-        for e in eps_list:
+        for e in map(mp.mpf, STUDY_EPS):
             k, tend = _orbit_length(e, t0, t1)
             ref_end = integrate(lp, t0, tend, u0, v0, rtol=1e-13, atol=1e-15,
                                 npoints=2)

@@ -62,7 +62,7 @@ import mpmath as mp
 from .errors import DegreeError, FitError
 from .opuc import epsilon_eval, epsilon_star_eval
 from .polys import (ExactPoly, gauss_floats, json_complex, lstsq, mat_qdiff_residual, peval,
-                    pmul, pq, pscale, residual_tol)
+                    residual_tol)
 from .qseries import vw_polys
 
 __all__ = [
@@ -107,10 +107,10 @@ def _check_order(vt, n):
     return vt.alpha_nonzero(n + 1)
 
 
-def _certify(p, V, vt, n, P, Q, Ps, Qs, theta, theta_star, tol=None):
+def _certify(p, V, vt, n, P, Q, Ps, Qs, theta, theta_star):
     """SpectralFit of A_n = [[P, Q], [Qs, Ps]] after the coefficient residual
-    of both phi rows; FitError unless it is <= `tol` (default `residual_tol()`)."""
-    tol = residual_tol() if tol is None else tol
+    of both phi rows; FitError unless it is <= `residual_tol()`."""
+    tol = residual_tol()
     resid = mat_qdiff_residual(V, p.q, [P, Q, Qs, Ps], vt.phi[n], vt.phi_star(n))
     if not resid <= tol:
         raise FitError(f"A_{n} fit residual {mp.nstr(resid, 5)} exceeds {mp.nstr(tol, 5)}")
@@ -119,14 +119,14 @@ def _certify(p, V, vt, n, P, Q, Ps, Qs, theta, theta_star, tol=None):
                        theta_star=tuple(theta_star), residual=resid)
 
 
-def fit_spectral_matrix(p, vt, n, tol=None):
+def fit_spectral_matrix(p, vt, n):
     """A_n in closed form from alpha_n, alpha_{n+1}, phi_n and the weight.
 
     The coefficients are formed on GaussFloat from the converted inputs
     and rounded once each.  Returns a SpectralFit; raises FitError if
-    either phi row misses its identity by more than `tol` relative to the
-    coefficient scale.  That residual certifies the closed form on every
-    call.
+    either phi row misses its identity by more than `residual_tol()`
+    relative to the coefficient scale.  That residual certifies the closed
+    form on every call.
     """
     _check_order(vt, n)
     V = vw_polys(p)[0]
@@ -142,7 +142,7 @@ def fit_spectral_matrix(p, vt, n, tol=None):
     P = [b.conj() * qn, V1 * qn + b * qn * (one - q) * s - Q[1] * an.conj(), b * qn * q]
     Ps = [a.conj(), V1 + (q - one) * a.conj() * s.conj() - Qs[0] * an, a * q]
     return _certify(p, V, vt, n, _mpcs(P), _mpcs(Q), _mpcs(Ps), [mp.mpc(0)] + _mpcs(Qs),
-                    _mpcs(theta), _mpcs(theta_star), tol)
+                    _mpcs(theta), _mpcs(theta_star))
 
 
 def _coeff_rows(target, lhs, first, second, first_degs, second_degs):
@@ -181,9 +181,12 @@ def lstsq_spectral_matrix(p, vt, n):
     st = vt.phi_star(n)
 
     # first row: V(z) phi(qz) = P phi + Q phi*
-    rows1, rhs1 = _coeff_rows(n + 2, pmul(V, pq(ph, q)), ph, st, range(3), range(2))
+    X = ExactPoly.of
+    rows1, rhs1 = _coeff_rows(n + 2, (X(V) * X(ph).at_q(q)).rounded(), ph, st,
+                              range(3), range(2))
     # second row: V(z) phi*(qz) = Ps phi* + Qs phi, Qs = z*(linear)
-    rows2, rhs2 = _coeff_rows(n + 2, pmul(V, pq(st, q)), st, ph, range(3), range(1, 3))
+    rows2, rhs2 = _coeff_rows(n + 2, (X(V) * X(st).at_q(q)).rounded(), st, ph,
+                              range(3), range(1, 3))
 
     if n < 2:
         # coefficients alone are rank-deficient: add z^1..z^D of
@@ -191,11 +194,11 @@ def lstsq_spectral_matrix(p, vt, n):
         # exact through degree D = n + 2 with F truncated there
         D = n + 2
         e, es = _eps_taylor(vt, n, D)
-        mW = pscale(W, -1)
+        mW = X([-x for x in W])
         for rows, rhs, first, second, lhs, degs in (
-                (rows1, rhs1, e, es, pmul(mW, pq(e, q)), range(2)),
-                (rows2, rhs2, es, e, pmul(mW, pq(es, q)), range(1, 3))):
-            extra, extra_rhs = _coeff_rows(D, lhs, first, pscale(second, -1),
+                (rows1, rhs1, e, es, (mW * X(e).at_q(q)).rounded(), range(2)),
+                (rows2, rhs2, es, e, (mW * X(es).at_q(q)).rounded(), range(1, 3))):
+            extra, extra_rhs = _coeff_rows(D, lhs, first, [-x for x in second],
                                            range(3), degs)
             rows += extra[1:]
             rhs += extra_rhs[1:]
@@ -205,7 +208,7 @@ def lstsq_spectral_matrix(p, vt, n):
     Q = sol1[3:]
     Qs = [mp.mpc(0)] + sol2[3:]
     return _certify(p, V, vt, n, sol1[:3], Q, sol2[:3], Qs,
-                    pscale(Q, -1 / a1), pscale(Qs[1:], -1 / mp.conj(a1)))
+                    [-1 / a1 * x for x in Q], [-1 / mp.conj(a1) * x for x in Qs[1:]])
 
 
 def build_B(vt, n):

@@ -207,7 +207,7 @@ def epsilon_eval(vt, n, z):
     F comes from the Szego coefficients of vt's moment table.
     """
     F = caratheodory(vt.moments, z)
-    return peval(list(vt.psi[n]), z) + F * peval(list(vt.phi[n]), z)
+    return peval(vt.psi[n], z) + F * peval(vt.phi[n], z)
 
 
 def epsilon_star_eval(vt, n, z):

@@ -26,14 +26,17 @@ check 09 (`factorization_residuals`) run on GaussFloat too; of check 11's
 three routes to the step, `phi_step` and `weyl.composite_closed` run on it
 and the reflection word stays in mpmath (see `weyl`).  Parameters are
 validated where they are built: `SurfaceParams` checks the constraint on
-exact products, and `phi_orbit` returns its parameters through that
-constructor, so every orbit is checked at both ends.  The same step is
-realized on matrices by a polynomial gauge transform
-A -> B(qz) A(z) adj(B(z)) / (z Delta) in `matrix_step`, so the three
-routes (recompute at n+1, phi_step, matrix_step) must agree.
+exact products and then refuses kappa1, kappa2, theta1 or a c_i equal to
+0, the parameters the step and the factorizations divide by (theta2 = 0
+with those nonzero already violates the constraint).  `phi_orbit`
+returns its parameters through that constructor, so every orbit is
+checked at both ends.  The same step is realized on matrices by a
+polynomial gauge transform A -> B(qz) A(z) adj(B(z)) / (z Delta) in
+`matrix_step`, so the three routes (recompute at n+1, phi_step,
+matrix_step) must agree.
 
-The map blows down exactly eight parameter-dependent points; steps landing
-on them raise IndeterminacyError naming the nearest one.
+The map blows down exactly eight parameter-dependent points (`b_params`);
+steps landing on them raise IndeterminacyError naming the nearest one.
 """
 
 import math
@@ -46,12 +49,12 @@ from .errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeE
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
 from .polys import (as_mpc, below, gauss_floats, is_zero, json_complex, largest, negligible,
-                    residual_tol, zero_bits)
+                    peval, residual_tol, zero_bits)
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
     "extract_coords", "phi_orbit", "phi_step", "matrix_step",
-    "factorization_residuals", "blown_up_points",
+    "factorization_residuals", "b_params", "blown_up_points",
 ]
 
 _make_mpc = mp.mp.make_mpc
@@ -59,7 +62,8 @@ _make_mpc = mp.mp.make_mpc
 
 @dataclass(frozen=True)
 class SurfaceParams:
-    """Surface parameters on the constraint variety."""
+    """Surface parameters on the constraint variety, with kappa1, kappa2,
+    theta1 and c1..c4 nonzero."""
 
     k1: mp.mpc
     k2: mp.mpc
@@ -87,6 +91,11 @@ class SurfaceParams:
             raise ConstraintError(
                 "kappa1 kappa2 c1 c2 c3 c4 = theta1 theta2 violated by "
                 f"{mp.nstr(self.constraint_residual(), 5)}")
+        names = ("kappa1", "kappa2", "theta1", "c1", "c2", "c3", "c4")
+        zeros = [n for n, x in zip(names, (self.k1, self.k2, self.t1, *self.c)) if is_zero(x)]
+        if zeros:
+            raise DegenerateError(" = 0, ".join(zeros) + " = 0: the step divides by "
+                                  "kappa1, kappa2, theta1 and c1..c4")
 
     def _constraint_norms(self):
         # |lhs - rhs|^2 and max(|lhs|, |rhs|)^2 exactly, as (man, exp); q is
@@ -152,18 +161,25 @@ def y_closed(p, vt, n):
     return (mp.conj(p.a) - mp.conj(p.b) * p.q ** n) * vt.alpha[n] / den
 
 
+def b_params(sp):
+    """The b-chart parameters b1..b8 of the eight blown-up points:
+    (c1, c2, c3, c4, c1 c2/theta1, c1 c2/theta2, 1/kappa1, q/kappa2)."""
+    c1, c2, c3, c4 = sp.c
+    return (c1, c2, c3, c4, c1 * c2 / sp.t1, c1 * c2 / sp.t2, 1 / sp.k1, sp.q / sp.k2)
+
+
 def blown_up_points(sp):
     """The eight blown-up points as (label, y, xi); mp.inf marks infinity."""
-    c1, c2, c3, c4 = sp.c
+    b1, b2, b3, b4, b5, b6, b7, b8 = b_params(sp)
     return [
-        ("(y, xi) = (c1, 0)", c1, mp.mpc(0)),
-        ("(y, xi) = (c2, 0)", c2, mp.mpc(0)),
-        ("(y, xi) = (c3, inf)", c3, mp.inf),
-        ("(y, xi) = (c4, inf)", c4, mp.inf),
-        ("(y, xi) = (0, c1 c2/theta1)", mp.mpc(0), c1 * c2 / sp.t1),
-        ("(y, xi) = (0, c1 c2/theta2)", mp.mpc(0), c1 * c2 / sp.t2),
-        ("(y, xi) = (inf, 1/kappa1)", mp.inf, 1 / sp.k1),
-        ("(y, xi) = (inf, q/kappa2)", mp.inf, sp.q / sp.k2),
+        ("(y, xi) = (c1, 0)", b1, mp.mpc(0)),
+        ("(y, xi) = (c2, 0)", b2, mp.mpc(0)),
+        ("(y, xi) = (c3, inf)", b3, mp.inf),
+        ("(y, xi) = (c4, inf)", b4, mp.inf),
+        ("(y, xi) = (0, c1 c2/theta1)", mp.mpc(0), b5),
+        ("(y, xi) = (0, c1 c2/theta2)", mp.mpc(0), b6),
+        ("(y, xi) = (inf, 1/kappa1)", mp.inf, b7),
+        ("(y, xi) = (inf, q/kappa2)", mp.inf, b8),
     ]
 
 
@@ -191,13 +207,6 @@ def _trimmed(p, bits):
     return p
 
 
-def _horner(p, z):
-    out = p[-1]
-    for x in p[-2::-1]:
-        out = out * z + x
-    return out
-
-
 def _entries(A):
     # A's entries on GaussFloat; the exact conversion refuses inf and nan
     try:
@@ -223,7 +232,7 @@ def extract_coords(A, sp):
     if len(e12) != 2:
         raise GaugeError(f"e12 must have exact degree 1, got degree {len(e12) - 1}")
     y = -e12[0] / e12[1]
-    e11y = _horner(e11, y)
+    e11y = peval(e11, y)
     if not below(largest(e11).norm(), e11y.norm(), -bits):
         raise IndeterminacyError(
             "e11(y) vanishes; matrix sits at " + _nearest_base_point(sp, y.mpc(), mp.inf))
@@ -232,7 +241,7 @@ def extract_coords(A, sp):
     if below(den.norm(), (1, 0), bits):
         raise IndeterminacyError(
             "xi cross-check degenerates at " + _nearest_base_point(sp, y.mpc(), xi.mpc()))
-    xi2 = _horner(e22, y) / den
+    xi2 = peval(e22, y) / den
     if below((gtol * largest([xi, xi2, one])).norm(), (xi - xi2).norm()):
         raise ConsistencyError(
             f"xi expressions disagree: {mp.nstr(xi.mpc(), 8)} vs {mp.nstr(xi2.mpc(), 8)}")
@@ -263,15 +272,6 @@ def _st_terms(cf, d, y, xi):
     S = (sa * xa34, xi * (p * y2 - sb * y + sc), sd * a12)
     T = (ta * xa34, xi * (tb * y2 - tc * y + p), td * a12)
     return S, T
-
-
-def _refuse_zero_divisors(sp):
-    # the step and the factorizations divide by these parameters
-    names = ("kappa1", "kappa2", "theta1", "c1", "c2", "c3", "c4")
-    zeros = [name for name, x in zip(names, (sp.k1, sp.k2, sp.t1, *sp.c)) if is_zero(x)]
-    if zeros:
-        raise DegenerateError(" = 0, ".join(zeros) + " = 0: the step divides by "
-                              "kappa1, kappa2, theta1 and c1..c4")
 
 
 def _top(x):
@@ -325,7 +325,6 @@ def phi_orbit(coords, sp, k):
     """
     if k < 0:
         raise DomainError("need k >= 0 steps")
-    _refuse_zero_divisors(sp)  # a zero stays zero at every step, since q != 0
     zb = zero_bits()
     bits = 2 * zb  # |x| < 2^-zb |s| as |x|^2 < 2^-bits |s|^2
     gk1, gk2, gt1, gt2, c1, c2, c3, c4, gq, one = gauss_floats(
@@ -457,11 +456,9 @@ def factorization_residuals(coords, sp):
     These identities hold only on the constraint variety; off it the cross
     terms in xi do not cancel.  Each residual is |lhs - rhs| over the
     largest of |lhs|, |rhs|, the S terms and the T terms times |y| max |c_i|.
-    Like `phi_orbit`, this refuses kappa1, kappa2, theta1 or a c_i = 0 and
-    runs on GaussFloat: the inputs are converted once and each residual is
-    rounded once.
+    Like `phi_orbit`, this runs on GaussFloat: the inputs are converted
+    once and each residual is rounded once.
     """
-    _refuse_zero_divisors(sp)
     try:
         y, xi = gauss_floats([coords.y, coords.xi])
     except ValueError:  # the exact conversion refuses inf and nan

@@ -19,8 +19,7 @@ stay exact, and only its `max` (exact squared magnitudes, one square
 root) and `rounded` round.  Every identity residual of the package is
 formed on it: the phi rows of the Lax matrices (`mat_qdiff_residual`), the
 Wronskians (`opuc`), compatibility and determinant (`laxpair`) and the F
-recurrence of check 12 (`verify`).  `pmul`, `pq` and `pmax` are its
-one-line forms on coefficient lists.  The kernel reads the mpmath 1.x raw
+recurrence of check 12 (`verify`).  The kernel reads the mpmath 1.x raw
 layouts ``x._mpf_ = (sign, man, exp, bc)`` and ``x._mpc_ = (re, im)``; an
 inf or nan entry raises ValueError.
 
@@ -66,7 +65,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_sqrt
 from .errors import DegreeError
 
 __all__ = [
-    "pscale", "ExactPoly", "pmul", "pq", "peval", "pstar", "pmax", "mat_qdiff_residual",
+    "ExactPoly", "peval", "pstar", "mat_qdiff_residual",
     "json_complex", "dot", "autocorr",
     "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
     "largest", "as_mpc", "is_zero",
@@ -362,10 +361,6 @@ def autocorr(x, K):
     return out
 
 
-def pscale(p, s):
-    return [s * x for x in p]
-
-
 class ExactPoly:
     """A polynomial with exact coefficients p_k = (re_k + i im_k) 2^e.
 
@@ -451,18 +446,18 @@ class ExactPoly:
         return [_make_mpc((_round(a, e), _round(b, e))) for a, b in zip(self.re, self.im)]
 
 
-def pmul(p, r):
-    """p * r by exact convolution, each coefficient rounded once."""
-    return (ExactPoly.of(p) * ExactPoly.of(r)).rounded()
-
-
-def pq(p, q):
-    """Substitute z -> q z: x_k q^k exactly, each coefficient rounded once."""
-    return ExactPoly.of(p).at_q(q).rounded()
-
-
 def peval(p, z):
-    return mp.fsum(x * z ** i for i, x in enumerate(p)) if p else mp.mpc(0)
+    """p(z) by Horner's rule, in the number type of p and z (mpc or GaussFloat).
+
+    On mpc it performs mpmath's own Horner loop on the reversed list, operation
+    for operation, so the two agree bit for bit.
+    """
+    if not p:
+        return mp.mpc(0)
+    out = p[-1]
+    for x in p[-2::-1]:
+        out = out * z + x
+    return out
 
 
 def pstar(p, n):
@@ -473,11 +468,6 @@ def pstar(p, n):
     for i, x in enumerate(p):
         out[n - i] = mp.conj(x)
     return out
-
-
-def pmax(p):
-    """max_k |p_k|: exact squared magnitudes, one correctly rounded square root."""
-    return ExactPoly.of(p).max()
 
 
 def mat_qdiff_residual(V, q, A, x, y):

@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import (TAIL_BITS, autocorr, below, gauss_floats, json_complex, negligible, peval,
-                    pmul, zero_bits)
+from .polys import (TAIL_BITS, ExactPoly, autocorr, below, gauss_floats, json_complex,
+                    negligible, peval, zero_bits)
 
 __all__ = [
     "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
@@ -132,9 +132,10 @@ def weight_eval(p, z):
 
 def vw_polys(p):
     """Coefficient lists of V(z) = (qz - conj(a))(bz - 1), W(z) = (qz - conj(b))(1 - az)."""
-    V = pmul([-mp.conj(p.a), p.q], [mp.mpc(-1), p.b])
-    W = pmul([-mp.conj(p.b), p.q], [mp.mpc(1), -p.a])
-    return V, W
+    X = ExactPoly.of
+    V = X([-mp.conj(p.a), p.q]) * X([mp.mpc(-1), p.b])
+    W = X([-mp.conj(p.b), p.q]) * X([mp.mpc(1), -p.a])
+    return V.rounded(), W.rounded()
 
 
 def weight_feq_residual(p, z):
@@ -338,6 +339,5 @@ def caratheodory_series(table, z):
     if tail > mp.ldexp(1, -zero_bits()):
         raise PrecisionError(
             f"series tail {mp.nstr(tail, 5)} too large at |z| = {mp.nstr(abs(z), 5)}")
-    return table.cmom(0) + 2 * mp.fsum(table.cmom(k) * z ** k
-                                       for k in range(1, table.K + 1))
+    return table.cmom(0) + 2 * z * peval(table.c[table.K + 1:], z)
 

@@ -17,7 +17,7 @@ import mpmath as mp
 
 from . import continuum, laxpair, opuc, painleve, qseries, weyl
 from .painleve import SurfaceCoords
-from .polys import ExactPoly, pmax
+from .polys import ExactPoly, peval
 
 __all__ = ["CheckResult", "VerificationContext", "run_all", "CRITERIA", "COMPOSITE_TOL"]
 
@@ -140,7 +140,7 @@ def check_05_closed_factors(ctx):
         worst = mp.mpf(0)
         for n in range(1, 16):
             f, closed = ctx.oracle_fits()[n], ctx.fits()[n]
-            entries = max((ExactPoly.of(x) - ExactPoly.of(y)).max() / pmax(y)
+            entries = max((ExactPoly.of(x) - ExactPoly.of(y)).max() / ExactPoly.of(y).max()
                           for x, y in zip(closed.matrix, f.matrix))
             tdiff = max(abs(x - y) for x, y in zip(f.theta, closed.theta))
             sdiff = max(abs(x - y) for x, y in zip(f.theta_star, closed.theta_star))
@@ -235,14 +235,12 @@ def _composite_point(seed, i):
 def _composite_sample(prec, seed, i):
     with mp.workprec(prec):
         pt = _composite_point(seed, i)
-        qw = (pt.b[0] * pt.b[1] * pt.b[6] * pt.b[7]) / (
-            pt.b[2] * pt.b[3] * pt.b[4] * pt.b[5])
         out = weyl.composite_map(pt)
         fbar, gbar = weyl.composite_closed(pt)
         sp, coords = weyl.surface_from_bpoint(pt)
         stepped, _ = painleve.phi_step(coords, sp)
-        expect_b = (pt.b[0], pt.b[1], pt.b[2], pt.b[3], pt.b[4] / qw,
-                    pt.b[5], pt.b[6] / qw, pt.b[7])
+        expect_b = (pt.b[0], pt.b[1], pt.b[2], pt.b[3], pt.b[4] / sp.q,
+                    pt.b[5], pt.b[6] / sp.q, pt.b[7])
         rel = max(
             abs(out.f - stepped.xi) / abs(stepped.xi),
             abs(out.g - stepped.y) / abs(stepped.y),
@@ -269,11 +267,10 @@ def check_12_weight_identities(ctx):
     """
     with mp.workprec(ctx.prec):
         p, table = ctx.params, ctx.table()
-        g = table.g[::-1]
         worst_circle = mp.mpf(0)
         for j in range(100):
             z = mp.expj(2 * mp.pi * j / 100 + mp.mpf("0.1"))
-            G2 = abs(mp.polyval(g, z)) ** 2
+            G2 = abs(peval(table.g, z)) ** 2
             worst_circle = max(worst_circle, abs(qseries.weight_eval(p, z) - G2) / G2)
         V, W = qseries.vw_polys(p)
         F = ExactPoly.of([1] + [2 * table.cmom(k) for k in range(1, table.K + 1)])

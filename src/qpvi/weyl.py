@@ -23,8 +23,7 @@ reduced word
     phi = sigma w4 w3 w2 w0 w1 w2 w3 w4     (rightmost factor first)
 
 reproduces the Painleve step of `painleve.phi_step` under the dictionary
-b_i = c_i (i <= 4), b5 = c1 c2/theta1, b6 = c1 c2/theta2, b7 = 1/kappa1,
-b8 = q/kappa2, f = xi, g = y.  Note the lattice/point-configuration
+`painleve.b_params`, with f = xi, g = y.  Note the lattice/point-configuration
 convention q = b3 b4 b5 b6/(b1 b2 b7 b8) is the reciprocal of the weight
 convention used elsewhere.
 
@@ -39,8 +38,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import ChartError, DegenerateError, DomainError, IndeterminacyError
-from .painleve import SurfaceCoords, SurfaceParams
+from .errors import ChartError, DomainError, IndeterminacyError
+from .painleve import SurfaceCoords, SurfaceParams, b_params
 from .polys import as_mpc, below, gauss_floats, is_zero, negligible, zero_bits
 
 __all__ = [
@@ -304,13 +303,8 @@ def composite_closed(pt):
 
 
 def bpoint_from_surface(sp, coords):
-    """Dictionary from surface parameters/coordinates to the b-chart."""
-    c1, c2, c3, c4 = sp.c
-    if abs(sp.t1) == 0 or abs(sp.t2) == 0 or abs(sp.k1) == 0 or abs(sp.k2) == 0:
-        raise DegenerateError("dictionary needs nonzero kappa, theta")
-    b = (c1, c2, c3, c4, c1 * c2 / sp.t1, c1 * c2 / sp.t2, 1 / sp.k1,
-         sp.q / sp.k2)
-    return BPoint(b=b, f=coords.xi, g=coords.y)
+    """Dictionary from surface parameters/coordinates to the b-chart (`b_params`)."""
+    return BPoint(b=b_params(sp), f=coords.xi, g=coords.y)
 
 
 def surface_from_bpoint(pt):

@@ -300,16 +300,12 @@ class TestBadInput:
         monkeypatch.setenv("QPVI_PREC", "abc")
         self.config_error(capsys, ["verblunsky", "--N", "3"])
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
-    def test_lax_tolerance_finite_and_positive(self, capsys, tol):
-        self.config_error(capsys, ["lax", *WEIGHT, f"--tol={tol}"])
-
 
 # the exact option set of each subcommand: a new or lost flag fails here
 OPTIONS = {
     "moments": {"--a", "--b", "--q", "--K", "--prec", "--format", "--out"},
     "verblunsky": {"--a", "--b", "--q", "--N", "--prec", "--format", "--out"},
-    "lax": {"--a", "--b", "--q", "--N", "--prec", "--tol", "--out"},
+    "lax": {"--a", "--b", "--q", "--N", "--prec", "--out"},
     "orbit": {"--a", "--b", "--q", "--prec", "--n-start", "--steps", "--out"},
     "weyl": {"--prec", "--seed", "--out"},
     "ode": {"--format", "--out", "--npoints", *LIMIT_FLAGS},
@@ -337,7 +333,6 @@ FLAG_VALUES = [
     ("moments", "--prec", "53", "128"),
     ("verblunsky", "--N", "3", "4"), ("verblunsky", "--prec", "53", "128"),
     ("lax", "--N", "1", "2"), ("lax", "--prec", "64", "128"),
-    ("lax", "--tol", "1e-10", "1e-40"),
     ("orbit", "--n-start", "2", "3"), ("orbit", "--steps", "1", "2"),
     ("orbit", "--prec", "64", "128"),
     ("weyl", "--seed", "0", "1"), ("weyl", "--prec", "64", "128"),
@@ -382,7 +377,7 @@ def _subcommands():
 class TestContract:
     def test_option_sets(self):
         assert _subcommands() == OPTIONS
-        assert sum(len(opts) for opts in OPTIONS.values()) == 63
+        assert sum(len(opts) for opts in OPTIONS.values()) == 62
 
     def test_every_value_flag_is_exercised(self):
         # --format and --out have their own tests, and verify-all's flags

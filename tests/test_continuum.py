@@ -232,7 +232,7 @@ class TestLimit:
     def test_reference_matches_rk4_oracle(self, ref):
         # the DOP853 reference reproduces the error an RK4 reference gives
         lp, w = ref
-        rep = continuum.limit_check(eps_list=("0.01", "0.005"))
+        rep = continuum.limit_check()
         with mp.workprec(128):
             t0 = mp.mpf(str(w["t0"]))
             _, t_end, u_end, v_end = continuum.discrete_orbit(
@@ -246,7 +246,7 @@ class TestLimit:
             monkeypatch.setattr(mod, "phi_orbit", _refuse)
         lp, w = ref
         with pytest.raises(AssertionError):  # a good window reaches the patch
-            continuum.limit_check(lp, window=w, eps_list=("0.01", "0.005"))
+            continuum.limit_check(lp, window=w)
         # the last window ends its eps = 0.01 orbit at t0 q^40 = 0.999
         for t0, t1 in (("1.2", "0.8"), ("0.4", "0.8"), ("0.8", "-0.1"), ("1", "0.5"),
                        ("1.49334", "1.001"), ("nan", "0.5"), ("0.8", "nan"),
@@ -254,9 +254,6 @@ class TestLimit:
             window = dict(w, t0=mp.mpf(t0), t1=mp.mpf(t1))
             with pytest.raises(DomainError):
                 continuum.limit_check(lp, window=window)
-        for eps_list in (("0.01", "1.5"), ("0.01",)):
-            with pytest.raises(DomainError):
-                continuum.limit_check(lp, window=w, eps_list=eps_list)
 
     def test_v0_zero_rejected_before_orbits(self, ref, monkeypatch):
         for mod in (qpvi, painleve, continuum):
@@ -266,11 +263,11 @@ class TestLimit:
             continuum.limit_check(lp, window=dict(w, v0=mp.mpc(0)))
 
     def test_first_order_convergence(self, ref):
-        rep = continuum.limit_check(eps_list=("0.01", "0.005"))
+        rep = continuum.limit_check()
         assert rep.decreasing
         assert rep.fitted_order > 0.7
         d = rep.to_json_dict()
-        assert len(d["errors"]) == 2 and len(d["orders"]) == 1
+        assert len(d["errors"]) == 3 and len(d["orders"]) == 2
 
 
 class TestAgainstScipy:
@@ -301,7 +298,7 @@ class TestAgainstScipy:
                 return rhs(*args)
             return count
         monkeypatch.setattr(continuum, "_solver_rhs", counted)
-        for eps in ("0.01", "0.005", "0.0025"):
+        for eps in continuum.STUDY_EPS:
             _, t_end = continuum._orbit_length(mp.mpf(eps), w["t0"], w["t1"])
             sol = self._scipy(lp, w["t0"], t_end, w["u0"], w["v0"])
             calls.clear()
@@ -334,7 +331,7 @@ def test_numerical_stack_not_loaded():
         from qpvi import cli, continuum
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["ode", "--t1", "0.7", "--npoints", "3"]) == 0
-        continuum.limit_check(eps_list=("0.01", "0.005"))
+        continuum.limit_check()
         print(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")))
     """)
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -8,7 +8,7 @@ from qpvi import continuum, laxpair, painleve, polys, verify, weyl
 from qpvi.errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                          DomainError, GaugeError, IndeterminacyError, QpviError,
                          SingularGaugeError)
-from qpvi.polys import ExactPoly, pscale
+from qpvi.polys import ExactPoly
 
 
 def coords_at(ref_params, ctx, n):
@@ -216,7 +216,7 @@ class TestCoordinates:
         sp, co = coords_at(ref_params, ctx, n)
         A = ctx.fits()[n].matrix
         lam = mp.mpc("1.7", "-0.4")
-        B = [A[0], pscale(A[1], lam), pscale(A[2], 1 / lam), A[3]]
+        B = [A[0], [lam * x for x in A[1]], [x / lam for x in A[2]], A[3]]
         co2 = painleve.extract_coords(B, sp)
         assert abs(co.y - co2.y) < 1e-40
         assert abs(co.xi - co2.xi) < 1e-40 * (1 + abs(co.xi))
@@ -357,22 +357,37 @@ class TestOrbit:
 
     def test_zero_theta1(self):
         # theta1 = 0 stays 0 under the flow, and the constraint then needs
-        # kappa1 = 0; the step divides by both
-        with mp.workprec(128):
-            sp = painleve.SurfaceParams(k1=0, k2=1, t1=0, t2=1, c=(1, 2, 3, 4), q=mp.mpf("0.5"))
-            co = painleve.SurfaceCoords(y=mp.mpc("0.3"), xi=mp.mpc(1))
-            with pytest.raises(DegenerateError, match="theta1 = 0"):
-                painleve.phi_orbit(co, sp, 3)
+        # kappa1 = 0; the step divides by both, so the parameters are refused
+        with mp.workprec(128), pytest.raises(DegenerateError, match="kappa1 = 0, theta1 = 0"):
+            painleve.SurfaceParams(k1=0, k2=1, t1=0, t2=1, c=(1, 2, 3, 4), q=mp.mpf("0.5"))
 
     @pytest.mark.parametrize("k2, c, zero", [(0, (1, 2, 3, 4), "kappa2 = 0"),
                                              (1, (0, 2, 3, 4), "c1 = 0")])
     def test_zero_divisor_parameter(self, k2, c, zero):
         # with theta2 = 0 the constraint holds whatever kappa2 and c1 are
-        with mp.workprec(128):
-            sp = painleve.SurfaceParams(k1=1, k2=k2, t1=1, t2=0, c=c, q=mp.mpf("0.5"))
-            co = painleve.SurfaceCoords(y=mp.mpc("0.3"), xi=mp.mpc(1))
-            with pytest.raises(DegenerateError, match=zero):
-                painleve.phi_orbit(co, sp, 3)
+        with mp.workprec(128), pytest.raises(DegenerateError, match=zero):
+            painleve.SurfaceParams(k1=1, k2=k2, t1=1, t2=0, c=c, q=mp.mpf("0.5"))
+
+    # each zero divisor with theta2 = 0, so that the constraint holds; a zero
+    # theta1 needs a zero on the left of the constraint too
+    ZERO_DIVISORS = {"kappa1": dict(k1=0), "kappa2": dict(k2=0),
+                     "kappa1 = 0, theta1": dict(k1=0, t1=0),
+                     "c1": dict(c=(0, 2, 3, 4)), "c2": dict(c=(1, 0, 3, 4)),
+                     "c3": dict(c=(1, 2, 0, 4)), "c4": dict(c=(1, 2, 3, 0))}
+
+    @pytest.mark.parametrize("zeros", ZERO_DIVISORS)
+    def test_each_zero_divisor_refused_at_construction(self, zeros):
+        args = dict(k1=2, k2=3, t1=5, t2=0, c=(1, 2, 3, 4), q=mp.mpf("0.5"))
+        args.update(self.ZERO_DIVISORS[zeros])
+        with mp.workprec(128), pytest.raises(DegenerateError) as exc:
+            painleve.SurfaceParams(**args)
+        assert str(exc.value) == (f"{zeros} = 0: the step divides by "
+                                  "kappa1, kappa2, theta1 and c1..c4")
+
+    def test_zero_theta2_violates_the_constraint(self):
+        # with the seven divisors nonzero, theta2 = 0 cannot satisfy the constraint
+        with mp.workprec(128), pytest.raises(ConstraintError, match="violated by 1"):
+            painleve.SurfaceParams(k1=2, k2=3, t1=5, t2=0, c=(1, 2, 3, 4), q=mp.mpf("0.5"))
 
     @pytest.mark.parametrize("bad", [mp.nan, mp.inf, mp.mpc(0, -mp.inf)])
     def test_non_finite_coordinates(self, ref_params, ctx, prec192, bad):
@@ -601,7 +616,7 @@ class TestGuards:
     def test_xi_expressions_disagree(self, ref_params, ctx, prec192):
         sp, (e11, e12, e21, e22) = self.fit3(ref_params, ctx)
         with pytest.raises(ConsistencyError) as err:
-            painleve.extract_coords([e11, e12, e21, pscale(e22, mp.mpf("1.01"))], sp)
+            painleve.extract_coords([e11, e12, e21, [mp.mpf("1.01") * x for x in e22]], sp)
         assert str(err.value).startswith("xi expressions disagree: ")
 
     def test_e21_must_vanish_at_zero(self, ref_params, ctx, prec192):

@@ -15,7 +15,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_pos, mpf_sum
 import qpvi
 from qpvi import continuum, laxpair, opuc, painleve, polys, qseries, verify, weyl
 from qpvi.errors import SingularMeasureError
-from qpvi.polys import ExactPoly, autocorr, dot, hpd_solve, lstsq, pmax, pmul
+from qpvi.polys import ExactPoly, autocorr, dot, hpd_solve, lstsq, peval
 from test_domain_sweep import _context as sweep_context
 
 # mp.qr_solve, mp.lu_solve and mp.fdot appear here only as oracles for the
@@ -244,7 +244,7 @@ class TestGrowingFactor:
         assert rows[0] == 13
 
 
-# --- the exact kernel: dot, autocorr, ExactPoly and its pmul, pmax --------
+# --- the exact kernel: dot, autocorr, ExactPoly --------------------------
 
 # (working precision, mantissa bits, exponent spread).  In each, every
 # product's bits lie within 2 prec bits of every other's, the window in
@@ -323,8 +323,8 @@ class TestDot:
 
     @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)])
     def test_non_finite_raises(self, bad):
-        for call in (lambda: dot([1, bad], [1, 1]), lambda: pmul([bad], [1]),
-                     lambda: pmax([1, bad]), lambda: autocorr([1, bad], 1)):
+        for call in (lambda: dot([1, bad], [1, 1]), lambda: ExactPoly.of([bad]),
+                     lambda: ExactPoly.of([1, bad]).max(), lambda: autocorr([1, bad], 1)):
             with pytest.raises(ValueError):
                 call()
 
@@ -361,14 +361,14 @@ class TestPolyKernels:
         with mp.workprec(4 * 53):
             exact = _old_pmul(p, r)
         with mp.workprec(53):
-            got = pmul(p, r)
+            got = (ExactPoly.of(p) * ExactPoly.of(r)).rounded()
             assert [x._mpc_ for x in got] == [(+x)._mpc_ for x in exact]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 30).flatmap(lambda n: vectors(n, 53, 200)))
     def test_pmax_within_half_an_ulp(self, p):
         with mp.workprec(53):
-            got = pmax(p)
+            got = ExactPoly.of(p).max()
         with mp.workprec(4 * 53):
             want = max((abs(x) for x in p), default=mp.mpf(0))
             if want == 0:
@@ -405,6 +405,29 @@ class TestPolyKernels:
             assert [x._mpc_ for x in X.at_q(q).rounded()] == [(+mp.mpc(x))._mpc_ for x in want_q]
             assert (ExactPoly.of([q]) ** k).rounded()[0]._mpc_ == (+mp.mpc(want_pow))._mpc_
             assert [x._mpc_ for x in X[1:3].rounded()] == [mp.mpc(x)._mpc_ for x in p[1:3]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: vectors(n, 192, 20)),
+           vectors(1, 192, 4, ("mpf", "mpc")), st.sampled_from([53, 192]))
+    def test_peval_is_polyval_bitwise(self, p, z, prec):
+        # Horner's rule in the arguments' own type; on mpc it is mpmath's polyval
+        with mp.workprec(prec):
+            got, want = peval(p, z[0]), mp.polyval(p[::-1], z[0])
+        assert type(got) is type(want) and _bits(got) == _bits(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: vectors(n, 192, 20)),
+           vectors(1, 192, 4, ("mpf", "mpc")), st.sampled_from([53, 192]))
+    def test_peval_on_gauss_floats_is_the_horner_loop(self, p, z, prec):
+        def horner(p, z):
+            out = p[-1]
+            for x in p[-2::-1]:
+                out = out * z + x
+            return out
+        with mp.workprec(prec):
+            gp, (gz,) = polys.gauss_floats(p), polys.gauss_floats(z)
+        got, want = peval(gp, gz), horner(gp, gz)
+        assert (got.re, got.im, got.e, got.p) == (want.re, want.im, want.e, want.p)
 
 
 # --- GaussFloat: the number type of the Painleve orbit ----------------------
@@ -675,6 +698,11 @@ class TestPolicy:
             for name in ("_tiny", "_near_zero", "theta_closed", "theta_star_closed",
                          "Householder", "fit_caratheodory_u"):
                 assert name not in text, (path.name, name)
+            # one polynomial evaluator (peval), ExactPoly without wrappers, and
+            # zero divisors refused where SurfaceParams is built
+            for name in ("pmul", "pq", "pmax", "pscale", "_horner", "_refuse_zero_divisors",
+                         "polyval"):
+                assert not re.search(rf"\b{name}\b", text), (path.name, name)
             # one dense solver: lstsq hands its normal equations to hpd_solve,
             # the one block of guard precision
             if path.name == "polys.py":
@@ -704,6 +732,8 @@ class TestPolicy:
 
         assert params(painleve.matrix_step) == ["A", "sp"]
         assert params(laxpair.lstsq_spectral_matrix) == ["p", "vt", "n"]
+        assert params(laxpair.fit_spectral_matrix) == ["p", "vt", "n"]
+        assert params(continuum.limit_check) == ["lp", "window", "prec"]
         assert params(weyl.check_translation) == []
         assert fields(continuum.LimitParams) == ["K1", "K2", "Th2", "C"]
         assert not hasattr(continuum.LimitParams, "from_theta2")

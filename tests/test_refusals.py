@@ -47,7 +47,8 @@ CASES = {
                            DomainError, "need K >= 0, got K = -1"),
     "composite_f0": (lambda table, vt: weyl.composite_closed(weyl.BPoint(b=(1,) * 8, f=0, g=1)),
                      IndeterminacyError, "closed forms are indeterminate on f g = 0"),
-    # the step and the factorizations refuse a zero divisor through one check
+    # the step and the factorizations refuse a zero divisor through one
+    # check, where the parameters are built
     "factorization_zero_divisors": (lambda table, vt: painleve.factorization_residuals(
                                         painleve.SurfaceCoords(y=1, xi=1), _zero_divisors()),
                                     DegenerateError, ZERO_DIVISORS),
@@ -59,7 +60,8 @@ CASES = {
                                  DomainError, "coordinates must be finite"),
     "bpoint_kappa1_0": (lambda table, vt: weyl.bpoint_from_surface(
                             _surface(k1=0, t2=0), painleve.SurfaceCoords(y=1, xi=1)),
-                        DegenerateError, "dictionary needs nonzero kappa, theta"),
+                        DegenerateError, "kappa1 = 0: the step divides by "
+                                         "kappa1, kappa2, theta1 and c1..c4"),
 }
 
 

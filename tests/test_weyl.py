@@ -230,6 +230,17 @@ class TestDictionary:
         # base: theta1 -> q theta1 makes b5 = c1 c2 / theta1 grow by 1/q
         assert close(pt.q * ref_params.q, mp.mpf(1), 1e-40)
 
+    def test_one_b_chart_dictionary(self, ref_params, ctx, prec192):
+        # the b-point and the finite coordinates of the blown-up points read
+        # the same eight parameters, bit for bit
+        sp = painleve.params_from_weight(ref_params, 3)
+        co = painleve.extract_coords(ctx.fits()[3].matrix, sp)
+        b = painleve.b_params(sp)
+        assert [x._mpc_ for x in weyl.bpoint_from_surface(sp, co).b] == [x._mpc_ for x in b]
+        finite = [v for _, y, xi in painleve.blown_up_points(sp) for v in (y, xi)
+                  if v != 0 and v != mp.inf]
+        assert [x._mpc_ for x in finite] == [x._mpc_ for x in b]
+
 
 def test_check_11_runs_at_context_precision(ctx, monkeypatch):
     seen = set()
