@@ -27,16 +27,15 @@ in which K1 and Th1 do not appear.
 `discrete_orbit` runs the discrete orbit as one `painleve.phi_orbit` call,
 which computes the surface coefficients once and advances them by powers
 of q, in Python-integer arithmetic (`polys.GaussFloat`): the study's three
-orbits, 484 steps at 128 bits, take 40 to 55 ms on a 2-core VM with
-pure-Python mpmath, a sixth of the 240 to 310 ms the same steps take in
-mpmath arithmetic in the same runs (medians of three runs; the VM's speed
-varied by a third between them).  `limit_check` measures the endpoint gap
-between the discrete orbit and a high-order integration of this system
-for the decreasing eps of `STUDY_EPS` and fits the convergence order,
-which is 1 in eps; `LimitReport.passed` is the one gate on that study,
-for check 13 and `qpvi limit-check` alike.  The reference endpoint comes from
-`integrate` at rtol = 1e-13, atol = 1e-15: about 1e-14 accurate, against
-gaps of at least 6.7e-3.
+orbits, 484 steps at 128 bits, take 24 to 25 ms on a 2-core VM with
+pure-Python mpmath, 49 to 53 us per step (medians of 20 to 30 runs).
+`limit_check` measures the endpoint gap between the discrete orbit and a
+high-order integration of this system for the decreasing eps of
+`STUDY_EPS` and fits the convergence order, which is 1 in eps;
+`LimitReport.passed` is the one gate on that study, for check 13 and
+`qpvi limit-check` alike.  The three reference endpoints come from one
+DOP853 pass at rtol = 1e-13, atol = 1e-15 through the three end times:
+about 1e-14 accurate, against gaps of at least 6.7e-3.
 
 `integrate` is an in-repo DOP853 (Hairer, Norsett and Wanner, Solving
 ODEs I, II.10): the 12-stage 8(5,3) tableau, written once below, on Python
@@ -45,8 +44,8 @@ combined 5th/3rd-order error norm, factor 0.9 err^(-1/8) within
 [0.2, 10], Hairer's first-step rule, failure below ten float spacings).
 It takes the same steps as scipy's DOP853 and reaches sample times by
 clipping steps to them, so the package needs neither numpy nor scipy.
-One study reference is 242 right-hand-side evaluations, 1.1 to 1.6 ms in
-the same runs.
+The one reference pass of a study is 266 right-hand-side evaluations,
+about 1.3 ms in the same runs; a pass to each end took 726 and 3 ms.
 
 The right-hand side is typed once, in `_field`.  `ode_rhs` evaluates it
 on mpmath numbers and the solver on Python complex numbers.
@@ -314,13 +313,22 @@ def integrate(lp, t0, t1, u0, v0, rtol=1e-10, atol=1e-12, npoints=201):
     accepted step leaves |v| < V_COLLAPSE.
     """
     t0f, t1f = float(mp.mpf(t0)), float(mp.mpf(t1))
+    if npoints < 2:
+        raise DomainError("need npoints >= 2 samples")
+    dt = (t1f - t0f) / (npoints - 1)
+    return _dop853_pass(lp, t0f, [t0f + k * dt for k in range(1, npoints - 1)] + [t1f],
+                        u0, v0, rtol, atol)
+
+
+def _dop853_pass(lp, t0f, ends, u0, v0, rtol, atol):
+    # `integrate` from t0f through the float times `ends`, each as far from
+    # t0f as the one before it or farther; the window is [t0f, ends[-1]]
+    t1f = ends[-1]
     if not (math.isfinite(t0f) and math.isfinite(t1f)):
         raise DomainError("integration window needs finite t0 and t1")
     for ts in (0.0, 1.0):
         if min(t0f, t1f) - 1e-9 <= ts <= max(t0f, t1f) + 1e-9:
             raise DomainError(f"integration window may not contain t = {ts}")
-    if npoints < 2:
-        raise DomainError("need npoints >= 2 samples")
     t, u, v = t0f, complex(mp.mpc(u0)), complex(mp.mpc(v0))
     if not all(map(math.isfinite, _parts(u, v))):
         raise DomainError("need finite u0 and v0")
@@ -329,9 +337,8 @@ def integrate(lp, t0, t1, u0, v0, rtol=1e-10, atol=1e-12, npoints=201):
     fu, fv = rhs(t, u, v)
     h_abs = _initial_step(rhs, t, u, v, fu, fv, t1f - t0f, rtol, atol)
     direction = math.copysign(1.0, t1f - t0f)
-    dt = (t1f - t0f) / (npoints - 1)
     ts, us, vs = [t], [u], [v]
-    for target in [t0f + k * dt for k in range(1, npoints - 1)] + [t1f]:
+    for target in ends:
         while t != target:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -405,11 +412,12 @@ def limit_check(lp=None, window=None, prec=128):
 
     For each eps of `STUDY_EPS` the discrete orbit runs at `prec` bits from
     t0 to t_end = t0 q^k ~ t1, and its endpoint is compared with the DOP853
-    endpoint of the limit system from t0 to t_end (`integrate` at
-    rtol = 1e-13, atol = 1e-15).  The window must satisfy 0 < t1 < t0
-    with [t1, t0] and every [t_end, t0] clear of t = 1.  The references
-    take about 2 ms each, so they all run first: a bad window or v0 fails
-    before any orbit runs.
+    solution of the limit system at t_end.  One DOP853 pass (the solver of
+    `integrate`, at rtol = 1e-13, atol = 1e-15) runs from t0 through the
+    three end times, nearest first, with its steps clipped to land on each.
+    The window must satisfy 0 < t1 < t0 with [t1, t0] and every
+    [t_end, t0] clear of t = 1.  The reference pass takes about 1 ms, so it
+    runs first: a bad window or v0 fails before any orbit runs.
     """
     with mp.workprec(prec):
         if lp is None:
@@ -421,27 +429,26 @@ def limit_check(lp=None, window=None, prec=128):
         u0, v0 = window["u0"], window["v0"]
         if t1 <= 1 <= t0:
             raise DomainError("the window [t1, t0] may not contain t = 1")
-        eps_steps, refs = [], []
-        for e in map(mp.mpf, STUDY_EPS):
-            k, tend = _orbit_length(e, t0, t1)
-            ref_end = integrate(lp, t0, tend, u0, v0, rtol=1e-13, atol=1e-15,
-                                npoints=2)
-            eps_steps.append((e, k))
-            refs.append((complex(ref_end.u[-1]), complex(ref_end.v[-1])))
+        eps = [mp.mpf(e) for e in STUDY_EPS]
+        steps = [_orbit_length(e, t0, t1) for e in eps]  # (k, t_end) per eps
+        # one reference pass through the end times, nearest to t0 first
+        t0f = float(t0)
+        ends = sorted({float(t_end) for _, t_end in steps}, key=lambda t: abs(t0f - t))
+        ref = _dop853_pass(lp, t0f, ends, u0, v0, 1e-13, 1e-15)
+        refs = dict(zip(ref.t[1:], zip(ref.u[1:], ref.v[1:])))
         errs = []
-        for (e, _), (uo, vo) in zip(eps_steps, refs):
+        for e, (_, t_end) in zip(eps, steps):
             _, _, ud, vd = discrete_orbit(lp, e, t0, t1, u0, v0)
+            uo, vo = refs[float(t_end)]
             errs.append(abs(ud - uo) + abs(vd - vo))
-        orders = [mp.log(errs[i] / errs[i + 1])
-                  / mp.log(mp.mpf(eps_steps[i][0]) / eps_steps[i + 1][0])
+        orders = [mp.log(errs[i] / errs[i + 1]) / mp.log(eps[i] / eps[i + 1])
                   for i in range(len(errs) - 1)]
-        xs = [mp.log(e) for e, _ in eps_steps]
+        xs = [mp.log(e) for e in eps]
         ys = [mp.log(er) for er in errs]
         xb = mp.fsum(xs) / len(xs)
         yb = mp.fsum(ys) / len(ys)
         slope = (mp.fsum((x - xb) * (y - yb) for x, y in zip(xs, ys))
                  / mp.fsum((x - xb) ** 2 for x in xs))
-        return LimitReport(eps=tuple(e for e, _ in eps_steps),
-                           steps=tuple(k for _, k in eps_steps),
+        return LimitReport(eps=tuple(eps), steps=tuple(k for k, _ in steps),
                            errors=tuple(errs), orders=tuple(orders),
                            fitted_order=slope)

@@ -43,13 +43,14 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_mul
 from mpmath.libmp.libmpc import mpc_mul
 
 from .errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
-from .polys import (as_mpc, below, gauss_floats, is_zero, json_complex, largest, negligible,
-                    peval, residual_tol, zero_bits)
+from .polys import (as_mpc, below, gauss_floats, is_zero, json_complex, largest, mul_sub,
+                    negligible, peval, product, residual_tol, sum3, zero_bits)
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
@@ -266,11 +267,11 @@ def _st_terms(cf, d, y, xi):
     sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
     d1, d2, d3, d4 = d
     a12 = d1 * d2
-    xa34 = xi * xi * d3 * d4
+    xa34 = product(xi, xi, d3, d4)
     p = p1 + p2
     y2 = y * y
-    S = (sa * xa34, xi * (p * y2 - sb * y + sc), sd * a12)
-    T = (ta * xa34, xi * (tb * y2 - tc * y + p), td * a12)
+    S = (sa * xa34, xi * (mul_sub(p, y2, sb, y) + sc), sd * a12)
+    T = (ta * xa34, xi * (mul_sub(tb, y2, tc, y) + p), td * a12)
     return S, T
 
 
@@ -296,7 +297,10 @@ def phi_orbit(coords, sp, k):
     the parameter-only coefficients computed once; since a step multiplies
     kappa1 and theta1 by q, each then advances by one multiplication by q,
     q^2, 1/q or 1/q^2.  The differences y - c_i are formed once per step
-    and shared by S, T, g1, g2, f1 and f2.  The point is converted once,
+    and shared by S, T, g1, g2, f1 and f2.  Each of p y^2 - sb y and
+    tb y^2 - tc y, xi^2 (y - c3)(y - c4), g1, g2, f1, f2, the sums S and T
+    and the products pref f1 f2 and xi g1 g2 of xi' is exact and cut once
+    (`polys.mul_sub`, `product`, `sum3`).  The point is converted once,
     carried between steps at the guard precision and rounded once at the
     end, at the working precision and rounding mode: k chained `phi_step`
     calls round it after every step, and the map grows those roundings by
@@ -306,7 +310,9 @@ def phi_orbit(coords, sp, k):
     kappa1 and theta1 advance on mpmath's raw tuples: each step applies
     `libmpc.mpc_mul`, the function behind mpc * mpc, to q and each of them,
     so an orbit forms no mpc until the end and returns the parameters that
-    k chained `SurfaceParams.step` calls return, bit for bit.  (The
+    k chained `SurfaceParams.step` calls return, bit for bit; when q,
+    kappa1 and theta1 are real, as in every continuum study, `mpf_mul` of
+    the real parts gives the same bits and a zero imaginary part.  (The
     kernel's `_round` of the exact product would not always do: mpmath
     rounds a sum of two products more than prec + 4 bits apart as the
     larger one plus a sticky bit.)  The returned parameters go through the
@@ -344,6 +350,7 @@ def phi_orbit(coords, sp, k):
     pref = c1 * c2 / (gq * gk1 * gt1)
     prec, rnd = mp.mp._prec_rounding
     q, k1, t1 = sp.q._mpc_, sp.k1._mpc_, sp.t1._mpc_
+    real = not (q[1][1] or k1[1][1] or t1[1][1])  # zero imaginary mantissas
 
     try:
         gy, gxi = gauss_floats([coords.y, coords.xi])
@@ -359,7 +366,7 @@ def phi_orbit(coords, sp, k):
         d = d1, d2, d3, d4 = gy - c1, gy - c2, gy - c3, gy - c4
         Sterms, Tterms = _st_terms(cf, d, gy, gxi)
         T0, T1, T2 = Tterms
-        yT = gy * (T0 + T1 + T2)
+        yT = gy * sum3(T0, T1, T2)
         top_y = _top(gy)
         # pre-test: |yT|^2 >= 2^(2 top - 2) and |y|^2 max|T_i|^2 < 2^(2 top_y + 2 top_T + 2)
         if not yT or _top(yT) - top_y - max(_top(T0), _top(T1), _top(T2)) < 2 - zb:
@@ -370,8 +377,8 @@ def phi_orbit(coords, sp, k):
                                     sp, k1, t1, gy, gxi)
         if not gxi:
             raise _indeterminate("xi = 0; step hit ", sp, k1, t1, gy, gxi)
-        g1 = gxi * d4 - w * (gy - r3)
-        g2 = gxi * d3 - w * (gy - r4)
+        g1 = mul_sub(gxi, d4, w, gy - r3)
+        g2 = mul_sub(gxi, d3, w, gy - r4)
         # pre-test: |g_i|^2 >= 2^(2 top - 2) and the scale, a product of
         # values below 2^(max(top_xi, top_w) + 1.5) and 2^(max(top_y, 0) + 1.5),
         # is below 2^(2 max(top_xi, top_w) + 2 max(top_y, 0) + 6)
@@ -381,11 +388,14 @@ def phi_orbit(coords, sp, k):
             if below(g1.norm(), gscale, bits) or below(g2.norm(), gscale, bits):
                 raise _indeterminate("xi' denominator factor vanishes; step hit ",
                                     sp, k1, t1, gy, gxi)
-        f1 = gxi * (gy - r1) - w * d2
-        f2 = gxi * (gy - r2) - w * d1
-        S0, S1, S2 = Sterms
-        gy, gxi = (S0 + S1 + S2) / yT, pref * (f1 * f2) / (gxi * (g1 * g2))
-        k1, t1 = mpc_mul(q, k1, prec, rnd), mpc_mul(q, t1, prec, rnd)
+        f1 = mul_sub(gxi, gy - r1, w, d2)
+        f2 = mul_sub(gxi, gy - r2, w, d1)
+        gy, gxi = sum3(*Sterms) / yT, product(pref, f1, f2) / product(gxi, g1, g2)
+        if real:  # the real part of mpc_mul, bit for bit
+            k1 = mpf_mul(q[0], k1[0], prec, rnd), fzero
+            t1 = mpf_mul(q[0], t1[0], prec, rnd), fzero
+        else:
+            k1, t1 = mpc_mul(q, k1, prec, rnd), mpc_mul(q, t1, prec, rnd)
     return (SurfaceCoords(y=gy.mpc(), xi=gxi.mpc()),
             SurfaceParams(k1=_make_mpc(k1), k2=sp.k2, t1=_make_mpc(t1), t2=sp.t2, c=sp.c,
                           q=sp.q))

@@ -34,7 +34,10 @@ Szego series and q-Pochhammer products (`qseries`), the Szego recursion
 and the orbit (`painleve`); so do two of the routes of the `steps` checks,
 `factorization_residuals` (`painleve`) and `composite_closed` (`weyl`).
 Each converts its mpf/mpc inputs once with `gauss_floats` and rounds each
-output once with `GaussFloat.mpc`.
+output once with `GaussFloat.mpc`.  Three fused forms, a b - c d
+(`mul_sub`), a product of several factors (`product`) and a sum of three
+terms (`sum3`), are exact over the whole expression and cut once to the
+first operand's p; on other number types they are the plain * - +.
 `as_mpc` is the `mp.mpc` of the constructors that hold such outputs, minus
 the no-op re-rounding of a value that already fits the working precision.
 
@@ -68,7 +71,7 @@ __all__ = [
     "ExactPoly", "peval", "pstar", "mat_qdiff_residual",
     "json_complex", "dot", "autocorr",
     "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
-    "largest", "as_mpc", "is_zero",
+    "largest", "mul_sub", "product", "sum3", "as_mpc", "is_zero",
     "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
 ]
 
@@ -250,6 +253,40 @@ def _cut(re, im, e, p):
     else:
         x.re, x.im, x.e, x.p = 0, 0, 0, p  # else a zero's exponent drifts with each * and /
     return x
+
+
+# the fused forms of the module docstring
+def mul_sub(a, b, c, d):
+    """a b - c d."""
+    if type(a) is not GaussFloat:
+        return a * b - c * d
+    pr, pi = a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
+    sr, si = c.re * d.re - c.im * d.im, c.re * d.im + c.im * d.re
+    e, f = a.e + b.e, c.e + d.e
+    if e >= f:
+        return _cut((pr << (e - f)) - sr, (pi << (e - f)) - si, f, a.p)
+    return _cut(pr - (sr << (f - e)), pi - (si << (f - e)), e, a.p)
+
+
+def product(x, *ys):
+    """x y1 y2 ..."""
+    if type(x) is not GaussFloat:
+        for y in ys:
+            x = x * y
+        return x
+    re, im, e = x.re, x.im, x.e
+    for y in ys:
+        re, im, e = re * y.re - im * y.im, re * y.im + im * y.re, e + y.e
+    return _cut(re, im, e, x.p)
+
+
+def sum3(a, b, c):
+    """a + b + c."""
+    if type(a) is not GaussFloat:
+        return a + b + c
+    e = min(a.e, b.e, c.e)
+    return _cut((a.re << (a.e - e)) + (b.re << (b.e - e)) + (c.re << (c.e - e)),
+                (a.im << (a.e - e)) + (b.im << (b.e - e)) + (c.im << (c.e - e)), e, a.p)
 
 
 def as_mpc(x):

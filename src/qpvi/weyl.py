@@ -174,8 +174,13 @@ class BPoint:
 
     @property
     def q(self):
-        b = self.b
-        return (b[2] * b[3] * b[4] * b[5]) / (b[0] * b[1] * b[6] * b[7])
+        num, den = _lattice_products(self.b)
+        return den / num
+
+
+def _lattice_products(b):
+    # (b1 b2 b7 b8, b3 b4 b5 b6): the lattice q is their ratio, either way up
+    return b[0] * b[1] * b[6] * b[7], b[2] * b[3] * b[4] * b[5]
 
 
 def _w1(pt):
@@ -310,7 +315,8 @@ def bpoint_from_surface(sp, coords):
 def surface_from_bpoint(pt):
     """Inverse dictionary, from the b-chart to surface parameters/coordinates."""
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
-    q = (b1 * b2 * b7 * b8) / (b3 * b4 * b5 * b6)
+    num, den = _lattice_products(pt.b)
+    q = num / den
     sp = SurfaceParams(k1=1 / b7, k2=q / b8, t1=b1 * b2 / b5, t2=b1 * b2 / b6,
                        c=(b1, b2, b3, b4), q=q)
     return sp, SurfaceCoords(y=pt.g, xi=pt.f)

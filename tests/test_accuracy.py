@@ -7,16 +7,20 @@ rounding of one layer, not the errors it inherits.  The weights are the
 five of the domain sweep and the eight SMALL_ALPHA weights.  Every gate
 is the worst error the mpc implementation of the layer had on these
 weights, rounded up to a power of two.  The alpha_n are compared in
-absolute terms: the recursion knows them to about an ulp of 1.
+absolute terms: the recursion knows them to about an ulp of 1.  The q-PVI
+orbit, last, is gated against 512-bit runs (see there).
 """
+
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 
-from qpvi import laxpair, opuc, painleve, qseries
+from qpvi import continuum, laxpair, opuc, painleve, qseries
 from qpvi.errors import ConstraintError
 from test_domain_sweep import SWEEP, _context
 from test_laxpair import SMALL_ALPHA
+from test_painleve import generic_points, oracle_step_coords
 
 PREC = 192
 REF = 4 * PREC
@@ -266,3 +270,47 @@ def test_matrix_step(chain):
 def test_constraint_verdict(chain):
     worst, agree = constraint_results(chain[0])
     assert agree and worst <= CONSTRAINT_GATE
+
+
+# --- the q-PVI orbit --------------------------------------------------------
+# Against 512-bit runs.  Each gate is about ten times the worst error of the
+# orbit before its terms were fused (an exact a b - c d, product or
+# three-term sum, cut once): 7.2e-33 for the three study orbits and
+# 1.6e-58 for the 200 generic ones.
+
+STUDY_ORBIT_GATE = 1e-31
+GENERIC_ORBIT_GATE = 2e-57
+
+
+def _orbit_rel(got, want):
+    return max(abs(g - w) / abs(w) for g, w in zip(got, want))
+
+
+def test_study_orbits():
+    # the discrete orbits of `limit_check` at 128 bits against the same
+    # study, configuration included, at 512 bits: (u, v) = ((y - 1)/eps, xi)
+    runs = {}
+    for prec in (128, 512):
+        with mp.workprec(prec):
+            lp, w = continuum.reference_limit()
+            runs[prec] = [continuum.discrete_orbit(lp, mp.mpf(e), w["t0"], w["t1"], w["u0"],
+                                                   w["v0"])[2:] for e in continuum.STUDY_EPS]
+    with mp.workprec(512):
+        assert max(map(_orbit_rel, runs[128], runs[512])) <= STUDY_ORBIT_GATE
+
+
+def test_generic_orbits():
+    # 3-step orbits at 192 bits from the samplers of checks 09 and 11,
+    # against the plain-mpmath step at 512 bits from the same inputs
+    worst = 0
+    with mp.workprec(192):
+        for sp, co in generic_points(200):
+            got, _ = painleve.phi_orbit(co, sp, 3)
+            with mp.workprec(512):
+                want, here = co, SimpleNamespace(k1=sp.k1, k2=sp.k2, t1=sp.t1, t2=sp.t2,
+                                                 c=sp.c, q=sp.q)
+                for _ in range(3):
+                    want = oracle_step_coords(want, here)
+                    here.k1, here.t1 = here.q * here.k1, here.q * here.t1
+                worst = max(worst, _orbit_rel((got.y, got.xi), (want.y, want.xi)))
+    assert worst <= GENERIC_ORBIT_GATE

@@ -262,6 +262,42 @@ class TestLimit:
         with pytest.raises(SingularityError):
             continuum.limit_check(lp, window=dict(w, v0=mp.mpc(0)))
 
+    @pytest.mark.parametrize("shift", [{}, {"u0": ("0.08", "-0.05"), "v0": ("-0.06", "0.09")},
+                                       {"t0": "0.75", "t1": "0.45"}],
+                             ids=["reference", "offset_start", "offset_times"])
+    def test_one_reference_pass(self, ref, monkeypatch, shift):
+        # one DOP853 pass through the three end times, nearest to t0 first;
+        # each end agrees with a separate integration to it
+        lp, w = ref
+        w = dict(w, **{k: (mp.mpc(*v) + w[k] if k in ("u0", "v0") else mp.mpf(v))
+                       for k, v in shift.items()})
+        passes, run = [], continuum._dop853_pass
+
+        def recorded(*args):
+            passes.append(run(*args))
+            return passes[-1]
+        monkeypatch.setattr(continuum, "_dop853_pass", recorded)
+        continuum.limit_check(lp, window=w)
+        (traj,) = passes
+        with mp.workprec(128):
+            ends = [float(continuum._orbit_length(mp.mpf(e), w["t0"], w["t1"])[1])
+                    for e in continuum.STUDY_EPS]
+        assert list(traj.t[1:]) == sorted(ends, reverse=True)
+        monkeypatch.undo()
+        for t, u, v in zip(traj.t[1:], traj.u[1:], traj.v[1:]):
+            one = continuum.integrate(lp, w["t0"], t, w["u0"], w["v0"], npoints=2,
+                                      **STUDY_TOL)
+            assert abs(u - one.u[-1]) <= 1e-13 * abs(one.u[-1])
+            assert abs(v - one.v[-1]) <= 1e-13 * abs(one.v[-1])
+
+    def test_v0_below_collapse_rejected_before_orbits(self, ref, monkeypatch):
+        # nonzero, but below V_COLLAPSE: the reference pass refuses it first
+        for mod in (qpvi, painleve, continuum):
+            monkeypatch.setattr(mod, "phi_orbit", _refuse)
+        lp, w = ref
+        with pytest.raises(SingularityError):
+            continuum.limit_check(lp, window=dict(w, v0=mp.mpc("5e-11", "-5e-11")))
+
     def test_first_order_convergence(self, ref):
         rep = continuum.limit_check()
         assert rep.decreasing
@@ -286,7 +322,7 @@ class TestAgainstScipy:
                                    method="DOP853", **STUDY_TOL, **kw)
 
     def test_limit_references(self, ref, monkeypatch):
-        # the references of `limit_check`: the same steps and the same end
+        # integrations to the end times of `limit_check`: the same steps and the same end
         lp, w = ref
         solver_rhs, calls = continuum._solver_rhs, []
 

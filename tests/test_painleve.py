@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import fzero, mpf_mul
+from mpmath.libmp.libmpc import mpc_mul
 
 from qpvi import continuum, laxpair, painleve, polys, verify, weyl
 from qpvi.errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
@@ -306,6 +308,52 @@ class TestOrbit:
             _, sp1 = painleve.phi_orbit(co, sp, 1)
             assert sp1 == sp.step()
             assert sp1.k1 == sp1.t1 == q * k1
+
+    @pytest.mark.parametrize("prec", [53, 128, 192])
+    @pytest.mark.parametrize("rnd", "nfcdu")
+    def test_real_flow_rounds_as_mpc_mul(self, prec, rnd):
+        # real q, kappa1 and theta1 advance by mpf_mul on the real parts,
+        # which rounds as mpc_mul does: over random mantissas and exponents,
+        # and through the orbit, under every rounding mode
+        rng = random.Random(f"real-flow:{prec}:{rnd}")
+        co = painleve.SurfaceCoords(y=mp.mpc("0.3", "0.2"), xi=mp.mpc("0.7", "-0.1"))
+        with mp.workprec(prec):
+            mp.mp._prec_rounding[1] = rnd
+            try:
+                for _ in range(300):
+                    a, b = (mp.mpc(mp.ldexp(rng.getrandbits(prec) * rng.choice((1, -1)),
+                                            rng.randint(-prec - 40, -prec + 40)))
+                            for _ in range(2))
+                    assert ((mpf_mul(a.real._mpf_, b.real._mpf_, prec, rnd), fzero)
+                            == mpc_mul(a._mpc_, b._mpc_, prec, rnd))
+                for _ in range(5):
+                    q, k1, t1 = (mp.mpf(rng.uniform(0.2, 1.8)) / 3 for _ in range(3))
+                    sp = painleve.SurfaceParams(k1=k1, k2=1, t1=t1, t2=k1 / t1,
+                                                c=(1, 1, 1, 1), q=q)
+                    _, sp3 = painleve.phi_orbit(co, sp, 3)
+                    want = sp.k1._mpc_, sp.t1._mpc_
+                    for _ in range(3):
+                        want = tuple(mpc_mul(sp.q._mpc_, x, prec, rnd) for x in want)
+                    assert (sp3.k1._mpc_, sp3.t1._mpc_) == want
+            finally:
+                mp.mp._prec_rounding[1] = "n"
+
+    @pytest.mark.parametrize("q, calls", [(mp.mpc("0.6", "0.8"), 6), (mp.mpc("0.6"), 0)])
+    def test_complex_q_goes_through_mpc_mul(self, monkeypatch, q, calls):
+        # kappa1 and theta1 real: a complex q still flows through mpc_mul
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return mpc_mul(*args)
+        monkeypatch.setattr(painleve, "mpc_mul", counted)
+        with mp.workprec(128):
+            sp = painleve.SurfaceParams(k1=mp.mpf("0.7"), k2=1, t1=mp.mpf("0.7"), t2=1,
+                                        c=(1, 1, 1, 1), q=q)
+            co = painleve.SurfaceCoords(y=mp.mpc("0.3", "0.2"), xi=mp.mpc("0.7", "-0.1"))
+            _, sp3 = painleve.phi_orbit(co, sp, 3)
+            assert count[0] == calls
+            assert sp3 == sp.step().step().step()
 
     def test_weight_orbit_matches_600_bit_reference(self, ref_params, ctx, prec192):
         # the plain-mpmath step at 600 bits from the same 192-bit point and

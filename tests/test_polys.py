@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import math
 import random
 import re
 from pathlib import Path
@@ -533,6 +534,83 @@ class TestGaussFloat:
             assert mp.ldexp(man, exp) == mp.re(x) ** 2 + mp.im(x) ** 2
             a = abs(g)
             assert a.im == 0 and abs(_value(a).real - abs(mp.mpc(x))) < mp.ldexp(1, a.e)
+
+
+# --- the fused forms of the q-PVI step --------------------------------------
+
+# name: (fused form, number of operands, the plain expression)
+FUSED = {"mul_sub": (polys.mul_sub, 4, lambda a, b, c, d: a * b - c * d),
+         "product3": (polys.product, 3, lambda a, b, c: a * b * c),
+         "product4": (polys.product, 4, lambda a, b, c, d: a * b * c * d),
+         "sum3": (polys.sum3, 3, lambda a, b, c: a + b + c)}
+
+
+def _gprod(xs):
+    # the exact product as (re, im, e)
+    re, im, e = 1, 0, 0
+    for x in xs:
+        re, im, e = re * x.re - im * x.im, re * x.im + im * x.re, e + x.e
+    return re, im, e
+
+
+def _exact(name, xs):
+    """The fused form's exact integer expression: its terms, each an exact
+    product, summed at their least exponent, as (re, im, e)."""
+    if name == "sum3":
+        terms = [(x.re, x.im, x.e) for x in xs]
+    elif name == "mul_sub":
+        terms = [_gprod(xs[:2]), _gprod([polys.GaussFloat(-1, 0, 0, math.inf)] + xs[2:])]
+    else:
+        terms = [_gprod(xs)]
+    e = min(t[2] for t in terms)
+    return (sum(r << (f - e) for r, _, f in terms), sum(i << (f - e) for _, i, f in terms), e)
+
+
+@st.composite
+def fused_cases(draw):
+    prec, spread = draw(st.sampled_from(GAUSS_PRECS))
+    name = draw(st.sampled_from(sorted(FUSED)))
+    return prec, name, draw(vectors(FUSED[name][1], prec, spread))
+
+
+class TestFusedOps:
+    @settings(max_examples=400, deadline=None)
+    @given(fused_cases())
+    def test_one_cut_of_the_exact_expression(self, case):
+        # exponents up to +-400 apart, exact zeros among the operands
+        prec, name, xs = case
+        with mp.workprec(prec):
+            gs = polys.gauss_floats(xs)
+        got = FUSED[name][0](*gs)
+        want = polys._cut(*_exact(name, gs), gs[0].p)
+        assert (got.re, got.im, got.e, got.p) == (want.re, want.im, want.e, want.p)
+
+    def test_far_exponents_and_zero_results(self):
+        with mp.workprec(128):
+            big, small, x, zero = polys.gauss_floats(
+                [mp.mpc(3, 1) * mp.mpf(2) ** 900, mp.mpc(1, -5) * mp.mpf(2) ** -900,
+                 mp.mpc(1, 2) / 3, 0])
+        assert big.e - small.e > 1700
+        for name, xs in (("sum3", [small, x, big]), ("mul_sub", [big, small, x, x]),
+                         ("mul_sub", [x, x, big, big]), ("product3", [big, small, x])):
+            got, want = FUSED[name][0](*xs), polys._cut(*_exact(name, xs), 138)
+            assert (got.re, got.im, got.e) == (want.re, want.im, want.e)
+        # x and small are below the last bit of big: the floor leaves big
+        assert _value(polys.sum3(small, x, big)) == _value(big)
+        # a zero result carries exponent 0, as after each plain operation
+        for z in (polys.mul_sub(big, small, small, big), polys.sum3(x, -x, zero),
+                  polys.sum3(big, small - small, -big), polys.product(big, x, zero)):
+            assert not z and (z.e, z.p) == (0, 138)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fused_cases())
+    def test_other_types_use_the_operators(self, case):
+        # on mpc, bit for bit the plain expression left to right
+        prec, name, xs = case
+        with mp.workprec(prec):
+            xs = [mp.mpc(x) for x in xs]
+            fused, _, plain = FUSED[name]
+            assert fused(*xs)._mpc_ == plain(*xs)._mpc_
 
 
 # --- what the kernel reads from mpmath -------------------------------------
