@@ -106,10 +106,15 @@ def reference_limit():
     return lp, window
 
 
-def _check_regular(t, v, vmin=1e-12):
+# the field has a pole on v = 0: |v| below this is refused by `ode_rhs`
+# and at the start of an integration, and ends one
+V_COLLAPSE = 1e-10
+
+
+def _check_regular(t, v):
     if abs(t) < 1e-12 or abs(t - 1) < 1e-12:
         raise SingularityError(f"system is singular at t = {mp.nstr(mp.mpc(t), 8)}")
-    if abs(v) < vmin:
+    if abs(v) < V_COLLAPSE:
         raise SingularityError("system is singular on v = 0")
 
 
@@ -166,7 +171,7 @@ def discrete_orbit(lp, eps, t0, t1, u0, v0):
     k, t_end = _orbit_length(eps, t0, mp.mpf(t1))
     sp = discrete_step_params(lp, eps, t0)
     coords = SurfaceCoords(y=1 + eps * mp.mpc(u0), xi=mp.mpc(v0))
-    coords, _ = phi_orbit(coords, sp, k)
+    coords = phi_orbit(coords, sp, k)
     return k, t_end, (coords.y - 1) / eps, coords.xi
 
 
@@ -245,10 +250,6 @@ _E3 = tuple(b - bhh for b, bhh in zip(_B, (
 # step control: safety factor, bounds of the step factor, and the exponent
 # -1/(q + 1) of the error estimate, whose order is q = 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 8
-
-# |v| below this ends an integration: the field has a pole on v = 0
-V_COLLAPSE = 1e-10
-
 
 def _parts(u, v):
     return (u.real, u.imag, v.real, v.imag)
@@ -332,7 +333,7 @@ def _dop853_pass(lp, t0f, ends, u0, v0, rtol, atol):
     t, u, v = t0f, complex(mp.mpc(u0)), complex(mp.mpc(v0))
     if not all(map(math.isfinite, _parts(u, v))):
         raise DomainError("need finite u0 and v0")
-    _check_regular(t, v, V_COLLAPSE)
+    _check_regular(t, v)
     rhs = _solver_rhs(lp)
     fu, fv = rhs(t, u, v)
     h_abs = _initial_step(rhs, t, u, v, fu, fv, t1f - t0f, rtol, atol)

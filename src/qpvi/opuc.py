@@ -24,7 +24,7 @@ import mpmath as mp
 
 from .errors import DegenerateError, DomainError, SingularMeasureError
 from .polys import (ExactPoly, LDLFactor, below, dot, gauss_dot, gauss_floats, json_complex,
-                    peval, pstar, zero_bits)
+                    peval, pstar, rounding_key, zero_bits)
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
 from .qseries import caratheodory, caratheodory_quad  # noqa: F401
@@ -150,7 +150,7 @@ def verblunsky_toeplitz(table, n):
         raise DomainError("Toeplitz route needs n >= 1")
     if table.K < n:
         raise DomainError(f"need K >= {n} moments")
-    key = tuple(mp.mp._prec_rounding)
+    key = rounding_key()
     if key not in table._toeplitz:
         table._toeplitz.clear()
         table._toeplitz[key] = (LDLFactor.entries(table.c), LDLFactor())

@@ -15,12 +15,12 @@ explicit birational involution-free map: y' = S/(yT) with S, T quadratics
 in xi, and xi' a ratio of four linear forms in xi.  `phi_orbit` runs k
 steps: the parameter-only coefficients of S, T and xi' are computed once
 and advanced by a power of q per step, so an orbit neither re-derives nor
-re-validates the parameters at every step; `phi_step` is the orbit of one
-step.  The orbit computes on `polys.GaussFloat` (Python integers with a
-binary exponent, 10 guard bits), carries its point between steps at that
-precision and rounds the end point once to the working precision; only
-the (kappa1, theta1) flow keeps mpmath's rounding, applied to raw tuples,
-so that an orbit returns the parameters chained steps do.
+re-validates the parameters at every step.  It returns the end point
+alone; `phi_step` pairs the orbit of one step with `SurfaceParams.step`,
+the one route of the (kappa1, theta1) flow.  The orbit computes on
+`polys.GaussFloat` (Python integers with a binary exponent, 10 guard
+bits), carries its point between steps at that precision and rounds the
+end point once to the working precision.
 `extract_coords`, `matrix_step` and the four pencil factorizations of
 check 09 (`factorization_residuals`) run on GaussFloat too; of check 11's
 three routes to the step, `phi_step` and `weyl.composite_closed` run on it
@@ -28,12 +28,10 @@ and the reflection word stays in mpmath (see `weyl`).  Parameters are
 validated where they are built: `SurfaceParams` checks the constraint on
 exact products and then refuses kappa1, kappa2, theta1 or a c_i equal to
 0, the parameters the step and the factorizations divide by (theta2 = 0
-with those nonzero already violates the constraint).  `phi_orbit`
-returns its parameters through that constructor, so every orbit is
-checked at both ends.  The same step is realized on matrices by a
-polynomial gauge transform A -> B(qz) A(z) adj(B(z)) / (z Delta) in
-`matrix_step`, so the three routes (recompute at n+1, phi_step,
-matrix_step) must agree.
+with those nonzero already violates the constraint).  The same step is
+realized on matrices by a polynomial gauge transform
+A -> B(qz) A(z) adj(B(z)) / (z Delta) in `matrix_step`, so the three
+routes (recompute at n+1, phi_step, matrix_step) must agree.
 
 The map blows down exactly eight parameter-dependent points (`b_params`);
 steps landing on them raise IndeterminacyError naming the nearest one.
@@ -43,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_mul
-from mpmath.libmp.libmpc import mpc_mul
 
 from .errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                      DomainError, GaugeError, IndeterminacyError,
@@ -57,8 +53,6 @@ __all__ = [
     "extract_coords", "phi_orbit", "phi_step", "matrix_step",
     "factorization_residuals", "b_params", "blown_up_points",
 ]
-
-_make_mpc = mp.mp.make_mpc
 
 
 @dataclass(frozen=True)
@@ -280,15 +274,15 @@ def _top(x):
     return (abs(x.re) | abs(x.im)).bit_length() + x.e
 
 
-def _indeterminate(what, sp, k1, t1, y, xi):
-    # the error of a step from GaussFloat (y, xi) with raw (kappa1, theta1) moved on
-    here = SurfaceParams(k1=_make_mpc(k1), k2=sp.k2, t1=_make_mpc(t1), t2=sp.t2, c=sp.c,
-                         q=sp.q)
-    return IndeterminacyError(what + _nearest_base_point(here, y.mpc(), xi.mpc()))
+def _indeterminate(what, sp, j, y, xi):
+    # the error of step j from GaussFloat (y, xi), named under sp stepped j times
+    for _ in range(j):
+        sp = sp.step()
+    return IndeterminacyError(what + _nearest_base_point(sp, y.mpc(), xi.mpc()))
 
 
 def phi_orbit(coords, sp, k):
-    """k Painleve steps: returns (coords after k steps, their params).
+    """k Painleve steps: returns the coords after k steps.
 
     y' = S/(yT) with S, T the quadratics in xi of `_st_terms`, and
     xi' = (c1 c2 / (q kappa1 theta1 xi)) f1 f2 / (g1 g2) with f1, f2, g1,
@@ -305,29 +299,19 @@ def phi_orbit(coords, sp, k):
     end, at the working precision and rounding mode: k chained `phi_step`
     calls round it after every step, and the map grows those roundings by
     a factor of a few per step, so the orbit lands nearer the exact one
-    than the chained calls.
-
-    kappa1 and theta1 advance on mpmath's raw tuples: each step applies
-    `libmpc.mpc_mul`, the function behind mpc * mpc, to q and each of them,
-    so an orbit forms no mpc until the end and returns the parameters that
-    k chained `SurfaceParams.step` calls return, bit for bit; when q,
-    kappa1 and theta1 are real, as in every continuum study, `mpf_mul` of
-    the real parts gives the same bits and a zero imaginary part.  (The
-    kernel's `_round` of the exact product would not always do: mpmath
-    rounds a sum of two products more than prec + 4 bits apart as the
-    larger one plus a sticky bit.)  The returned parameters go through the
-    `SurfaceParams` constructor, so the constraint is checked at both ends
-    of the orbit; in between the flow scales both of its sides by q.
+    than the chained calls.  The parameters after k steps are k
+    `SurfaceParams.step` calls away; the orbit does not form them.
 
     Near-vanishing denominators are rejected relative to the term
     magnitudes, compared through exact squared norms, so that catastrophic
     cancellation is reported instead of silently amplified; the error
     names the base point nearest to the failing step, under that step's
-    parameters.  In front of each of the two magnitude guards, y T and
-    g1, g2, a pre-test bounds the guarded squared norm from below and the
-    scale from above by bit lengths alone (`_top`); where the bounds
-    already clear the margin the step goes on, and elsewhere the exact
-    test decides.  So every decision is the exact test's.
+    parameters (`SurfaceParams.step`, on the error path only).  In front of
+    each of the two magnitude guards, y T and g1, g2, a pre-test bounds the
+    guarded squared norm from below and the scale from above by bit
+    lengths alone (`_top`); where the bounds already clear the margin the
+    step goes on, and elsewhere the exact test decides.  So every decision
+    is the exact test's.
     """
     if k < 0:
         raise DomainError("need k >= 0 steps")
@@ -348,9 +332,6 @@ def phi_orbit(coords, sp, k):
     r3 = gt2 / (gq * c3 * gk1)
     r4 = gt2 / (gq * c4 * gk1)
     pref = c1 * c2 / (gq * gk1 * gt1)
-    prec, rnd = mp.mp._prec_rounding
-    q, k1, t1 = sp.q._mpc_, sp.k1._mpc_, sp.t1._mpc_
-    real = not (q[1][1] or k1[1][1] or t1[1][1])  # zero imaginary mantissas
 
     try:
         gy, gxi = gauss_floats([coords.y, coords.xi])
@@ -374,9 +355,9 @@ def phi_orbit(coords, sp, k):
             scale = (ny[0] * nt[0], ny[1] + nt[1])
             if not scale[0] or below(yT.norm(), scale, bits):
                 raise _indeterminate("y T cancels to working precision near ",
-                                    sp, k1, t1, gy, gxi)
+                                     sp, j, gy, gxi)
         if not gxi:
-            raise _indeterminate("xi = 0; step hit ", sp, k1, t1, gy, gxi)
+            raise _indeterminate("xi = 0; step hit ", sp, j, gy, gxi)
         g1 = mul_sub(gxi, d4, w, gy - r3)
         g2 = mul_sub(gxi, d3, w, gy - r4)
         # pre-test: |g_i|^2 >= 2^(2 top - 2) and the scale, a product of
@@ -387,23 +368,16 @@ def phi_orbit(coords, sp, k):
             gscale = ((abs(gxi) + aw) * (one + abs(gy))).norm()
             if below(g1.norm(), gscale, bits) or below(g2.norm(), gscale, bits):
                 raise _indeterminate("xi' denominator factor vanishes; step hit ",
-                                    sp, k1, t1, gy, gxi)
+                                     sp, j, gy, gxi)
         f1 = mul_sub(gxi, gy - r1, w, d2)
         f2 = mul_sub(gxi, gy - r2, w, d1)
         gy, gxi = sum3(*Sterms) / yT, product(pref, f1, f2) / product(gxi, g1, g2)
-        if real:  # the real part of mpc_mul, bit for bit
-            k1 = mpf_mul(q[0], k1[0], prec, rnd), fzero
-            t1 = mpf_mul(q[0], t1[0], prec, rnd), fzero
-        else:
-            k1, t1 = mpc_mul(q, k1, prec, rnd), mpc_mul(q, t1, prec, rnd)
-    return (SurfaceCoords(y=gy.mpc(), xi=gxi.mpc()),
-            SurfaceParams(k1=_make_mpc(k1), k2=sp.k2, t1=_make_mpc(t1), t2=sp.t2, c=sp.c,
-                          q=sp.q))
+    return SurfaceCoords(y=gy.mpc(), xi=gxi.mpc())
 
 
 def phi_step(coords, sp):
     """One Painleve step: returns (new coords, stepped params); see `phi_orbit`."""
-    return phi_orbit(coords, sp, 1)
+    return phi_orbit(coords, sp, 1), sp.step()
 
 
 def _lin(u, P, v, R):

@@ -21,7 +21,9 @@ formed on it: the phi rows of the Lax matrices (`mat_qdiff_residual`), the
 Wronskians (`opuc`), compatibility and determinant (`laxpair`) and the F
 recurrence of check 12 (`verify`).  The kernel reads the mpmath 1.x raw
 layouts ``x._mpf_ = (sign, man, exp, bc)`` and ``x._mpc_ = (re, im)``; an
-inf or nan entry raises ValueError.
+inf or nan entry raises ValueError.  This module is the one reader of
+mpmath's internals: the other modules ask it for raw tests (`is_zero`,
+`all_finite`) and for the working (precision, rounding) (`rounding_key`).
 
 Chains of arithmetic on a few values run on `GaussFloat` beside the
 kernel: the same Gaussian integers with a binary exponent, but cut back by
@@ -71,7 +73,7 @@ __all__ = [
     "ExactPoly", "peval", "pstar", "mat_qdiff_residual",
     "json_complex", "dot", "autocorr",
     "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
-    "largest", "mul_sub", "product", "sum3", "as_mpc", "is_zero",
+    "largest", "mul_sub", "product", "sum3", "as_mpc", "is_zero", "all_finite", "rounding_key",
     "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
 ]
 
@@ -305,6 +307,18 @@ def is_zero(x):
     mantissa is 0 and its bc >= 0, since inf and nan have bc < 0."""
     (_, m, _, bc), (_, n, _, bd) = x._mpc_
     return not (m or n) and bc >= 0 and bd >= 0
+
+
+def all_finite(xs):
+    """Whether every mpc of xs is finite, in one pass over the raw parts:
+    inf and nan have bc < 0."""
+    return all(bc >= 0 for x in xs for _, _, _, bc in x._mpc_)
+
+
+def rounding_key():
+    """(working precision, rounding mode), e.g. a cache key for results
+    that depend on both."""
+    return tuple(mp.mp._prec_rounding)
 
 
 def gauss_floats(xs, p=None):

@@ -40,7 +40,7 @@ import mpmath as mp
 
 from .errors import ChartError, DomainError, IndeterminacyError
 from .painleve import SurfaceCoords, SurfaceParams, b_params
-from .polys import as_mpc, below, gauss_floats, is_zero, negligible, zero_bits
+from .polys import all_finite, as_mpc, below, gauss_floats, is_zero, negligible, zero_bits
 
 __all__ = [
     "ip", "pic_constants", "phi_pic", "apply_pic", "is_isometry",
@@ -166,10 +166,10 @@ class BPoint:
         object.__setattr__(self, "b", tuple(as_mpc(x) for x in self.b))
         object.__setattr__(self, "f", as_mpc(self.f))
         object.__setattr__(self, "g", as_mpc(self.g))
-        # both tests read the raw parts: inf and nan have bc < 0
+        # is_zero and all_finite read the raw parts (inf and nan have bc < 0)
         if len(self.b) != 8 or any(map(is_zero, self.b)):
             raise DomainError("need eight nonzero parameters b1..b8")
-        if any(bc < 0 for x in (*self.b, self.f, self.g) for _, _, _, bc in x._mpc_):
+        if not all_finite((*self.b, self.f, self.g)):
             raise DomainError("need finite parameters b1..b8 and point (f, g)")
 
     @property

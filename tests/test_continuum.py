@@ -104,6 +104,16 @@ class TestVectorField:
         with pytest.raises(SingularityError):
             continuum.ode_rhs(lp, mp.mpf("0.5"), mp.mpc("0.3"), mp.mpc(0))
 
+    def test_rhs_refuses_v_below_collapse(self, ref):
+        # the one threshold of the v = 0 pole: ode_rhs refuses what an
+        # integration refuses, |v| < V_COLLAPSE
+        lp, _ = ref
+        with pytest.raises(SingularityError, match="v = 0"):
+            continuum.ode_rhs(lp, mp.mpf("0.5"), mp.mpc("0.3"), mp.mpc("1e-11"))
+        with pytest.raises(SingularityError, match="v = 0"):
+            continuum.integrate(lp, 0.8, 0.4, 0.3, 1e-11)
+        continuum.ode_rhs(lp, mp.mpf("0.5"), mp.mpc("0.3"), mp.mpc(2 * continuum.V_COLLAPSE))
+
     def test_discrete_derivative_certificate(self, ref):
         # (x(qt) - x(t)) / (eps t) reproduces the vector field as eps -> 0
         lp, w = ref

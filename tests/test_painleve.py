@@ -1,12 +1,12 @@
 import random
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import fzero, mpf_mul
-from mpmath.libmp.libmpc import mpc_mul
 
-from qpvi import continuum, laxpair, painleve, polys, verify, weyl
+from qpvi import continuum, laxpair, opuc, painleve, polys, qseries, verify, weyl
 from qpvi.errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                          DomainError, GaugeError, IndeterminacyError, QpviError,
                          SingularGaugeError)
@@ -279,81 +279,12 @@ class TestStep:
 class TestOrbit:
     @pytest.mark.parametrize("prec", [53, 128, 192])
     def test_generic_orbit_matches_chained_steps(self, prec):
-        # the parameters also equal k `SurfaceParams.step` calls, a route
-        # that shares no code with the orbit's raw flow
         with mp.workprec(prec):
             for sp, co in generic_points(10):
-                got, sp2 = painleve.phi_orbit(co, sp, 6)
-                want, sp3 = chained(co, sp, 6)
+                got = painleve.phi_orbit(co, sp, 6)
+                want, _ = chained(co, sp, 6)
                 assert rel(got.y, want.y) <= 2 ** -(prec - 16)
                 assert rel(got.xi, want.xi) <= 2 ** -(prec - 16)
-                sp4 = sp
-                for _ in range(6):
-                    sp4 = sp4.step()
-                assert sp2 == sp3 == sp4
-
-    def test_flow_rounds_as_mpc_product(self):
-        # kappa1 = theta1 nearly real under a complex q: the real part of
-        # q kappa1 is a difference of two products 2^-136 apart, which
-        # mpmath rounds as the larger one plus a sticky bit, one unit from
-        # the correct rounding of the exact difference; the orbit's flow
-        # still returns what `SurfaceParams.step` returns
-        with mp.workprec(128):
-            q = mp.mpc(mp.mpf(3) / 5, mp.mpf(4) / 5)
-            k1 = mp.mpc(1 + mp.mpf(554) / 7, mp.mpf(554) / 7 * mp.mpf(2) ** -136)
-            sp = painleve.SurfaceParams(k1=k1, k2=1, t1=k1, t2=1, c=(1, 1, 1, 1), q=q)
-            exact = ExactPoly.of([q]) * ExactPoly.of([k1])
-            assert exact.rounded()[0] != q * k1
-            co = painleve.SurfaceCoords(y=mp.mpc("0.3", "0.2"), xi=mp.mpc("0.7", "-0.1"))
-            _, sp1 = painleve.phi_orbit(co, sp, 1)
-            assert sp1 == sp.step()
-            assert sp1.k1 == sp1.t1 == q * k1
-
-    @pytest.mark.parametrize("prec", [53, 128, 192])
-    @pytest.mark.parametrize("rnd", "nfcdu")
-    def test_real_flow_rounds_as_mpc_mul(self, prec, rnd):
-        # real q, kappa1 and theta1 advance by mpf_mul on the real parts,
-        # which rounds as mpc_mul does: over random mantissas and exponents,
-        # and through the orbit, under every rounding mode
-        rng = random.Random(f"real-flow:{prec}:{rnd}")
-        co = painleve.SurfaceCoords(y=mp.mpc("0.3", "0.2"), xi=mp.mpc("0.7", "-0.1"))
-        with mp.workprec(prec):
-            mp.mp._prec_rounding[1] = rnd
-            try:
-                for _ in range(300):
-                    a, b = (mp.mpc(mp.ldexp(rng.getrandbits(prec) * rng.choice((1, -1)),
-                                            rng.randint(-prec - 40, -prec + 40)))
-                            for _ in range(2))
-                    assert ((mpf_mul(a.real._mpf_, b.real._mpf_, prec, rnd), fzero)
-                            == mpc_mul(a._mpc_, b._mpc_, prec, rnd))
-                for _ in range(5):
-                    q, k1, t1 = (mp.mpf(rng.uniform(0.2, 1.8)) / 3 for _ in range(3))
-                    sp = painleve.SurfaceParams(k1=k1, k2=1, t1=t1, t2=k1 / t1,
-                                                c=(1, 1, 1, 1), q=q)
-                    _, sp3 = painleve.phi_orbit(co, sp, 3)
-                    want = sp.k1._mpc_, sp.t1._mpc_
-                    for _ in range(3):
-                        want = tuple(mpc_mul(sp.q._mpc_, x, prec, rnd) for x in want)
-                    assert (sp3.k1._mpc_, sp3.t1._mpc_) == want
-            finally:
-                mp.mp._prec_rounding[1] = "n"
-
-    @pytest.mark.parametrize("q, calls", [(mp.mpc("0.6", "0.8"), 6), (mp.mpc("0.6"), 0)])
-    def test_complex_q_goes_through_mpc_mul(self, monkeypatch, q, calls):
-        # kappa1 and theta1 real: a complex q still flows through mpc_mul
-        count = [0]
-
-        def counted(*args):
-            count[0] += 1
-            return mpc_mul(*args)
-        monkeypatch.setattr(painleve, "mpc_mul", counted)
-        with mp.workprec(128):
-            sp = painleve.SurfaceParams(k1=mp.mpf("0.7"), k2=1, t1=mp.mpf("0.7"), t2=1,
-                                        c=(1, 1, 1, 1), q=q)
-            co = painleve.SurfaceCoords(y=mp.mpc("0.3", "0.2"), xi=mp.mpc("0.7", "-0.1"))
-            _, sp3 = painleve.phi_orbit(co, sp, 3)
-            assert count[0] == calls
-            assert sp3 == sp.step().step().step()
 
     def test_weight_orbit_matches_600_bit_reference(self, ref_params, ctx, prec192):
         # the plain-mpmath step at 600 bits from the same 192-bit point and
@@ -361,9 +292,8 @@ class TestOrbit:
         # 14-step orbit, rounded once at the end, lands 2^-172.7 from the
         # reference, no farther than 14 chained steps rounded at each
         sp, co = coords_at(ref_params, ctx, 1)
-        got, sp2 = painleve.phi_orbit(co, sp, 14)
-        steps, sp3 = chained(co, sp, 14)
-        assert sp2 == sp3
+        got = painleve.phi_orbit(co, sp, 14)
+        steps, _ = chained(co, sp, 14)
         with mp.workprec(600):
             want, here = co, SimpleNamespace(k1=sp.k1, k2=sp.k2, t1=sp.t1, t2=sp.t2,
                                              c=sp.c, q=sp.q)
@@ -381,11 +311,10 @@ class TestOrbit:
             eps = mp.mpf("0.01")
             sp = continuum.discrete_step_params(lp, eps, w["t0"])
             co = painleve.SurfaceCoords(y=1 + eps * w["u0"], xi=w["v0"])
-            got, sp2 = painleve.phi_orbit(co, sp, 69)
-            want, sp3 = chained(co, sp, 69)
+            got = painleve.phi_orbit(co, sp, 69)
+            want, _ = chained(co, sp, 69)
             assert rel(got.y, want.y) <= 2 ** -112 / eps
             assert rel(got.xi, want.xi) <= 2 ** -112 / eps
-            assert sp2 == sp3
 
     @pytest.mark.parametrize("prec", [128, 192])
     def test_study_orbit_matches_384_bit_run(self, prec):
@@ -397,7 +326,7 @@ class TestOrbit:
                 eps = mp.mpf("0.0025")
                 sp = continuum.discrete_step_params(lp, eps, w["t0"])
                 co = painleve.SurfaceCoords(y=1 + eps * w["u0"], xi=w["v0"])
-                return painleve.phi_orbit(co, sp, 277)[0]
+                return painleve.phi_orbit(co, sp, 277)
         got, want = endpoint(prec), endpoint(384)
         with mp.workprec(384):
             assert rel(got.y, want.y) <= 2 ** -(prec - 16) / mp.mpf("0.0025")
@@ -449,7 +378,7 @@ class TestOrbit:
 
     def test_zero_and_negative_length(self, ref_params, ctx, prec192):
         sp, co = coords_at(ref_params, ctx, 2)
-        assert painleve.phi_orbit(co, sp, 0) == (co, sp)
+        assert painleve.phi_orbit(co, sp, 0) == co
         with pytest.raises(DomainError):
             painleve.phi_orbit(co, sp, -1)
 
@@ -465,7 +394,7 @@ class TestOrbit:
         xi = min(mp.polyroots(T), key=lambda r: abs(r - c[0] * c[1] / t1))
         # its preimage j steps back
         co, sp = preimage(sp_j, y, xi, j)
-        reached, _ = painleve.phi_orbit(co, sp, j)
+        reached = painleve.phi_orbit(co, sp, j)
         assert rel(reached.y, y) < 1e-50 and rel(reached.xi, xi) < 1e-50
         label = "(y, xi) = (0, c1 c2/theta1)"
         assert painleve._nearest_base_point(sp_j, y, xi) == label
@@ -502,12 +431,38 @@ class TestOrbit:
         y = mp.mpc("0.3", "0.4")
         xi = w * (y - r3) / (y - c4)
         co, sp = preimage(sp_j, y, xi, j)
-        reached, _ = painleve.phi_orbit(co, sp, j)
+        reached = painleve.phi_orbit(co, sp, j)
         assert rel(reached.y, y) < 1e-50 and rel(reached.xi, xi) < 1e-50
         with pytest.raises(IndeterminacyError) as err:
             painleve.phi_orbit(co, sp, j + 1)
         label = painleve._nearest_base_point(sp_j, y, xi)
         assert str(err.value) == "xi' denominator factor vanishes; step hit " + label
+
+    def test_guard_names_base_point_under_real_flow(self, prec192):
+        # real q, kappa1 and theta1, as in every continuum study: the guard
+        # of step j = 6 names the base point under the parameters of step j;
+        # under step 0's, where theta1 is q^-6 = 64 times larger, the nearest
+        # base point is another one
+        j = 6
+        q, k1, t1 = mp.mpf("0.5"), mp.mpf("0.3"), mp.mpf("0.275")
+        c = (mp.mpc("0.7", "0.2"), mp.mpc("-0.4", "0.9"),
+             mp.mpc("1.3", "-0.3"), mp.mpc("0.6", "0.5"))
+        t2 = mp.mpf("1.1") * t1
+        k2 = t1 * t2 / (k1 * c[0] * c[1] * c[2] * c[3])
+        sp_j = painleve.SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=c, q=q)
+        y = mp.mpc("0.015625", "0.0078125")
+        _, T = oracle_st_terms(painleve.SurfaceCoords(y=y, xi=mp.mpc(1)), sp_j)
+        xi = min(mp.polyroots(T), key=lambda r: abs(r - c[0] * c[1] / t1))
+        co, sp = preimage(sp_j, y, xi, j)
+        assert not (sp.q.imag or sp.k1.imag or sp.t1.imag)
+        reached = painleve.phi_orbit(co, sp, j)
+        assert rel(reached.y, y) < 1e-50 and rel(reached.xi, xi) < 1e-50
+        label = "(y, xi) = (0, c1 c2/theta1)"
+        assert painleve._nearest_base_point(sp_j, y, xi) == label
+        assert painleve._nearest_base_point(sp, y, xi) != label
+        with pytest.raises(IndeterminacyError) as err:
+            painleve.phi_orbit(co, sp, j + 1)
+        assert str(err.value) == "y T cancels to working precision near " + label
 
     def test_top_bounds_the_squared_norm(self):
         # the bounds of the guards' pre-test: 2^(2 top - 2) <= |x|^2 < 2^(2 top + 1)
@@ -556,7 +511,7 @@ class TestOrbit:
             message = "xi' denominator factor vanishes; step hit "
         assert abs(ratio / level - 1) < 1e-6
         co, sp = preimage(sp_j, y, xi, j)
-        reached, _ = painleve.phi_orbit(co, sp, j)
+        reached = painleve.phi_orbit(co, sp, j)
         assert rel(reached.y, y) < 1e-50 and rel(reached.xi, xi) < 1e-50
         if not fails:
             painleve.phi_orbit(co, sp, j + 1)
@@ -566,9 +521,8 @@ class TestOrbit:
         assert str(err.value) == message + painleve._nearest_base_point(sp_j, y, xi)
 
     def test_orbit_forms_no_mpc_product(self, monkeypatch):
-        """A 277-step orbit forms no mpc product.  It used to form 554, two
-        per step, for the (kappa1, theta1) flow; that flow now applies
-        mpmath's raw `mpc_mul` to the parts."""
+        """A 277-step orbit forms no mpc product: it carries its point
+        alone, and (kappa1, theta1) advance only by `SurfaceParams.step`."""
         count = [0]
         mpc = type(mp.mpc(1))
         mul, rmul = mpc.__mul__, mpc.__rmul__
@@ -591,9 +545,6 @@ class TestOrbit:
     def test_off_constraint_params_rejected(self, ref_params, ctx, prec192):
         sp, co = coords_at(ref_params, ctx, 3)
         object.__setattr__(sp, "t2", 2 * sp.t2)  # past the constructor's check
-        for k in (0, 1, 5):
-            with pytest.raises(ConstraintError):
-                painleve.phi_orbit(co, sp, k)
         with pytest.raises(ConstraintError):
             painleve.phi_step(co, sp)
 
@@ -720,3 +671,20 @@ class TestFactorizations:
         co = painleve.SurfaceCoords(y=mp.mpc("0.37", "0.21"), xi=mp.mpc("-0.9", "0.55"))
         for r in painleve.factorization_residuals(co, sp):
             assert r < 1e-40
+
+
+def test_readme_library_example():
+    """README's library block runs as printed, and its orbit lands on the
+    weight's coordinates at n = 8 (through y_closed on a longer table)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    names = {}
+    exec(blocks[0], names)
+    sp, sp2, co8, p = names["sp"], names["sp2"], names["co8"], names["p"]
+    assert isinstance(co8, painleve.SurfaceCoords)
+    with mp.workprec(192):
+        assert sp2 == sp.step()
+        vt = opuc.verblunsky_from_moments(qseries.moments(p, K=12), N=10)
+        yc = painleve.y_closed(p, vt, 8)
+        assert abs(co8.y - yc) < 1e-40 * abs(yc)

@@ -781,6 +781,9 @@ class TestPolicy:
             for name in ("pmul", "pq", "pmax", "pscale", "_horner", "_refuse_zero_divisors",
                          "polyval"):
                 assert not re.search(rf"\b{name}\b", text), (path.name, name)
+            # one (kappa1, theta1) flow, SurfaceParams.step, on mpmath's operators
+            for name in ("mpc_mul", "mpf_mul"):
+                assert not re.search(rf"\b{name}\b", text), (path.name, name)
             # one dense solver: lstsq hands its normal equations to hpd_solve,
             # the one block of guard precision
             if path.name == "polys.py":
@@ -789,6 +792,16 @@ class TestPolicy:
             assert "extraprec" not in text, path.name
         assert "tol" not in inspect.signature(painleve.extract_coords).parameters
         assert "hpd_solve(" in inspect.getsource(polys.lstsq)
+
+    def test_mpmath_internals_only_in_polys(self):
+        # the raw layouts, libmp and the (precision, rounding) pair are read
+        # in polys alone (see TestMpmathLayout); the other modules ask it
+        for path in sorted(Path(qpvi.__file__).parent.glob("*.py")):
+            if path.name != "polys.py":
+                text = path.read_text()
+                for name in ("libmp", "._mpc_", "._mpf_", "make_mpc", "make_mpf",
+                             "_prec_rounding"):
+                    assert name not in text, (path.name, name)
 
     @pytest.mark.parametrize("module", ["continuum", "laxpair", "opuc", "painleve", "polys",
                                         "qseries", "verify", "weyl"])
