@@ -26,9 +26,10 @@ in which K1 and Th1 do not appear.
 
 `discrete_orbit` runs the discrete orbit as one `painleve.phi_orbit` call,
 which computes the surface coefficients once and advances them by powers
-of q, in Python-integer arithmetic (`polys.GaussFloat`): the study's three
-orbits, 484 steps at 128 bits, take 24 to 25 ms on a 2-core VM with
-pure-Python mpmath, 49 to 53 us per step (medians of 20 to 30 runs).
+of q, in Python-integer arithmetic (polys' triple kernel): the study's
+three orbits, 484 steps at 128 bits, take 16 to 16.5 ms, 33 to 34 us per
+step (medians of 30 runs in one interpreter, on a 2-core VM with Python
+3.11.7 and pure-Python mpmath, whose speed drops by up to 1.8x at times).
 `limit_check` measures the endpoint gap between the discrete orbit and a
 high-order integration of this system for the decreasing eps of
 `STUDY_EPS` and fits the convergence order, which is 1 in eps;

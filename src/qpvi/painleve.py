@@ -17,14 +17,16 @@ steps: the parameter-only coefficients of S, T and xi' are computed once
 and advanced by a power of q per step, so an orbit neither re-derives nor
 re-validates the parameters at every step.  It returns the end point
 alone; `phi_step` pairs the orbit of one step with `SurfaceParams.step`,
-the one route of the (kappa1, theta1) flow.  The orbit computes on
-`polys.GaussFloat` (Python integers with a binary exponent, 10 guard
-bits), carries its point between steps at that precision and rounds the
-end point once to the working precision.
-`extract_coords`, `matrix_step` and the four pencil factorizations of
-check 09 (`factorization_residuals`) run on GaussFloat too; of check 11's
-three routes to the step, `phi_step` and `weyl.composite_closed` run on it
-and the reflection word stays in mpmath (see `weyl`).  Parameters are
+the one route of the (kappa1, theta1) flow.  The orbit's loop runs on
+polys' triple kernel: `polys.GaussFloat` values (Python integers with a
+binary exponent, 10 guard bits) as plain (re, im, e) tuples, cut as
+GaussFloat cuts them; GaussFloat arithmetic runs in the loop only on the
+slow path of its guards.  It rounds the end point once to the working
+precision.  `extract_coords`, `matrix_step` and the four pencil
+factorizations of check 09 (`factorization_residuals`, S and T through
+the orbit's `_st_terms`) run on GaussFloat; of check 11's three routes to
+the step, `phi_step` and `weyl.composite_closed` run on it and the
+reflection word stays in mpmath (see `weyl`).  Parameters are
 validated where they are built: `SurfaceParams` checks the constraint on
 exact products and then refuses kappa1, kappa2, theta1 or a c_i equal to
 0, the parameters the step and the factorizations divide by (theta2 = 0
@@ -45,8 +47,9 @@ import mpmath as mp
 from .errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                      DomainError, GaugeError, IndeterminacyError,
                      SingularGaugeError)
-from .polys import (as_mpc, below, gauss_floats, is_zero, json_complex, largest, mul_sub,
-                    negligible, peval, product, residual_tol, sum3, zero_bits)
+from .polys import (GaussFloat, as_mpc, below, gauss_floats, is_zero, json_complex, largest,
+                    negligible, peval, residual_tol, t_add, t_div, t_mul, t_mul_sub, t_product,
+                    t_sub, t_sum3, t_top, zero_bits)
 
 __all__ = [
     "SurfaceParams", "SurfaceCoords", "params_from_weight", "y_closed",
@@ -254,31 +257,30 @@ def _st_coefficients(k1, k2, t1, t2, c, q):
             -q * t2, -k1 * k2 * k2, 2 * m, m * s1, -q * q * k1)
 
 
-def _st_terms(cf, d, y, xi):
+def _st_terms(cf, d, y, xi, p):
     # S and T, three terms each in powers of xi, at one point, from the
     # differences d = (y - c1, .., y - c4); the two share (y - c1)(y - c2),
-    # xi^2 (y - c3)(y - c4) and q^2 k1 t1 + k2 t2
-    sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
+    # xi^2 (y - c3)(y - c4) and q^2 k1 t1 + k2 t2.  Every value is a
+    # (re, im, e) triple of the triple kernel, cut to p bits
+    sa, h1, h2, sb, sc, sd, ta, tb, tc, td = cf
     d1, d2, d3, d4 = d
-    a12 = d1 * d2
-    xa34 = product(xi, xi, d3, d4)
-    p = p1 + p2
-    y2 = y * y
-    S = (sa * xa34, xi * (mul_sub(p, y2, sb, y) + sc), sd * a12)
-    T = (ta * xa34, xi * (mul_sub(tb, y2, tc, y) + p), td * a12)
+    a12 = t_mul(d1, d2, p)
+    xa34 = t_product((xi, xi, d3, d4), p)
+    h = t_add(h1, h2, p)
+    y2 = t_mul(y, y, p)
+    S = (t_mul(sa, xa34, p), t_mul(xi, t_add(t_mul_sub(h, y2, sb, y, p), sc, p), p),
+         t_mul(sd, a12, p))
+    T = (t_mul(ta, xa34, p), t_mul(xi, t_add(t_mul_sub(tb, y2, tc, y, p), h, p), p),
+         t_mul(td, a12, p))
     return S, T
 
 
-def _top(x):
-    # max(|re|, |im|) 2^e < 2^top, so 2^(2 top - 2) <= |x|^2 < 2^(2 top + 1) if x != 0
-    return (abs(x.re) | abs(x.im)).bit_length() + x.e
-
-
-def _indeterminate(what, sp, j, y, xi):
-    # the error of step j from GaussFloat (y, xi), named under sp stepped j times
+def _indeterminate(what, sp, j, y, xi, p):
+    # the error of step j from the triples (y, xi), named under sp stepped j times
     for _ in range(j):
         sp = sp.step()
-    return IndeterminacyError(what + _nearest_base_point(sp, y.mpc(), xi.mpc()))
+    return IndeterminacyError(
+        what + _nearest_base_point(sp, GaussFloat(*y, p).mpc(), GaussFloat(*xi, p).mpc()))
 
 
 def phi_orbit(coords, sp, k):
@@ -286,20 +288,22 @@ def phi_orbit(coords, sp, k):
 
     y' = S/(yT) with S, T the quadratics in xi of `_st_terms`, and
     xi' = (c1 c2 / (q kappa1 theta1 xi)) f1 f2 / (g1 g2) with f1, f2, g1,
-    g2 linear in xi.  The arithmetic is `polys.GaussFloat` at the working
-    precision plus 10 guard bits.  The parameters are converted once and
-    the parameter-only coefficients computed once; since a step multiplies
+    g2 linear in xi.  The parameters are converted once to
+    `polys.GaussFloat` at the working precision plus 10 guard bits, and the
+    parameter-only coefficients computed once; since a step multiplies
     kappa1 and theta1 by q, each then advances by one multiplication by q,
-    q^2, 1/q or 1/q^2.  The differences y - c_i are formed once per step
-    and shared by S, T, g1, g2, f1 and f2.  Each of p y^2 - sb y and
+    q^2, 1/q or 1/q^2.  The loop runs on polys' triple kernel, each value
+    an (re, im, e) triple cut as the GaussFloat operation it stands for
+    would cut it.  The differences y - c_i are formed once per step and
+    shared by S, T, g1, g2, f1 and f2.  Each of h y^2 - sb y and
     tb y^2 - tc y, xi^2 (y - c3)(y - c4), g1, g2, f1, f2, the sums S and T
     and the products pref f1 f2 and xi g1 g2 of xi' is exact and cut once
-    (`polys.mul_sub`, `product`, `sum3`).  The point is converted once,
-    carried between steps at the guard precision and rounded once at the
-    end, at the working precision and rounding mode: k chained `phi_step`
-    calls round it after every step, and the map grows those roundings by
-    a factor of a few per step, so the orbit lands nearer the exact one
-    than the chained calls.  The parameters after k steps are k
+    (`polys.t_mul_sub`, `t_product`, `t_sum3`).  The point is converted
+    once, carried between steps at the guard precision and rounded once at
+    the end, at the working precision and rounding mode: k chained
+    `phi_step` calls round it after every step, and the map grows those
+    roundings by a factor of a few per step, so the orbit lands nearer the
+    exact one than the chained calls.  The parameters after k steps are k
     `SurfaceParams.step` calls away; the orbit does not form them.
 
     Near-vanishing denominators are rejected relative to the term
@@ -309,9 +313,9 @@ def phi_orbit(coords, sp, k):
     parameters (`SurfaceParams.step`, on the error path only).  In front of
     each of the two magnitude guards, y T and g1, g2, a pre-test bounds the
     guarded squared norm from below and the scale from above by bit
-    lengths alone (`_top`); where the bounds already clear the margin the
-    step goes on, and elsewhere the exact test decides.  So every decision
-    is the exact test's.
+    lengths alone (`polys.t_top`); where the bounds already clear the
+    margin the step goes on, and elsewhere the exact test decides, on the
+    triples wrapped as GaussFloats.  So every decision is the exact test's.
     """
     if k < 0:
         raise DomainError("need k >= 0 steps")
@@ -319,60 +323,66 @@ def phi_orbit(coords, sp, k):
     bits = 2 * zb  # |x| < 2^-zb |s| as |x|^2 < 2^-bits |s|^2
     gk1, gk2, gt1, gt2, c1, c2, c3, c4, gq, one = gauss_floats(
         [sp.k1, sp.k2, sp.t1, sp.t2, *sp.c, sp.q, 1])
-    c = (c1, c2, c3, c4)
-    cf = _st_coefficients(gk1, gk2, gt1, gt2, c, gq)
-    q2 = gq * gq
+    cf = _st_coefficients(gk1, gk2, gt1, gt2, (c1, c2, c3, c4), gq)
     iq = one / gq
-    iq2 = iq * iq
     w = gq / gk2
     aw = abs(w)
-    top_w = _top(aw)
     r1 = gq * gt1 / (c1 * gk2)
     r2 = gq * gt1 / (c2 * gk2)
     r3 = gt2 / (gq * c3 * gk1)
     r4 = gt2 / (gq * c4 * gk1)
     pref = c1 * c2 / (gq * gk1 * gt1)
-
     try:
         gy, gxi = gauss_floats([coords.y, coords.xi])
     except ValueError:  # the exact conversion refuses inf and nan
         raise DomainError("orbit coordinates must be finite") from None
+
+    p = gy.p
+    cf = [x.triple() for x in cf]
+    q, q2, iq, iq2, w, c1, c2, c3, c4, r1, r2, r3, r4, pref, y, xi = (x.triple() for x in (
+        gq, gq * gq, iq, iq * iq, w, c1, c2, c3, c4, r1, r2, r3, r4, pref, gy, gxi))
+    top_w = t_top(aw.triple())
     for j in range(k):
         if j:
-            sa, p1, p2, sb, sc, sd, ta, tb, tc, td = cf
-            cf = (sa * q2, p1 * q2, p2, sb * gq, sc * gq, sd,
-                  ta * gq, tb * gq, tc * gq, td * gq)
-            r1, r2, r3, r4 = r1 * gq, r2 * gq, r3 * iq, r4 * iq
-            pref = pref * iq2
-        d = d1, d2, d3, d4 = gy - c1, gy - c2, gy - c3, gy - c4
-        Sterms, Tterms = _st_terms(cf, d, gy, gxi)
+            sa, h1, h2, sb, sc, sd, ta, tb, tc, td = cf
+            cf = (t_mul(sa, q2, p), t_mul(h1, q2, p), h2, t_mul(sb, q, p), t_mul(sc, q, p), sd,
+                  t_mul(ta, q, p), t_mul(tb, q, p), t_mul(tc, q, p), t_mul(td, q, p))
+            r1, r2 = t_mul(r1, q, p), t_mul(r2, q, p)
+            r3, r4 = t_mul(r3, iq, p), t_mul(r4, iq, p)
+            pref = t_mul(pref, iq2, p)
+        d = d1, d2, d3, d4 = t_sub(y, c1, p), t_sub(y, c2, p), t_sub(y, c3, p), t_sub(y, c4, p)
+        Sterms, Tterms = _st_terms(cf, d, y, xi, p)
         T0, T1, T2 = Tterms
-        yT = gy * sum3(T0, T1, T2)
-        top_y = _top(gy)
+        yT = t_mul(y, t_sum3(T0, T1, T2, p), p)
+        top_y = t_top(y)
         # pre-test: |yT|^2 >= 2^(2 top - 2) and |y|^2 max|T_i|^2 < 2^(2 top_y + 2 top_T + 2)
-        if not yT or _top(yT) - top_y - max(_top(T0), _top(T1), _top(T2)) < 2 - zb:
-            ny, nt = gy.norm(), largest(Tterms).norm()
+        if (not (yT[0] or yT[1])
+                or t_top(yT) - top_y - max(t_top(T0), t_top(T1), t_top(T2)) < 2 - zb):
+            ny = GaussFloat(*y, p).norm()
+            nt = largest([GaussFloat(*t, p) for t in Tterms]).norm()
             scale = (ny[0] * nt[0], ny[1] + nt[1])
-            if not scale[0] or below(yT.norm(), scale, bits):
+            if not scale[0] or below(GaussFloat(*yT, p).norm(), scale, bits):
                 raise _indeterminate("y T cancels to working precision near ",
-                                     sp, j, gy, gxi)
-        if not gxi:
-            raise _indeterminate("xi = 0; step hit ", sp, j, gy, gxi)
-        g1 = mul_sub(gxi, d4, w, gy - r3)
-        g2 = mul_sub(gxi, d3, w, gy - r4)
+                                     sp, j, y, xi, p)
+        if not (xi[0] or xi[1]):
+            raise _indeterminate("xi = 0; step hit ", sp, j, y, xi, p)
+        g1 = t_mul_sub(xi, d4, w, t_sub(y, r3, p), p)
+        g2 = t_mul_sub(xi, d3, w, t_sub(y, r4, p), p)
         # pre-test: |g_i|^2 >= 2^(2 top - 2) and the scale, a product of
         # values below 2^(max(top_xi, top_w) + 1.5) and 2^(max(top_y, 0) + 1.5),
         # is below 2^(2 max(top_xi, top_w) + 2 max(top_y, 0) + 6)
-        if (not (g1 and g2) or min(_top(g1), _top(g2)) - max(_top(gxi), top_w)
-                - max(top_y, 0) < 4 - zb):
-            gscale = ((abs(gxi) + aw) * (one + abs(gy))).norm()
-            if below(g1.norm(), gscale, bits) or below(g2.norm(), gscale, bits):
+        if (not (g1[0] or g1[1]) or not (g2[0] or g2[1])
+                or min(t_top(g1), t_top(g2)) - max(t_top(xi), top_w) - max(top_y, 0) < 4 - zb):
+            gscale = ((abs(GaussFloat(*xi, p)) + aw) * (one + abs(GaussFloat(*y, p)))).norm()
+            if (below(GaussFloat(*g1, p).norm(), gscale, bits)
+                    or below(GaussFloat(*g2, p).norm(), gscale, bits)):
                 raise _indeterminate("xi' denominator factor vanishes; step hit ",
-                                     sp, j, gy, gxi)
-        f1 = mul_sub(gxi, gy - r1, w, d2)
-        f2 = mul_sub(gxi, gy - r2, w, d1)
-        gy, gxi = sum3(*Sterms) / yT, product(pref, f1, f2) / product(gxi, g1, g2)
-    return SurfaceCoords(y=gy.mpc(), xi=gxi.mpc())
+                                     sp, j, y, xi, p)
+        f1 = t_mul_sub(xi, t_sub(y, r1, p), w, d2, p)
+        f2 = t_mul_sub(xi, t_sub(y, r2, p), w, d1, p)
+        y, xi = (t_div(t_sum3(*Sterms, p), yT, p),
+                 t_div(t_product((pref, f1, f2), p), t_product((xi, g1, g2), p), p))
+    return SurfaceCoords(y=GaussFloat(*y, p).mpc(), xi=GaussFloat(*xi, p).mpc())
 
 
 def phi_step(coords, sp):
@@ -440,8 +450,9 @@ def factorization_residuals(coords, sp):
     These identities hold only on the constraint variety; off it the cross
     terms in xi do not cancel.  Each residual is |lhs - rhs| over the
     largest of |lhs|, |rhs|, the S terms and the T terms times |y| max |c_i|.
-    Like `phi_orbit`, this runs on GaussFloat: the inputs are converted
-    once and each residual is rounded once.
+    This runs on GaussFloat, S and T through the orbit's `_st_terms` on
+    the triple kernel: the inputs are converted once and each residual is
+    rounded once.
     """
     try:
         y, xi = gauss_floats([coords.y, coords.xi])
@@ -450,7 +461,11 @@ def factorization_residuals(coords, sp):
     k1, k2, t1, t2, c1, c2, c3, c4, q = gauss_floats([sp.k1, sp.k2, sp.t1, sp.t2, *sp.c, sp.q])
     c = (c1, c2, c3, c4)
     d = d1, d2, d3, d4 = [y - x for x in c]  # y - c_i
-    Sterms, Tterms = _st_terms(_st_coefficients(k1, k2, t1, t2, c, q), d, y, xi)
+    p = y.p
+    Sterms, Tterms = (
+        [GaussFloat(*t, p) for t in terms] for terms in _st_terms(
+            [x.triple() for x in _st_coefficients(k1, k2, t1, t2, c, q)],
+            [x.triple() for x in d], y.triple(), xi.triple(), p))
     S0, S1, S2 = Sterms
     T0, T1, T2 = Tterms
     S, T = S0 + S1 + S2, T0 + T1 + T2

@@ -33,15 +33,23 @@ a plain shift after each + - * / to the working precision plus
 operation pays for an __init__ call.  The weights chain runs on it: the
 Szego series and q-Pochhammer products (`qseries`), the Szego recursion
 (`opuc`), the closed A_n (`laxpair`), and `extract_coords`, `matrix_step`
-and the orbit (`painleve`); so do two of the routes of the `steps` checks,
-`factorization_residuals` (`painleve`) and `composite_closed` (`weyl`).
-Each converts its mpf/mpc inputs once with `gauss_floats` and rounds each
-output once with `GaussFloat.mpc`.  Three fused forms, a b - c d
-(`mul_sub`), a product of several factors (`product`) and a sum of three
-terms (`sum3`), are exact over the whole expression and cut once to the
-first operand's p; on other number types they are the plain * - +.
+and the orbit's set-up (`painleve`); so do two of the routes of the
+`steps` checks, `factorization_residuals` (`painleve`) and
+`composite_closed` (`weyl`).  Each converts its mpf/mpc inputs once with
+`gauss_floats` and rounds each output once with `GaussFloat.mpc`.
 `as_mpc` is the `mp.mpc` of the constructors that hold such outputs, minus
 the no-op re-rounding of a value that already fits the working precision.
+
+The Painleve orbit's loop runs on the triple kernel: a GaussFloat's value
+as a plain tuple (re, im, e) (`GaussFloat.triple`), with p passed to each
+operation, so that no result builds an object.  `t_add`, `t_sub`, `t_mul`
+and `t_div` give the bits of the GaussFloat operators; three fused forms,
+x y - u v (`t_mul_sub`), a product of several factors (`t_product`) and a
+sum of three terms (`t_sum3`), are exact over the whole expression and cut
+once; `t_top` bounds a magnitude by bit lengths alone.  Every cut, here
+and in `_cut`, floors the larger part to p bits, its length read as the
+larger of re.bit_length() and im.bit_length(), and a zero result has
+exponent 0.
 
 One dense solver runs on GaussFloat too: `LDLFactor`, LDL^H for
 Hermitian positive definite matrices such as Toeplitz moment matrices,
@@ -73,7 +81,8 @@ __all__ = [
     "ExactPoly", "peval", "pstar", "mat_qdiff_residual",
     "json_complex", "dot", "autocorr",
     "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
-    "largest", "mul_sub", "product", "sum3", "as_mpc", "is_zero", "all_finite", "rounding_key",
+    "largest", "t_add", "t_sub", "t_mul", "t_mul_sub", "t_product", "t_sum3", "t_div",
+    "t_top", "as_mpc", "is_zero", "all_finite", "rounding_key",
     "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
 ]
 
@@ -227,7 +236,8 @@ class GaussFloat:
         if not den:
             raise ZeroDivisionError("GaussFloat division by zero")
         re, im = a * c + b * d, b * c - a * d
-        s = max(self.p + den.bit_length() - (abs(re) | abs(im)).bit_length(), 0)
+        n, m = re.bit_length(), im.bit_length()
+        s = max(self.p + den.bit_length() - (m if m > n else n), 0)
         return _cut((re << s) // den, (im << s) // den, self.e - other.e - s, self.p)
 
     def __bool__(self):
@@ -244,10 +254,15 @@ class GaussFloat:
         """This value as an mpc, each part rounded once (`_round`)."""
         return _make_mpc((_round(self.re, self.e), _round(self.im, self.e)))
 
+    def triple(self):
+        """This value as (re, im, e), the operand of the triple kernel."""
+        return self.re, self.im, self.e
+
 
 def _cut(re, im, e, p):
     x = _new(GaussFloat)  # no __init__ call (module docstring)
-    n = (abs(re) | abs(im)).bit_length() - p
+    n, m = re.bit_length(), im.bit_length()
+    n = (m if m > n else n) - p  # the larger part's length, less p
     if n > 0:
         x.re, x.im, x.e, x.p = re >> n, im >> n, e + n, p
     elif re or im:
@@ -257,38 +272,122 @@ def _cut(re, im, e, p):
     return x
 
 
-# the fused forms of the module docstring
-def mul_sub(a, b, c, d):
-    """a b - c d."""
-    if type(a) is not GaussFloat:
-        return a * b - c * d
-    pr, pi = a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
-    sr, si = c.re * d.re - c.im * d.im, c.re * d.im + c.im * d.re
-    e, f = a.e + b.e, c.e + d.e
+# The triple kernel of the module docstring.  Each operation forms the
+# exact Gaussian-integer expression and then makes `_cut`'s cut to p bits,
+# written out in each so that no operation pays for a second call; a zero
+# result is (0, 0, 0).
+
+def t_add(x, y, p):
+    """x + y."""
+    a, b, e = x
+    c, d, f = y
     if e >= f:
-        return _cut((pr << (e - f)) - sr, (pi << (e - f)) - si, f, a.p)
-    return _cut(pr - (sr << (f - e)), pi - (si << (f - e)), e, a.p)
+        re, im, e = (a << (e - f)) + c, (b << (e - f)) + d, f
+    else:
+        re, im = a + (c << (f - e)), b + (d << (f - e))
+    n, m = re.bit_length(), im.bit_length()
+    n = (m if m > n else n) - p
+    if n > 0:
+        return re >> n, im >> n, e + n
+    return (re, im, e) if re or im else (0, 0, 0)
 
 
-def product(x, *ys):
-    """x y1 y2 ..."""
-    if type(x) is not GaussFloat:
-        for y in ys:
-            x = x * y
-        return x
-    re, im, e = x.re, x.im, x.e
-    for y in ys:
-        re, im, e = re * y.re - im * y.im, re * y.im + im * y.re, e + y.e
-    return _cut(re, im, e, x.p)
+def t_sub(x, y, p):
+    """x - y."""
+    a, b, e = x
+    c, d, f = y
+    if e >= f:
+        re, im, e = (a << (e - f)) - c, (b << (e - f)) - d, f
+    else:
+        re, im = a - (c << (f - e)), b - (d << (f - e))
+    n, m = re.bit_length(), im.bit_length()
+    n = (m if m > n else n) - p
+    if n > 0:
+        return re >> n, im >> n, e + n
+    return (re, im, e) if re or im else (0, 0, 0)
 
 
-def sum3(a, b, c):
-    """a + b + c."""
-    if type(a) is not GaussFloat:
-        return a + b + c
-    e = min(a.e, b.e, c.e)
-    return _cut((a.re << (a.e - e)) + (b.re << (b.e - e)) + (c.re << (c.e - e)),
-                (a.im << (a.e - e)) + (b.im << (b.e - e)) + (c.im << (c.e - e)), e, a.p)
+def t_mul(x, y, p):
+    """x y."""
+    a, b, e = x
+    c, d, f = y
+    re, im, e = a * c - b * d, a * d + b * c, e + f
+    n, m = re.bit_length(), im.bit_length()
+    n = (m if m > n else n) - p
+    if n > 0:
+        return re >> n, im >> n, e + n
+    return (re, im, e) if re or im else (0, 0, 0)
+
+
+def t_mul_sub(x, y, u, v, p):
+    """x y - u v, cut once."""
+    a, b, e = x
+    c, d, f = y
+    pr, pi, e = a * c - b * d, a * d + b * c, e + f
+    a, b, f = u
+    c, d, g = v
+    sr, si, f = a * c - b * d, a * d + b * c, f + g
+    if e >= f:
+        re, im, e = (pr << (e - f)) - sr, (pi << (e - f)) - si, f
+    else:
+        re, im = pr - (sr << (f - e)), pi - (si << (f - e))
+    n, m = re.bit_length(), im.bit_length()
+    n = (m if m > n else n) - p
+    if n > 0:
+        return re >> n, im >> n, e + n
+    return (re, im, e) if re or im else (0, 0, 0)
+
+
+def t_product(xs, p):
+    """xs[0] xs[1] ..., cut once."""
+    re, im, e = xs[0]
+    for c, d, f in xs[1:]:
+        re, im, e = re * c - im * d, re * d + im * c, e + f
+    n, m = re.bit_length(), im.bit_length()
+    n = (m if m > n else n) - p
+    if n > 0:
+        return re >> n, im >> n, e + n
+    return (re, im, e) if re or im else (0, 0, 0)
+
+
+def t_sum3(x, y, z, p):
+    """x + y + z, cut once."""
+    a, b, e = x
+    c, d, f = y
+    u, v, g = z
+    k = min(e, f, g)
+    re = (a << (e - k)) + (c << (f - k)) + (u << (g - k))
+    im = (b << (e - k)) + (d << (f - k)) + (v << (g - k))
+    n, m = re.bit_length(), im.bit_length()
+    n = (m if m > n else n) - p
+    if n > 0:
+        return re >> n, im >> n, k + n
+    return (re, im, k) if re or im else (0, 0, 0)
+
+
+def t_div(x, y, p):
+    """x / y: x conj(y) / |y|^2, shifted as in `GaussFloat.__truediv__`."""
+    a, b, e = x
+    c, d, f = y
+    den = c * c + d * d
+    if not den:
+        raise ZeroDivisionError("GaussFloat division by zero")
+    re, im = a * c + b * d, b * c - a * d
+    n, m = re.bit_length(), im.bit_length()
+    s = max(p + den.bit_length() - (m if m > n else n), 0)
+    re, im, e = (re << s) // den, (im << s) // den, e - f - s
+    n, m = re.bit_length(), im.bit_length()
+    n = (m if m > n else n) - p
+    if n > 0:
+        return re >> n, im >> n, e + n
+    return (re, im, e) if re or im else (0, 0, 0)
+
+
+def t_top(x):
+    """max(|re|, |im|) 2^e < 2^top, so 2^(2 top - 2) <= |x|^2 < 2^(2 top + 1) if x != 0."""
+    re, im, e = x
+    n, m = re.bit_length(), im.bit_length()
+    return (m if m > n else n) + e
 
 
 def as_mpc(x):

@@ -131,6 +131,30 @@ def preimage(sp_j, y, xi, j):
     return painleve.SurfaceCoords(y=pt.g / lam, xi=pt.f / lam ** 2), sp
 
 
+# The end points of `phi_orbit` pinned by TestOrbit: eps -> (steps, repr y,
+# repr xi) of the three study orbits at 128 bits, and (repr y, repr xi) of
+# a generic 3-step orbit at 192 bits.
+STUDY_END_POINTS = {
+    "0.01": (69, "mpc(real='1.0023748272644424376732598146083708408841', "
+                 "imag='0.00044003508524115467985190890856473755666204')",
+             "mpc(real='2.2749769160937781043119576537897510821984', "
+             "imag='-0.74599243971885219631532895172210458898665')"),
+    "0.005": (138, "mpc(real='1.0011888510478850202726889207501918880701', "
+                   "imag='0.00022061493668406616469036943358090367260628')",
+              "mpc(real='2.2598237424313993064082479000768309922644', "
+              "imag='-0.73676079633790088810079824347510384845968')"),
+    "0.0025": (277, "mpc(real='1.0005945887276640092918399890579310946189', "
+                    "imag='0.00011029462584606072690530741508769355182943')",
+               "mpc(real='2.2575780135976941419539029913031236328439', "
+               "imag='-0.73482580803800592644093092798321965969419')"),
+}
+GENERIC_END_POINT = (
+    "mpc(real='1.510548149573914037389210879502421400579674851116929932763', "
+    "imag='1.59479894736022715664126002929943085333030400458590690337864')",
+    "mpc(real='3.66187138488298162643597038659205629393377681806487682413023', "
+    "imag='0.112431927897206223236982427468275512036338816092157279018443')")
+
+
 def guard_params():
     """Parameters of step 2 for the mid-orbit guard tests (q = 1/2)."""
     q = mp.mpf("0.5")
@@ -476,7 +500,7 @@ class TestOrbit:
             if not (re or im):
                 continue
             x = polys.GaussFloat(re, im, e, 148)
-            top = painleve._top(x)
+            top = polys.t_top((re, im, e))
             assert not polys.below(x.norm(), (1, 2 * top - 2)), (re, im, e)
             assert polys.below(x.norm(), (1, 2 * top + 1)), (re, im, e)
 
@@ -541,6 +565,57 @@ class TestOrbit:
             monkeypatch.setattr(mpc, "__rmul__", counted(rmul))
             painleve.phi_orbit(co, sp, 277)
         assert count[0] == 0
+
+    def test_orbit_loop_builds_no_gauss_float(self, monkeypatch):
+        """The orbit's loop runs on the triple kernel: the GaussFloat
+        operators and `polys._cut` run as often for 277 steps of the
+        eps = 0.0025 study orbit as for one, all of them in the set-up."""
+        lp, w = continuum.reference_limit()
+        counts = []
+        for k in (1, 277):
+            count = [0]
+
+            def counted(f):
+                def g(*args):
+                    count[0] += 1
+                    return f(*args)
+                return g
+            with monkeypatch.context() as m:
+                for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+                    m.setattr(polys.GaussFloat, op, counted(getattr(polys.GaussFloat, op)))
+                m.setattr(polys, "_cut", counted(polys._cut))
+                with mp.workprec(128):
+                    eps = mp.mpf("0.0025")
+                    sp = continuum.discrete_step_params(lp, eps, w["t0"])
+                    co = painleve.SurfaceCoords(y=1 + eps * w["u0"], xi=w["v0"])
+                    painleve.phi_orbit(co, sp, k)
+            counts.append(count[0])
+        assert counts[0] == counts[1] > 0
+
+    def test_study_end_points_pinned(self):
+        # the repr of each study orbit's end (y, xi) at 128 bits: any change
+        # to the orbit's rounding changes a digit here
+        lp, w = continuum.reference_limit()
+        with mp.workprec(128):
+            for e, (k, y, xi) in STUDY_END_POINTS.items():
+                eps = mp.mpf(e)
+                assert continuum._orbit_length(eps, w["t0"], w["t1"])[0] == k
+                sp = continuum.discrete_step_params(lp, eps, w["t0"])
+                co = painleve.phi_orbit(
+                    painleve.SurfaceCoords(y=1 + eps * w["u0"], xi=w["v0"]), sp, k)
+                assert (repr(co.y), repr(co.xi)) == (y, xi), e
+
+    def test_generic_end_point_pinned(self):
+        # the same pin for a 3-step orbit with complex q at 192 bits
+        with mp.workprec(192):
+            c = (mp.mpc("0.7", "0.2"), mp.mpc("-0.4", "0.9"),
+                 mp.mpc("1.3", "-0.3"), mp.mpc("0.6", "0.5"))
+            k2, t1, t2 = mp.mpc("0.8", "-0.4"), mp.mpc("0.275", "0.075"), mp.mpc("1.1", "0.2")
+            k1 = t1 * t2 / (k2 * c[0] * c[1] * c[2] * c[3])
+            sp = painleve.SurfaceParams(k1=k1, k2=k2, t1=t1, t2=t2, c=c, q=mp.mpc("0.6", "0.3"))
+            co = painleve.phi_orbit(
+                painleve.SurfaceCoords(y=mp.mpc("0.3", "0.4"), xi=mp.mpc("-0.9", "0.55")), sp, 3)
+            assert (repr(co.y), repr(co.xi)) == GENERIC_END_POINT
 
     def test_off_constraint_params_rejected(self, ref_params, ctx, prec192):
         sp, co = coords_at(ref_params, ctx, 3)
@@ -656,8 +731,14 @@ class TestFactorizations:
 
     def test_matches_oracle(self, prec192):
         for sp, co in generic_points(50):
-            cf = painleve._st_coefficients(sp.k1, sp.k2, sp.t1, sp.t2, sp.c, sp.q)
-            S, T = painleve._st_terms(cf, [co.y - x for x in sp.c], co.y, co.xi)
+            # _st_terms on the triples of the exact conversions, at 202 bits
+            k1, k2, t1, t2, c1, c2, c3, c4, q, y, xi = polys.gauss_floats(
+                [sp.k1, sp.k2, sp.t1, sp.t2, *sp.c, sp.q, co.y, co.xi])
+            cf = painleve._st_coefficients(k1, k2, t1, t2, (c1, c2, c3, c4), q)
+            S, T = (
+                [polys.GaussFloat(*t, y.p).mpc() for t in terms] for terms in painleve._st_terms(
+                    [x.triple() for x in cf], [(y - x).triple() for x in (c1, c2, c3, c4)],
+                    y.triple(), xi.triple(), y.p))
             S0, T0 = oracle_st_terms(co, sp)
             assert rel(mp.fsum(S), mp.fsum(S0)) <= 1e-50
             assert rel(mp.fsum(T), mp.fsum(T0)) <= 1e-50

@@ -536,13 +536,21 @@ class TestGaussFloat:
             assert a.im == 0 and abs(_value(a).real - abs(mp.mpc(x))) < mp.ldexp(1, a.e)
 
 
-# --- the fused forms of the q-PVI step --------------------------------------
+# --- the triple kernel of the q-PVI orbit ----------------------------------
 
-# name: (fused form, number of operands, the plain expression)
-FUSED = {"mul_sub": (polys.mul_sub, 4, lambda a, b, c, d: a * b - c * d),
-         "product3": (polys.product, 3, lambda a, b, c: a * b * c),
-         "product4": (polys.product, 4, lambda a, b, c, d: a * b * c * d),
-         "sum3": (polys.sum3, 3, lambda a, b, c: a + b + c)}
+# name: (triple form on a list of (re, im, e) operands and p, number of operands)
+FUSED = {"mul_sub": (lambda xs, p: polys.t_mul_sub(*xs, p), 4),
+         "product3": (polys.t_product, 3),
+         "product4": (polys.t_product, 4),
+         "sum3": (lambda xs, p: polys.t_sum3(*xs, p), 3)}
+
+# the binary triple forms and the GaussFloat operators they stand for
+BINARY = {"t_add": (polys.t_add, "+"), "t_sub": (polys.t_sub, "-"),
+          "t_mul": (polys.t_mul, "*"), "t_div": (polys.t_div, "/")}
+
+
+def _t(g):
+    return g.re, g.im, g.e
 
 
 def _gprod(xs):
@@ -566,11 +574,28 @@ def _exact(name, xs):
     return (sum(r << (f - e) for r, _, f in terms), sum(i << (f - e) for _, i, f in terms), e)
 
 
+def _one_cut(name, gs):
+    # the exact expression cut once by `_cut`, as a triple
+    return _t(polys._cut(*_exact(name, gs), gs[0].p))
+
+
 @st.composite
 def fused_cases(draw):
     prec, spread = draw(st.sampled_from(GAUSS_PRECS))
     name = draw(st.sampled_from(sorted(FUSED)))
     return prec, name, draw(vectors(FUSED[name][1], prec, spread))
+
+
+def _operand(rng, p, most):
+    """A seeded GaussFloat of up to `most` bits per part at precision p:
+    mixed signs, exponents up to 3p either way, and one draw in six each a
+    zero or a real value."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return polys.GaussFloat(0, 0, 0, p)
+    re = rng.getrandbits(rng.randint(1, most)) * rng.choice((1, -1))
+    im = 0 if kind == 1 else rng.getrandbits(rng.randint(1, most)) * rng.choice((1, -1))
+    return polys.GaussFloat(re, im, rng.randint(-3 * p, 3 * p), p)
 
 
 class TestFusedOps:
@@ -581,9 +606,8 @@ class TestFusedOps:
         prec, name, xs = case
         with mp.workprec(prec):
             gs = polys.gauss_floats(xs)
-        got = FUSED[name][0](*gs)
-        want = polys._cut(*_exact(name, gs), gs[0].p)
-        assert (got.re, got.im, got.e, got.p) == (want.re, want.im, want.e, want.p)
+        got = FUSED[name][0]([_t(g) for g in gs], gs[0].p)
+        assert got == _one_cut(name, gs)
 
     def test_far_exponents_and_zero_results(self):
         with mp.workprec(128):
@@ -593,24 +617,81 @@ class TestFusedOps:
         assert big.e - small.e > 1700
         for name, xs in (("sum3", [small, x, big]), ("mul_sub", [big, small, x, x]),
                          ("mul_sub", [x, x, big, big]), ("product3", [big, small, x])):
-            got, want = FUSED[name][0](*xs), polys._cut(*_exact(name, xs), 138)
-            assert (got.re, got.im, got.e) == (want.re, want.im, want.e)
+            assert FUSED[name][0]([_t(g) for g in xs], 138) == _one_cut(name, xs)
         # x and small are below the last bit of big: the floor leaves big
-        assert _value(polys.sum3(small, x, big)) == _value(big)
-        # a zero result carries exponent 0, as after each plain operation
-        for z in (polys.mul_sub(big, small, small, big), polys.sum3(x, -x, zero),
-                  polys.sum3(big, small - small, -big), polys.product(big, x, zero)):
-            assert not z and (z.e, z.p) == (0, 138)
+        assert _value(polys.GaussFloat(*polys.t_sum3(_t(small), _t(x), _t(big), 138), 138)) \
+            == _value(big)
+        # a zero result is (0, 0, 0), as after each GaussFloat operation
+        big, small, x, zero = map(_t, (big, small, x, zero))
+        neg = polys.t_sub(zero, x, 138)
+        for z in (polys.t_mul_sub(big, small, small, big, 138),
+                  polys.t_sum3(x, neg, zero, 138),
+                  polys.t_sum3(big, polys.t_sub(small, small, 138), polys.t_sub(zero, big, 138),
+                               138),
+                  polys.t_product((big, x, zero), 138), polys.t_add(x, neg, 138),
+                  polys.t_mul(zero, x, 138), polys.t_div(zero, x, 138)):
+            assert z == (0, 0, 0)
+        with pytest.raises(ZeroDivisionError, match="GaussFloat division by zero"):
+            polys.t_div(x, zero, 138)
 
-    @settings(max_examples=200, deadline=None)
-    @given(fused_cases())
-    def test_other_types_use_the_operators(self, case):
-        # on mpc, bit for bit the plain expression left to right
-        prec, name, xs = case
-        with mp.workprec(prec):
-            xs = [mp.mpc(x) for x in xs]
-            fused, _, plain = FUSED[name]
-            assert fused(*xs)._mpc_ == plain(*xs)._mpc_
+
+class TestTripleKernel:
+    """Each triple operation is the GaussFloat operator, or the exact
+    expression cut once by `_cut`, bit for bit: seeded operands at p = 63,
+    138 and 202."""
+
+    @pytest.mark.parametrize("p", [63, 138, 202])
+    @pytest.mark.parametrize("name", sorted(BINARY))
+    def test_binary_is_the_operator(self, name, p):
+        form, op = BINARY[name]
+        rng = random.Random(f"{name}:{p}")
+        cuts = fits = 0  # results cut to p bits; results that fit (clamped shifts for /)
+        for _ in range(600):
+            x, y = _operand(rng, p, p), _operand(rng, p, p)
+            if op == "/":
+                # quotients of short by long and long by short operands, and
+                # numerators past p bits, whose shift clamps at 0
+                x = _operand(rng, p, rng.choice((p // 4, p, 3 * p)))
+            if op == "/" and not y:
+                with pytest.raises(ZeroDivisionError, match="GaussFloat division by zero"):
+                    form(_t(x), _t(y), p)
+                continue
+            want = _apply(op, x, y)
+            assert form(_t(x), _t(y), p) == _t(want), (x.re, x.im, x.e, y.re, y.im, y.e)
+            n = max(abs(want.re), abs(want.im)).bit_length()
+            cuts += n >= p
+            if op == "/":
+                # a quotient always has p bits; count the clamped shifts
+                c, d = y.re, y.im
+                num = max(abs(x.re * c + x.im * d), abs(x.im * c - x.re * d)).bit_length()
+                fits += p + (c * c + d * d).bit_length() < num
+            else:
+                fits += 0 < n < p
+            if op in "+-":
+                # x + (-x) and x - x: a zero result, exponent 0
+                y = -x if op == "+" else x
+                assert form(_t(x), _t(y), p) == (0, 0, 0) == _t(_apply(op, x, y))
+        assert cuts and fits
+
+    @pytest.mark.parametrize("p", [63, 138, 202])
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_fused_is_one_cut(self, name, p):
+        form, arity = FUSED[name]
+        rng = random.Random(f"{name}:{p}")
+        zeros = 0
+        for _ in range(600):
+            gs = [_operand(rng, p, p) for _ in range(arity)]
+            if rng.randrange(8) == 0:
+                # a cancelling expression: a zero result
+                if name == "mul_sub":
+                    gs[2:] = gs[:2]
+                elif name == "sum3":
+                    gs[1] = -gs[0]
+                    gs[2] = polys.GaussFloat(0, 0, rng.randint(-p, p), p)
+            got = form([_t(g) for g in gs], p)
+            assert got == _one_cut(name, gs)
+            zeros += got == (0, 0, 0)
+        assert zeros
 
 
 # --- what the kernel reads from mpmath -------------------------------------
