@@ -152,9 +152,8 @@ def discrete_step_params(lp, eps, t):
 
 
 def _orbit_length(eps, t0, t1):
-    # (k, t0 q^k): the number of steps from t0 that ends nearest t1, and its end
-    if not 0 < eps < 1:
-        raise DomainError("need 0 < eps < 1")
+    # (k, t0 q^k): the number of steps from t0 that ends nearest t1, and its
+    # end; the caller has checked 0 < eps < 1
     if not 0 < t1 < t0 < mp.inf:
         raise DomainError("need 0 < t1 < t0 for a contracting q-orbit")
     q = 1 - eps
@@ -169,8 +168,8 @@ def discrete_orbit(lp, eps, t0, t1, u0, v0):
     embedding y = 1 + eps u, xi = v.
     """
     eps, t0 = mp.mpf(eps), mp.mpf(t0)
+    sp = discrete_step_params(lp, eps, t0)  # refuses eps outside (0, 1)
     k, t_end = _orbit_length(eps, t0, mp.mpf(t1))
-    sp = discrete_step_params(lp, eps, t0)
     coords = SurfaceCoords(y=1 + eps * mp.mpc(u0), xi=mp.mpc(v0))
     coords = phi_orbit(coords, sp, k)
     return k, t_end, (coords.y - 1) / eps, coords.xi
@@ -418,8 +417,10 @@ def limit_check(lp=None, window=None, prec=128):
     `integrate`, at rtol = 1e-13, atol = 1e-15) runs from t0 through the
     three end times, nearest first, with its steps clipped to land on each.
     The window must satisfy 0 < t1 < t0 with [t1, t0] and every
-    [t_end, t0] clear of t = 1.  The reference pass takes about 1 ms, so it
-    runs first: a bad window or v0 fails before any orbit runs.
+    [t_end, t0] clear of t = 1, and be long enough that every orbit takes
+    a step: a zero-step orbit's error is only the rounding of u0.  The
+    reference pass takes about 1 ms, so it runs first: a bad window or v0
+    fails before any orbit runs.
     """
     with mp.workprec(prec):
         if lp is None:
@@ -433,6 +434,9 @@ def limit_check(lp=None, window=None, prec=128):
             raise DomainError("the window [t1, t0] may not contain t = 1")
         eps = [mp.mpf(e) for e in STUDY_EPS]
         steps = [_orbit_length(e, t0, t1) for e in eps]  # (k, t_end) per eps
+        if steps[0][0] == 0:  # the coarsest orbit takes the fewest steps
+            raise DomainError(f"the window [t1, t0] is too short: the eps = {STUDY_EPS[0]} "
+                              "orbit takes no step")
         # one reference pass through the end times, nearest to t0 first
         t0f = float(t0)
         ends = sorted({float(t_end) for _, t_end in steps}, key=lambda t: abs(t0f - t))

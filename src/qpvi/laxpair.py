@@ -128,9 +128,9 @@ def fit_spectral_matrix(p, vt, n):
     relative to the coefficient scale.  That residual certifies the closed
     form on every call.
     """
-    _check_order(vt, n)
+    a1 = _check_order(vt, n)
     V = vw_polys(p)[0]
-    a, b, q, an, a1 = gauss_floats([p.a, p.b, p.q, vt.alpha[n], vt.alpha_nonzero(n + 1)])
+    a, b, q, an, a1 = gauss_floats([p.a, p.b, p.q, vt.alpha[n], a1])
     qn = q ** n
     bq1 = b * qn * q
     r = an / a1

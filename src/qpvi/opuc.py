@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DegenerateError, DomainError, SingularMeasureError
-from .polys import (ExactPoly, LDLFactor, below, dot, gauss_dot, gauss_floats, json_complex,
-                    peval, pstar, rounding_key, zero_bits)
+from .polys import (ExactPoly, LDLFactor, _fms, below, dot, gauss_floats, json_complex, peval,
+                    pstar, rounding_key, zero_bits)
 # caratheodory_quad stays bound here as the quadrature oracle of F;
 # perfbench/selftest.py wraps this binding
 from .qseries import caratheodory, caratheodory_quad  # noqa: F401
@@ -32,7 +32,7 @@ from .qseries import caratheodory, caratheodory_quad  # noqa: F401
 __all__ = [
     "VerblunskyTable", "inner_poly", "verblunsky_from_moments",
     "verblunsky_toeplitz", "orthogonality_residual", "wronskian_residuals",
-    "epsilon_eval", "epsilon_star_eval", "epsilon_asymptotics",
+    "epsilon_eval", "epsilon_star_eval",
 ]
 
 
@@ -99,18 +99,19 @@ def verblunsky_from_moments(table, N):
     """Run the Szego recursion to order N from a moment table.
 
     phi_n, psi_n, alpha_n and sigma_n are carried on `polys.GaussFloat`
-    and rounded once each into the table; <z phi_n, 1> is an exact sum
-    against the moments, cut once.
+    and rounded once each into the table; <z phi_n, 1> = sum_k phi_n,k
+    c_-(k+1) is an exact sum against the moments, converted once, cut
+    once.  The floor cut is not odd, so the sum is cut as itself, 0 minus
+    its terms over the negated moments, and then negated.
     """
     if N < 0 or table.K < N + 1:
         raise DomainError(f"need K >= N + 1 moments, got K = {table.K}, N = {N}")
     floor = (1, -2 * zero_bits())  # 1 - |alpha|^2 must stay above the zero level
-    cs = [table.cmom(-j) for j in range(N + 1)]
+    ncs = [-x for x in gauss_floats([table.cmom(-j) for j in range(1, N + 1)])]
     one, zero = gauss_floats([1, 0])
     phi, psi, alpha, sigma = [[one]], [[one]], [one], [one]
     for n in range(N):
-        zphi = [zero] + phi[n]
-        a = -gauss_dot(zphi, cs[:n + 2]) / sigma[n]
+        a = -_fms(zero, phi[n], ncs[:n + 1]) / sigma[n]
         gap = one - a * a.conj()
         if gap.re <= 0 or not below(floor, gap.norm()):
             raise SingularMeasureError(
@@ -214,24 +215,3 @@ def epsilon_star_eval(vt, n, z):
     """eps*_n(z) = psi*_n(z) - F(z) phi*_n(z), F as in `epsilon_eval`."""
     F = caratheodory(vt.moments, z)
     return peval(vt.psi_star(n), z) - F * peval(vt.phi_star(n), z)
-
-
-def epsilon_asymptotics(vt, n):
-    """Relative deviations from the four boundary behaviours of eps, eps*.
-
-    eps_n ~ 2 sigma_n z^n and eps*_n ~ 2 conj(alpha_{n+1}) sigma_n z^{n+1}
-    as z -> 0; z eps_n -> 2 sigma_n alpha_{n+1} and eps*_n -> 2 sigma_n as
-    z -> inf.  Deviations are O(|z|) resp. O(1/|z|), so the sample radii
-    1e-4 and 1e4 bound the expected size.
-    """
-    s, a1 = vt.sigma[n], vt.alpha[n + 1]
-    z0, zi = mp.mpc("1e-4"), mp.mpc("1e4")
-    out = {
-        "eps_origin": abs(epsilon_eval(vt, n, z0) / (2 * s * z0 ** n) - 1),
-        "eps_infinity": abs(zi * epsilon_eval(vt, n, zi) / (2 * s * a1) - 1),
-        "eps_star_origin": abs(
-            epsilon_star_eval(vt, n, z0)
-            / (2 * mp.conj(a1) * s * z0 ** (n + 1)) - 1),
-        "eps_star_infinity": abs(epsilon_star_eval(vt, n, zi) / (2 * s) - 1),
-    }
-    return out

@@ -36,7 +36,10 @@ Szego series and q-Pochhammer products (`qseries`), the Szego recursion
 and the orbit's set-up (`painleve`); so do two of the routes of the
 `steps` checks, `factorization_residuals` (`painleve`) and
 `composite_closed` (`weyl`).  Each converts its mpf/mpc inputs once with
-`gauss_floats` and rounds each output once with `GaussFloat.mpc`.
+`gauss_floats` and rounds each output once with `GaussFloat.mpc`.  One
+fused form serves every exact sum of products on GaussFloats, b - sum_k
+x_k y_k cut once (`_fms`): the recursion's <z phi_n, 1> and every entry
+of `LDLFactor`.
 `as_mpc` is the `mp.mpc` of the constructors that hold such outputs, minus
 the no-op re-rounding of a value that already fits the working precision.
 
@@ -80,7 +83,7 @@ from .errors import DegreeError
 __all__ = [
     "ExactPoly", "peval", "pstar", "mat_qdiff_residual",
     "json_complex", "dot", "autocorr",
-    "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "gauss_dot", "below",
+    "lstsq", "hpd_solve", "LDLFactor", "GaussFloat", "gauss_floats", "below",
     "largest", "t_add", "t_sub", "t_mul", "t_mul_sub", "t_product", "t_sum3", "t_div",
     "t_top", "as_mpc", "is_zero", "all_finite", "rounding_key",
     "GUARD_BITS", "TAIL_BITS", "zero_bits", "negligible", "residual_tol",
@@ -455,17 +458,6 @@ def largest(xs):
         if below(top, n):
             best, top = x, n
     return best
-
-
-def gauss_dot(xs, B):
-    """sum_k xs_k B_k for GaussFloats xs and mpf/mpc B of equal length:
-    exact, then one cut to the precision of xs."""
-    e = min(x.e for x in xs)
-    re = [x.re << (x.e - e) for x in xs]
-    im = [x.im << (x.e - e) for x in xs]
-    br, bi, eb, _ = _gauss(B)
-    return _cut(_isum(re, br) - _isum(im, bi), _isum(re, bi) + _isum(im, br),
-                e + eb, xs[0].p)
 
 
 def dot(A, B, conjugate=False):

@@ -34,13 +34,14 @@ and the Caratheodory function F(z) = int (zeta + z)/(zeta - z) dmu(zeta) is
 for |z| < 1, and F(z) = -conj F(1/conj z) outside the disk.  The series
 needs no grid; its length grows like prec / log2(1/|b|).
 
-Independent oracles, kept for the tests and checks: the weight itself
-through the q-Pochhammer products (`weight_eval`, which check 12 compares
-with |G|^2 from the series on the circle), the trapezoid rule on
-a uniform grid of the circle (`moments_quad`, `caratheodory_quad`), and
-the finite moment series c_0 + 2 sum_{k=1..K} c_k z^k
-(`caratheodory_series`).  F inherits a q-difference equation with an
-extra polynomial part,
+Independent oracles, kept for the checks and the benchmark: the weight
+itself through the q-Pochhammer products (`weight_eval`, which check 12
+compares with |G|^2 from the series on the circle), and F by the
+trapezoid rule on a uniform grid of the circle (`weight_grid`,
+`caratheodory_quad`).  The oracles only the tests use live beside them:
+the moments by the same rule, F from the finite moment series
+c_0 + 2 sum_{k=1..K} c_k z^k, and the q-difference equation of w.
+F inherits a q-difference equation with an extra polynomial part,
 
     W(z) F(qz) + V(z) F(z) = U(z),   deg U <= 2,
 
@@ -60,14 +61,12 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import ConvergenceError, DomainError, PoleError, PrecisionError
-from .polys import (TAIL_BITS, ExactPoly, autocorr, below, gauss_floats, json_complex,
-                    negligible, peval, zero_bits)
+from .errors import ConvergenceError, DomainError, PoleError
+from .polys import TAIL_BITS, ExactPoly, autocorr, below, gauss_floats, json_complex, negligible
 
 __all__ = [
     "QWeightParams", "MomentTable", "qpoch_inf", "weight_eval", "vw_polys",
-    "weight_feq_residual", "szego_coefficients", "moments", "caratheodory",
-    "moments_quad", "caratheodory_quad", "caratheodory_series",
+    "szego_coefficients", "moments", "caratheodory", "caratheodory_quad",
 ]
 
 DEFAULT_NODES = 512
@@ -138,14 +137,6 @@ def vw_polys(p):
     return V.rounded(), W.rounded()
 
 
-def weight_feq_residual(p, z):
-    """Relative residual of W(z) w(qz) + V(z) w(z) = 0."""
-    V, W = vw_polys(p)
-    lhs = peval(W, z) * weight_eval(p, p.q * z)
-    rhs = -peval(V, z) * weight_eval(p, z)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-
-
 # Szego series longer than this are refused rather than summed
 _MAX_TERMS = 10 ** 5
 
@@ -191,8 +182,8 @@ class MomentTable:
     """Normalized moments c_k, k = -K..K, with c_0 = 1, where len(c) = 2K + 1.
 
     A table from `moments` carries the Szego coefficients `g` and their
-    `mass`, from which `caratheodory` evaluates F.  A table from the
-    trapezoid rule (`moments_quad`) carries neither.
+    `mass`, from which `caratheodory` evaluates F.  A table built from
+    moments alone, such as a quadrature oracle's, carries neither.
     """
 
     params: QWeightParams
@@ -216,10 +207,6 @@ class MomentTable:
         if abs(k) > self.K:
             raise DomainError(f"moment index {k} outside computed range +-{self.K}")
         return self.c[k + self.K]
-
-    def hermitian_residual(self):
-        return max(abs(self.cmom(-k) - mp.conj(self.cmom(k)))
-                   for k in range(self.K + 1))
 
     def to_json_dict(self):
         return {
@@ -255,6 +242,14 @@ def moments(p, K):
     return MomentTable(params=p, c=tuple(cs), g=g, mass=mass)
 
 
+def _off_circle(z):
+    # z as an mpc, refused unless finite with |z| at least 2^-20 from 1
+    z = mp.mpc(z)
+    if not mp.isfinite(z) or abs(abs(z) - 1) < mp.ldexp(1, -20):
+        raise DomainError("Caratheodory evaluation requires a finite z, |z| away from 1")
+    return z
+
+
 def caratheodory(table, z):
     """F(z) from the Szego coefficients of a `moments` table; needs a finite z, |z| != 1.
 
@@ -262,9 +257,7 @@ def caratheodory(table, z):
     S_m = g_m + z S_{m+1}, one pass over the series per point.  Outside it
     the measure is positive, so F(z) = -conj F(1/conj z).
     """
-    z = mp.mpc(z)
-    if not mp.isfinite(z) or abs(abs(z) - 1) < mp.ldexp(1, -20):
-        raise DomainError("Caratheodory evaluation requires a finite z, |z| away from 1")
+    z = _off_circle(z)
     if table.g is None:
         raise DomainError("moment table carries no Szego coefficients; "
                           "build it with qseries.moments")
@@ -296,48 +289,9 @@ def weight_grid(p, N=DEFAULT_NODES):
     return _GRIDS[key]
 
 
-def moments_quad(p, K, N=DEFAULT_NODES):
-    """Moment table via the N-point trapezoid rule (oracle for `moments`).
-
-    The rule aliases c_k onto c_{k +- N}, so the truncation error is of
-    order r^(N-K) with r = max(|a|, |b|); the guard below rejects requests
-    the grid cannot support at working precision.  The table carries no
-    Szego coefficients, so `caratheodory` refuses it.
-    """
-    if K < 0 or N <= 2 * K:
-        raise DomainError(f"need N > 2K, got N = {N}, K = {K}")
-    r = max(abs(p.a), abs(p.b))
-    if r > 0 and r ** (N - K) > mp.ldexp(1, 8 - mp.mp.prec):
-        raise PrecisionError(
-            f"N = {N} nodes cannot reach working precision for K = {K}")
-    nodes, wvals, c0raw = weight_grid(p, N)
-    if negligible(c0raw, 1):
-        raise PrecisionError("total mass of the weight vanished numerically")
-    cs = []
-    for k in range(-K, K + 1):
-        s = mp.fsum(wvals[m] * nodes[m] ** (-k) for m in range(N)) / N
-        cs.append(s / c0raw)
-    return MomentTable(params=p, c=tuple(cs))
-
-
 def caratheodory_quad(p, z, N=DEFAULT_NODES):
     """F(z) by quadrature against the Poisson-type kernel; needs a finite z, |z| != 1."""
-    z = mp.mpc(z)
-    if not mp.isfinite(z) or abs(abs(z) - 1) < mp.ldexp(1, -20):
-        raise DomainError("Caratheodory evaluation requires a finite z, |z| away from 1")
+    z = _off_circle(z)
     nodes, wvals, c0raw = weight_grid(p, N)
     return mp.fsum(wvals[m] * (nodes[m] + z) / (nodes[m] - z)
                    for m in range(N)) / (N * c0raw)
-
-
-def caratheodory_series(table, z):
-    """F(z) = 1 + 2 sum_{k=1..K} c_k z^k for |z| < 1, with a tail guard."""
-    z = mp.mpc(z)
-    if not abs(z) < 1:  # nan fails too
-        raise DomainError("moment series for F needs a finite z with |z| < 1")
-    tail = 2 * abs(z) ** (table.K + 1) / (1 - abs(z))
-    if tail > mp.ldexp(1, -zero_bits()):
-        raise PrecisionError(
-            f"series tail {mp.nstr(tail, 5)} too large at |z| = {mp.nstr(abs(z), 5)}")
-    return table.cmom(0) + 2 * z * peval(table.c[table.K + 1:], z)
-

@@ -14,18 +14,20 @@ The geometric side realizes that translation as a word in maps acting on
 eight parameters b1..b8 and a point (f, g) of the surface.  The
 reflections w0..w5 are involutions: w1, w4, w5 permute parameters; w2, w3
 are de Jonquieres moves in f resp. g; w0 acts in a P^2 chart reached
-through f = y/(x - a1 z), g = z/x.  The inversion sigma, f -> c_f/f and
-g -> c_g/g with c_f, c_g built from b, is not an involution: sigma^2
-multiplies b1..b4 and g by the lattice q (`BPoint.q`) and b5..b8 and f
-by q^2, so the reversed word inverts phi only up to that rescaling.  The
-reduced word
+through f = y/(x - a1 z), g = z/x.  The word below uses w0..w4.  The
+inversion sigma, f -> c_f/f and g -> c_g/g with c_f, c_g built from b, is
+not an involution: sigma^2 multiplies b1..b4 and g by the lattice
+q = b3 b4 b5 b6/(b1 b2 b7 b8) and b5..b8 and f by q^2, so the reversed
+word inverts phi only up to that rescaling.  The reduced word
 
     phi = sigma w4 w3 w2 w0 w1 w2 w3 w4     (rightmost factor first)
 
 reproduces the Painleve step of `painleve.phi_step` under the dictionary
-`painleve.b_params`, with f = xi, g = y.  Note the lattice/point-configuration
-convention q = b3 b4 b5 b6/(b1 b2 b7 b8) is the reciprocal of the weight
-convention used elsewhere.
+`painleve.b_params`, with f = xi, g = y, whose inverse is
+`surface_from_bpoint`.  That lattice/point-configuration q is the
+reciprocal of the weight convention used elsewhere: `surface_from_bpoint`
+forms the weight's q = (b1 b2 b7 b8)/(b3 b4 b5 b6), the one place the
+package forms either.
 
 Check 11 of `qpvi.verify` compares three routes to the step: the word
 (`composite_map`), its closed forms (`composite_closed`) and
@@ -39,14 +41,13 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ChartError, DomainError, IndeterminacyError
-from .painleve import SurfaceCoords, SurfaceParams, b_params
+from .painleve import SurfaceCoords, SurfaceParams
 from .polys import all_finite, as_mpc, below, gauss_floats, is_zero, negligible, zero_bits
 
 __all__ = [
     "ip", "pic_constants", "phi_pic", "apply_pic", "is_isometry",
-    "check_translation", "BPoint", "elementary", "sigma_inversion",
-    "composite_map", "composite_closed", "bpoint_from_surface",
-    "surface_from_bpoint",
+    "check_translation", "BPoint", "sigma_inversion", "composite_map",
+    "composite_closed", "surface_from_bpoint",
 ]
 
 
@@ -172,16 +173,6 @@ class BPoint:
         if not all_finite((*self.b, self.f, self.g)):
             raise DomainError("need finite parameters b1..b8 and point (f, g)")
 
-    @property
-    def q(self):
-        num, den = _lattice_products(self.b)
-        return den / num
-
-
-def _lattice_products(b):
-    # (b1 b2 b7 b8, b3 b4 b5 b6): the lattice q is their ratio, either way up
-    return b[0] * b[1] * b[6] * b[7], b[2] * b[3] * b[4] * b[5]
-
 
 def _w1(pt):
     b = pt.b
@@ -191,11 +182,6 @@ def _w1(pt):
 def _w4(pt):
     b = pt.b
     return BPoint(b=b[:6] + (b[7], b[6]), f=pt.f, g=pt.g)
-
-
-def _w5(pt):
-    b = pt.b
-    return BPoint(b=b[:4] + (b[5], b[4]) + b[6:], f=pt.f, g=pt.g)
 
 
 def _w2(pt):
@@ -238,8 +224,8 @@ def _w0(pt):
 def sigma_inversion(pt):
     """The inversion f -> c_f/f, g -> c_g/g, with the parameters it induces.
 
-    Not an involution: applied twice it multiplies b1..b4 and g by
-    q = `BPoint.q` and b5..b8 and f by q^2.
+    Not an involution: applied twice it multiplies b1..b4 and g by the
+    lattice q = b3 b4 b5 b6/(b1 b2 b7 b8) and b5..b8 and f by q^2.
     """
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
     if negligible(pt.f, 2) or negligible(pt.g, 2):
@@ -249,16 +235,6 @@ def sigma_inversion(pt):
     nb = (cg / b3, cg / b4, cg / b1, cg / b2,
           cf / b7, cf / b8, cf / b5, cf / b6)
     return BPoint(b=nb, f=cf / pt.f, g=cg / pt.g)
-
-
-_GENERATORS = (_w0, _w1, _w2, _w3, _w4, _w5)
-
-
-def elementary(i, pt):
-    """Apply the reflection w_i, i = 0..5."""
-    if not 0 <= i <= 5:
-        raise DomainError(f"reflection index must be 0..5, got {i}")
-    return _GENERATORS[i](pt)
 
 
 def composite_map(pt):
@@ -307,16 +283,10 @@ def composite_closed(pt):
     return fbar.mpc(), gbar.mpc()
 
 
-def bpoint_from_surface(sp, coords):
-    """Dictionary from surface parameters/coordinates to the b-chart (`b_params`)."""
-    return BPoint(b=b_params(sp), f=coords.xi, g=coords.y)
-
-
 def surface_from_bpoint(pt):
     """Inverse dictionary, from the b-chart to surface parameters/coordinates."""
     b1, b2, b3, b4, b5, b6, b7, b8 = pt.b
-    num, den = _lattice_products(pt.b)
-    q = num / den
+    q = b1 * b2 * b7 * b8 / (b3 * b4 * b5 * b6)
     sp = SurfaceParams(k1=1 / b7, k2=q / b8, t1=b1 * b2 / b5, t2=b1 * b2 / b6,
                        c=(b1, b2, b3, b4), q=q)
     return sp, SurfaceCoords(y=pt.g, xi=pt.f)

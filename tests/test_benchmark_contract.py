@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 import qpvi
 from qpvi import continuum, laxpair, opuc, painleve, qseries, verify
 
@@ -50,11 +51,24 @@ def test_serves_one_request(workloads, name):
     assert out.passed, out
 
 
+# names perfbench/tracing.py maps whose functions now live in tests/helpers.py:
+# the tracer wraps only what the library defines, so they time nothing, and
+# each of their metrics keeps a library function of its own
+MOVED_TO_TESTS = {"qseries.caratheodory_series", "weyl.bpoint_from_surface"}
+
+
 def test_traced_functions_exist():
     tracing = _load("tracing")
-    for name in {**tracing.TIMED, **tracing.COUNTED}:
-        layer, func = name.split(".")
-        assert callable(getattr(importlib.import_module(f"qpvi.{layer}"), func)), name
+    for table in (tracing.TIMED, tracing.COUNTED):
+        for name, metric in table.items():
+            layer, func = name.split(".")
+            mod = importlib.import_module(f"qpvi.{layer}")
+            if name in MOVED_TO_TESTS:
+                assert not hasattr(mod, func) and callable(getattr(helpers, func)), name
+                assert any(m == metric and n not in MOVED_TO_TESTS
+                           for n, m in table.items()), name
+            else:
+                assert callable(getattr(mod, func)), name
 
 
 def test_names_the_worker_and_selftests_use():

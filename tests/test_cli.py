@@ -269,6 +269,17 @@ class TestLimitCheck:
         code, out = run(capsys, ["limit-check", "--t0", "1.2", "--t1", "0.8"])
         assert code == 2 and out == ""
 
+    def test_window_without_a_step(self, capsys, monkeypatch):
+        # the eps = 0.01 orbit from t0 = 0.8 takes no step to t1 = 0.797
+        for mod in (qpvi, painleve, continuum):
+            monkeypatch.setattr(mod, "phi_orbit", _refuse)
+        monkeypatch.setattr(continuum, "_dop853_pass", _refuse)
+        code = cli.main(["limit-check", "--t1", "0.797"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("configuration error: the window [t1, t0] is too short: "
+                                "the eps = 0.01 orbit takes no step\n")
+
 
 LIMIT_FLAGS = {"--t0", "--t1", "--u0", "--v0", "--K2", "--Theta2", "--C1", "--C2", "--C3",
                "--C4"}

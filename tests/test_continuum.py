@@ -131,9 +131,13 @@ class TestEmbedding:
         assert abs(sp.q - mp.mpf("0.99")) < 1e-45
 
     def test_eps_range(self, ref):
-        lp, _ = ref
+        lp, w = ref
         with pytest.raises(DomainError):
             continuum.discrete_step_params(lp, mp.mpf("1.5"), mp.mpf("0.7"))
+        # discrete_orbit refuses eps through discrete_step_params, once
+        for eps in ("0", "1", "1.5", "nan"):
+            with pytest.raises(DomainError, match=r"^need 0 < eps < 1$"):
+                continuum.discrete_orbit(lp, mp.mpf(eps), w["t0"], w["t1"], w["u0"], w["v0"])
 
     def test_orbit_step_count(self, ref):
         lp, w = ref
@@ -271,6 +275,23 @@ class TestLimit:
         lp, w = ref
         with pytest.raises(SingularityError):
             continuum.limit_check(lp, window=dict(w, v0=mp.mpc(0)))
+
+    def test_window_without_a_step_refused(self, ref, monkeypatch):
+        # from t0 = 0.8 the eps = 0.01 orbit ends nearest t1 = 0.797 after no
+        # step (the others after 1 and 2), so its error would be the rounding
+        # of u0 alone; at 0.7999 no orbit steps.  Both are refused before the
+        # reference pass, and t1 = 0.792, one eps = 0.01 step, reaches it
+        for mod in (qpvi, painleve, continuum):
+            monkeypatch.setattr(mod, "phi_orbit", _refuse)
+        monkeypatch.setattr(continuum, "_dop853_pass", _refuse)
+        lp, w = ref
+        for t1 in ("0.797", "0.7999"):
+            with pytest.raises(DomainError) as exc:
+                continuum.limit_check(lp, window=dict(w, t1=mp.mpf(t1)))
+            assert str(exc.value) == ("the window [t1, t0] is too short: "
+                                      "the eps = 0.01 orbit takes no step")
+        with pytest.raises(AssertionError):
+            continuum.limit_check(lp, window=dict(w, t1=mp.mpf("0.792")))
 
     @pytest.mark.parametrize("shift", [{}, {"u0": ("0.08", "-0.05"), "v0": ("-0.06", "0.09")},
                                        {"t0": "0.75", "t1": "0.45"}],

@@ -1,7 +1,10 @@
+import hashlib
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import epsilon_asymptotics
 from qpvi import opuc, qseries
 from qpvi.errors import DegreeError, DomainError, SingularMeasureError
 from qpvi.polys import pstar
@@ -47,6 +50,21 @@ class TestRecursion:
         # sigma is a strictly decreasing positive sequence
         for n in range(1, vt.N + 1):
             assert 0 < vt.sigma[n] < vt.sigma[n - 1]
+
+    def test_bits_pinned(self, table, prec192):
+        # the raw parts of alpha, sigma and phi at the reference weight, N = 22
+        # and 192 bits, bit for bit: a change to how the recursion sums
+        # <z phi_n, 1> must keep them
+        vt = opuc.verblunsky_from_moments(table, 22)
+        raw = (tuple(x._mpc_ for x in vt.alpha), tuple(x._mpf_ for x in vt.sigma),
+               tuple(tuple(x._mpc_ for x in p) for p in vt.phi))
+        assert hashlib.sha256(repr(raw).encode()).hexdigest() == (
+            "ca390777a5384184d3ea8fd6c37a334ea8c8a87c3c4162336572a11c02d6de6e")
+        assert vt.alpha[22]._mpc_ == (
+            (1, 3870161470138804679067349346706977073712784770588168401171, -224, 192),
+            (0, 3581595876793258669227634463796972144799518967713020880023, -225, 192))
+        assert vt.sigma[22]._mpf_ == (
+            0, 2211408734921868404586632896190579256220674510112463215221, -191, 191)
 
     def test_toeplitz_agreement(self, table, vt, prec192):
         for n in (1, 4, 9):
@@ -95,7 +113,7 @@ class TestSecondKind:
                 assert r < 1e-45
 
     def test_epsilon_asymptotics(self, vt, prec192):
-        devs = opuc.epsilon_asymptotics(vt, 4)
+        devs = epsilon_asymptotics(vt, 4)
         for k, v in devs.items():
             assert v < 1e-3, k
 

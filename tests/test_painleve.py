@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import pytest
 
+from helpers import bpoint_from_surface, elementary
 from qpvi import continuum, laxpair, opuc, painleve, polys, qseries, verify, weyl
 from qpvi.errors import (ConsistencyError, ConstraintError, DegenerateError, DegreeError,
                          DomainError, GaugeError, IndeterminacyError, QpviError,
@@ -110,7 +111,7 @@ def step_back(pt):
     """The inverse of `weyl.composite_map`: its involutions in reverse order."""
     pt = weyl.sigma_inversion(pt)
     for i in (4, 3, 2, 0, 1, 2, 3, 4):
-        pt = weyl.elementary(i, pt)
+        pt = elementary(i, pt)
     return pt
 
 
@@ -121,7 +122,7 @@ def preimage(sp_j, y, xi, j):
     lands on a copy of the surface scaled by y, c -> lam (y, c),
     xi -> lam^2 xi, which is undone.
     """
-    pt = weyl.bpoint_from_surface(sp_j, painleve.SurfaceCoords(y=y, xi=xi))
+    pt = bpoint_from_surface(sp_j, painleve.SurfaceCoords(y=y, xi=xi))
     for _ in range(j):
         pt = step_back(pt)
     lam = pt.b[0] / sp_j.c[0]

@@ -874,6 +874,18 @@ class TestPolicy:
         assert "tol" not in inspect.signature(painleve.extract_coords).parameters
         assert "hpd_solve(" in inspect.getsource(polys.lstsq)
 
+    def test_test_only_names_live_in_the_tests(self):
+        # routes and oracles only the tests call live in tests/helpers.py;
+        # the Szego recursion sums on _fms, and surface_from_bpoint alone
+        # forms the lattice q
+        for path in Path(qpvi.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            for name in ("epsilon_asymptotics", "weight_feq_residual", "caratheodory_series",
+                         "moments_quad", "hermitian_residual", "elementary", "_GENERATORS",
+                         "bpoint_from_surface", "_w5", "gauss_dot", "_lattice_products"):
+                assert not re.search(rf"\b{name}\b", text), (path.name, name)
+        assert not hasattr(weyl.BPoint, "q")
+
     def test_mpmath_internals_only_in_polys(self):
         # the raw layouts, libmp and the (precision, rounding) pair are read
         # in polys alone (see TestMpmathLayout); the other modules ask it

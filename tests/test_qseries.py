@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import caratheodory_series, hermitian_residual, moments_quad, weight_feq_residual
 from qpvi import qseries
 from qpvi.errors import ConvergenceError, DomainError, PoleError, PrecisionError
 from qpvi.polys import ExactPoly, dot, peval
@@ -78,7 +79,7 @@ class TestWeight:
     def test_functional_equation(self, ref_params, prec192):
         # W(z) w(qz) = -V(z) w(z) away from poles and zeros
         for z in (mp.mpc("0.9", "0.2"), mp.mpc("-0.4", "1.1"), mp.mpc("1.3", "-0.7")):
-            r = qseries.weight_feq_residual(ref_params, z)
+            r = weight_feq_residual(ref_params, z)
             assert r < 1e-40
 
     def test_vw_degrees(self, ref_params):
@@ -92,7 +93,7 @@ class TestWeight:
 class TestMoments:
     def test_normalization_and_symmetry(self, table, prec192):
         assert table.cmom(0) == 1
-        assert table.hermitian_residual() < 1e-45
+        assert hermitian_residual(table) < 1e-45
 
     def test_index_range(self, table):
         with pytest.raises(DomainError):
@@ -106,14 +107,14 @@ class TestMoments:
 
     def test_grid_too_small(self, ref_params):
         with pytest.raises(DomainError):
-            qseries.moments_quad(ref_params, K=40, N=64)
+            moments_quad(ref_params, K=40, N=64)
 
     def test_aliasing_guard(self, ref_params):
         # N just above 2K but far too small for the precision: the tail
         # estimate r^(N-K) must trip the guard
         with mp.workprec(192):
             with pytest.raises(PrecisionError):
-                qseries.moments_quad(ref_params, K=30, N=62)
+                moments_quad(ref_params, K=30, N=62)
 
     def test_json_round_trip(self, table):
         d = table.to_json_dict()
@@ -129,7 +130,7 @@ class TestCaratheodory:
         # radii small enough that the crude tail bound 2 |z|^(K+1) / (1 - |z|)
         # clears the guard at K = 48
         for z in (mp.mpc("0.2", "0.1"), mp.mpc("-0.15", "0.12"), mp.mpc("0.05", "-0.18")):
-            fs = qseries.caratheodory_series(table, z)
+            fs = caratheodory_series(table, z)
             fq = qseries.caratheodory_quad(ref_params, z)
             assert abs(fs - fq) < 1e-30
 
@@ -139,7 +140,7 @@ class TestCaratheodory:
 
     def test_tail_guard(self, table):
         with pytest.raises(PrecisionError):
-            qseries.caratheodory_series(table, mp.mpc("0.97"))
+            caratheodory_series(table, mp.mpc("0.97"))
 
     def test_u_from_recurrence(self, ref_params, table, prec192):
         # W(z) F(qz) + V(z) F(z) is the polynomial U of degree two whose
@@ -182,14 +183,14 @@ class TestSzegoSeries:
         assert mass._mpf_ == dot(g, g, conjugate=True).real._mpf_
 
     def test_moments_match_quadrature_reference(self, ref_params, table, prec192):
-        quad = qseries.moments_quad(ref_params, K=20)
+        quad = moments_quad(ref_params, K=20)
         assert max(abs(table.cmom(k) - quad.cmom(k)) for k in range(-20, 21)) <= 1e-50
 
     @pytest.mark.parametrize("a, b", [(("0.4",), ("0.1", "0.3")),   # real a
                                       (("0.3", "0.2"), ("0",))])     # b = 0
     def test_moments_match_quadrature(self, a, b, prec192):
         p = _weight(a, b, "0.3")
-        series, quad = qseries.moments(p, K=20), qseries.moments_quad(p, K=20, N=192)
+        series, quad = qseries.moments(p, K=20), moments_quad(p, K=20, N=192)
         assert quad.K == series.K == 20 and quad.g is None
         assert max(abs(x - y) for x, y in zip(series.c, quad.c)) <= 1e-50
 
@@ -222,7 +223,7 @@ class TestSzegoSeries:
         with pytest.raises(DomainError, match="finite"):
             qseries.caratheodory_quad(table.params, z)
         with pytest.raises(DomainError, match="finite"):
-            qseries.caratheodory_series(table, z)
+            caratheodory_series(table, z)
 
     def test_iteration_cap(self, ref_params, monkeypatch):
         monkeypatch.setattr(qseries, "_MAX_TERMS", 20)

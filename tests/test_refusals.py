@@ -3,6 +3,7 @@
 import mpmath as mp
 import pytest
 
+from helpers import bpoint_from_surface
 from qpvi import continuum, opuc, painleve, qseries, weyl
 from qpvi.errors import (ConstraintError, DegenerateError, DomainError,
                          IndeterminacyError)
@@ -58,7 +59,7 @@ CASES = {
     "factorization_nan_coords": (lambda table, vt: painleve.factorization_residuals(
                                      painleve.SurfaceCoords(y=mp.nan, xi=1), _surface()),
                                  DomainError, "coordinates must be finite"),
-    "bpoint_kappa1_0": (lambda table, vt: weyl.bpoint_from_surface(
+    "bpoint_kappa1_0": (lambda table, vt: bpoint_from_surface(
                             _surface(k1=0, t2=0), painleve.SurfaceCoords(y=1, xi=1)),
                         DegenerateError, "kappa1 = 0: the step divides by "
                                          "kappa1, kappa2, theta1 and c1..c4"),

@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import bpoint_from_surface, elementary, lattice_q
 from qpvi import painleve, verify, weyl
 from qpvi.errors import ChartError, DomainError, IndeterminacyError
 from test_benchmark_contract import _load
@@ -87,14 +88,14 @@ class TestBirational:
     def test_generator_index_range(self):
         pt = random_bpoint(0)
         with pytest.raises(DomainError):
-            weyl.elementary(7, pt)
+            elementary(7, pt)
 
     def test_involutions(self):
         with mp.workprec(128):
             for seed in range(3):
                 pt = random_bpoint(seed)
                 for i in range(6):
-                    assert points_close(weyl.elementary(i, weyl.elementary(i, pt)), pt), i
+                    assert points_close(elementary(i, elementary(i, pt)), pt), i
 
     def test_sigma_squared_is_rescale(self):
         # sigma^2 acts as the gauge (f, g, b) -> (s^2 f, s g, b[:4] s, b[4:] s^2)
@@ -115,9 +116,9 @@ class TestBirational:
         with mp.workprec(192):
             pt = verify._composite_point(0, 1)
             for i in range(6):
-                assert points_close(weyl.elementary(i, weyl.elementary(i, pt)), pt,
+                assert points_close(elementary(i, elementary(i, pt)), pt,
                                     1e-50), i
-            q = pt.q
+            q = lattice_q(pt)
             scaled = weyl.BPoint(b=tuple(x * q for x in pt.b[:4])
                                  + tuple(x * q ** 2 for x in pt.b[4:]),
                                  f=pt.f * q ** 2, g=pt.g * q)
@@ -129,8 +130,8 @@ class TestBirational:
         with mp.workprec(128):
             pt = random_bpoint(5)
             for i in range(6):
-                assert close(weyl.elementary(i, pt).q, pt.q)
-            assert close(weyl.sigma_inversion(pt).q, pt.q)
+                assert close(lattice_q(elementary(i, pt)), lattice_q(pt))
+            assert close(lattice_q(weyl.sigma_inversion(pt)), lattice_q(pt))
 
     def test_composite_routes_agree(self):
         with mp.workprec(128):
@@ -141,8 +142,8 @@ class TestBirational:
                 assert close(out.f, fbar, 1e-25)
                 assert close(out.g, gbar, 1e-25)
                 # parameter translation: b5 and b7 each gain a factor q
-                assert close(out.b[4], pt.b[4] * pt.q)
-                assert close(out.b[6], pt.b[6] * pt.q)
+                assert close(out.b[4], pt.b[4] * lattice_q(pt))
+                assert close(out.b[6], pt.b[6] * lattice_q(pt))
                 for j in (0, 1, 2, 3, 5, 7):
                     assert close(out.b[j], pt.b[j])
 
@@ -160,13 +161,13 @@ class TestBirational:
             ones = tuple(mp.mpc(j + 2) for j in range(8))
             pt = weyl.BPoint(b=ones, f=mp.mpc("0.5"), g=ones[0])
             with pytest.raises(IndeterminacyError):
-                weyl.elementary(2, pt)  # g = b1
+                elementary(2, pt)  # g = b1
             pt = weyl.BPoint(b=ones, f=ones[4], g=mp.mpc("0.5"))
             with pytest.raises(IndeterminacyError):
-                weyl.elementary(3, pt)  # f = b5
+                elementary(3, pt)  # f = b5
             pt = weyl.BPoint(b=ones, f=mp.mpc("0.5"), g=ones[2])
             with pytest.raises(ChartError):
-                weyl.elementary(0, pt)  # g = b3 leaves the affine chart
+                elementary(0, pt)  # g = b3 leaves the affine chart
             pt = weyl.BPoint(b=ones, f=mp.mpc(0), g=mp.mpc("0.5"))
             with pytest.raises(IndeterminacyError):
                 weyl.sigma_inversion(pt)
@@ -219,7 +220,7 @@ class TestDictionary:
         n = 3
         sp = painleve.params_from_weight(ref_params, n)
         co = painleve.extract_coords(ctx.fits()[n].matrix, sp)
-        pt = weyl.bpoint_from_surface(sp, co)
+        pt = bpoint_from_surface(sp, co)
         sp2, co2 = weyl.surface_from_bpoint(pt)
         for x, y in ((sp.k1, sp2.k1), (sp.k2, sp2.k2), (sp.t1, sp2.t1),
                      (sp.t2, sp2.t2), (sp.q, sp2.q), (co.y, co2.y), (co.xi, co2.xi)):
@@ -228,7 +229,7 @@ class TestDictionary:
             assert close(cx, cy, 1e-40)
         # the point's translation multiplier is the reciprocal of the weight
         # base: theta1 -> q theta1 makes b5 = c1 c2 / theta1 grow by 1/q
-        assert close(pt.q * ref_params.q, mp.mpf(1), 1e-40)
+        assert close(lattice_q(pt) * ref_params.q, mp.mpf(1), 1e-40)
 
     def test_one_b_chart_dictionary(self, ref_params, ctx, prec192):
         # the b-point and the finite coordinates of the blown-up points read
@@ -236,7 +237,7 @@ class TestDictionary:
         sp = painleve.params_from_weight(ref_params, 3)
         co = painleve.extract_coords(ctx.fits()[3].matrix, sp)
         b = painleve.b_params(sp)
-        assert [x._mpc_ for x in weyl.bpoint_from_surface(sp, co).b] == [x._mpc_ for x in b]
+        assert [x._mpc_ for x in bpoint_from_surface(sp, co).b] == [x._mpc_ for x in b]
         finite = [v for _, y, xi in painleve.blown_up_points(sp) for v in (y, xi)
                   if v != 0 and v != mp.inf]
         assert [x._mpc_ for x in finite] == [x._mpc_ for x in b]
